@@ -10,6 +10,7 @@ from .algebra import (
     Term,
     UnaryMap,
     Variable,
+    evaluate_columns,
     evaluate_term,
     flat_index,
     induced_image_algebra,

@@ -17,7 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError, TermError
 
@@ -81,6 +84,16 @@ class FiniteAlgebra:
             raise TermError(f"unknown operation symbol {symbol!r}")
         return op
 
+    @cached_property
+    def table_arrays(self) -> dict:
+        """Read-only int64 copies of the tables by symbol, built on first use."""
+        arrays = {}
+        for op in self.ops:
+            arr = np.array(op.table, dtype=np.int64)
+            arr.flags.writeable = False
+            arrays[op.symbol] = arr
+        return arrays
+
     @property
     def total_table_size(self) -> int:
         """Sum of all table sizes; the natural encoding size of the algebra."""
@@ -102,7 +115,9 @@ class Apply:
     children: tuple["Term", ...]
 
 
-Term = Union[Variable, Apply]
+# a types.UnionType, not typing.Union: typing caches its subscriptions, and
+# the cache would keep every re-imported copy of these classes alive
+Term = Variable | Apply
 
 
 def term_arity(t: Term) -> int:
@@ -118,29 +133,34 @@ def term_arity(t: Term) -> int:
     return high + 1
 
 
-def evaluate_term(alg: FiniteAlgebra, t: Term, args) -> int:
-    """Evaluate a term at an argument tuple.
+def evaluate_columns(alg: FiniteAlgebra, t: Term, cols) -> np.ndarray:
+    """Evaluate a term on many argument tuples at once.
 
-    Requires len(args) >= term_arity(t) and every argument in the universe.
-    Shared subterm objects are evaluated once.
+    ``cols`` is an integer array of shape (k, W); column w is the argument
+    tuple (cols[0, w], ..., cols[k-1, w]).  Returns the W values.  Each
+    distinct subterm object costs one table gather over all W columns, so
+    shared subterms are evaluated once.
     """
-    args = tuple(args)
-    for a in args:
-        if not 0 <= a < alg.size:
-            raise TermError(f"argument {a} outside universe of size {alg.size}")
-    memo: dict[int, int] = {}
+    cols = np.asarray(cols, dtype=np.int64)
+    if cols.ndim != 2:
+        raise TermError(f"argument columns must have shape (k, W), got {cols.shape}")
+    k, width = cols.shape
+    if cols.size and (cols.min() < 0 or cols.max() >= alg.size):
+        bad = cols[(cols < 0) | (cols >= alg.size)][0]
+        raise TermError(f"argument {bad} outside universe of size {alg.size}")
+    memo: dict[int, np.ndarray] = {}
 
-    def walk(node: Term) -> int:
+    def walk(node: Term) -> np.ndarray:
         key = id(node)
         got = memo.get(key)
         if got is not None:
             return got
         if isinstance(node, Variable):
-            if node.index >= len(args):
+            if not 0 <= node.index < k:
                 raise TermError(
-                    f"term references x{node.index} but only {len(args)} arguments given"
+                    f"term references x{node.index} but only {k} arguments given"
                 )
-            val = args[node.index]
+            val = cols[node.index].copy()
         else:
             op = alg.operation(node.symbol)
             if len(node.children) != op.arity:
@@ -148,53 +168,46 @@ def evaluate_term(alg: FiniteAlgebra, t: Term, args) -> int:
                     f"operation {node.symbol} expects {op.arity} children, "
                     f"got {len(node.children)}"
                 )
-            val = op.table[flat_index((walk(c) for c in node.children), alg.size)]
+            table = alg.table_arrays[node.symbol]
+            if op.arity == 0:
+                val = np.full(width, table[0])
+            else:
+                flat = walk(node.children[0])
+                for child in node.children[1:]:
+                    flat = flat * alg.size + walk(child)
+                val = table[flat]
         memo[key] = val
         return val
 
     return walk(t)
 
 
+def _argument_grid(values, arity: int) -> np.ndarray:
+    """Every arity-tuple over ``values`` as the columns of a (arity, W) array,
+    in row-major order with the leftmost argument most significant."""
+    values = np.asarray(values, dtype=np.int64)
+    index = np.indices((len(values),) * arity).reshape(arity, len(values) ** arity)
+    return values[index]
+
+
+def evaluate_term(alg: FiniteAlgebra, t: Term, args) -> int:
+    """Evaluate a term at one argument tuple.
+
+    Requires len(args) >= term_arity(t) and every argument in the universe.
+    """
+    args = np.asarray(tuple(args), dtype=np.int64)
+    return int(evaluate_columns(alg, t, args.reshape(args.size, 1))[0])
+
+
 def term_table(alg: FiniteAlgebra, t: Term, arity: int) -> tuple[int, ...]:
     """Materialize the k-ary term operation induced by t as a flat table.
 
-    Uses the same row-major convention as basic operations.  Computed
-    bottom-up over the (possibly shared) term structure, so the cost is
-    linear in distinct subterms times n^arity.
+    Uses the same row-major convention as basic operations.
     """
     if arity < 0:
         raise TermError("arity must be nonnegative")
-    if term_arity(t) > arity:
-        raise TermError(f"term has arity {term_arity(t)}, table arity {arity} too small")
-    n = alg.size
-    size = n ** arity
-    memo: dict[int, tuple[int, ...]] = {}
-
-    def tab(node: Term) -> tuple[int, ...]:
-        key = id(node)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(node, Variable):
-            # projection onto coordinate node.index
-            block = n ** (arity - 1 - node.index)
-            out = tuple((idx // block) % n for idx in range(size))
-        else:
-            op = alg.operation(node.symbol)
-            if len(node.children) != op.arity:
-                raise TermError(
-                    f"operation {node.symbol} expects {op.arity} children, "
-                    f"got {len(node.children)}"
-                )
-            child_tabs = [tab(c) for c in node.children]
-            out = tuple(
-                op.table[flat_index((ct[idx] for ct in child_tabs), n)]
-                for idx in range(size)
-            )
-        memo[key] = out
-        return out
-
-    return tab(t)
+    grid = _argument_grid(range(alg.size), arity)
+    return tuple(evaluate_columns(alg, t, grid).tolist())
 
 
 def idempotence_violation(alg: FiniteAlgebra) -> Optional[tuple[str, int, int]]:
@@ -359,20 +372,16 @@ def restrict_to_image(
     """
     b_sorted = tuple(sorted(image_set))
     b_set = set(b_sorted)
-    beta = {
-        b: alpha.images[evaluate_term(alg, t, (b,) * arity)] for b in b_sorted
-    }
+    diagonal = evaluate_columns(alg, t, np.tile(b_sorted, (arity, 1))).tolist()
+    beta = {b: alpha.images[v] for b, v in zip(b_sorted, diagonal)}
     if set(beta.values()) != b_set:
         raise ConsistencyError(
             "diagonal map is not a permutation of the minimal image"
         )
     # least p >= 1 with beta^(p+1) = id on B: p = d - 1 for order d >= 2, else 1
     beta_p = _perm_order_and_power(beta, lambda d: d - 1 if d >= 2 else 1)
-    out = []
-    for args in itertools.product(b_sorted, repeat=arity):
-        v = beta_p[alpha.images[evaluate_term(alg, t, args)]]
-        out.append(v)
-    return tuple(out)
+    values = evaluate_columns(alg, t, _argument_grid(b_sorted, arity)).tolist()
+    return tuple(beta_p[alpha.images[v]] for v in values)
 
 
 def induced_image_algebra(

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 for yes/success, 1 for no, 2 for usage, parse, or precondition
-errors, 3 when a resource budget was exceeded.  The default budget can be
+errors, 3 when a resource budget was exceeded or memory ran out, 4 when an
+internal consistency check failed.  The default budget can be
 overridden with --budget or the MALTSEV_LAB_BUDGET environment variable.
 """
 from __future__ import annotations
@@ -238,12 +239,15 @@ def run_cli(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: resource exhausted: out of memory", file=sys.stderr)
+        return 3
     except (AlgebraFormatError, TermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
-        return 2
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

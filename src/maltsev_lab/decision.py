@@ -1,20 +1,30 @@
 """Decision procedures for quasi weak near-unanimity and quasi Taylor terms.
 
-Each procedure quantifies over pairs of elements (or element tuples), builds
-a small generator matrix for the pair, saturates the generated subpower, and
-looks for a target pattern:
+Each procedure quantifies over pairs of elements (or element tuples).  A
+pair fixes W argument tuples of length k, one per output coordinate, and a
+k-ary term is a local witness at the pair when its W values repeat their
+first block:
 
-  k-qWNU           k displaced columns of width k, target a constant tuple
-  n-local k-qWNU   k block columns of width k*n, target a block repeat
-  quasi Taylor     4 columns stacking two quasi Siggers instances at the
-                   pair, target a tuple matching both instances
+  k-qWNU           the k displaced tuples; block 1, a constant
+  n-local k-qWNU   k blocks of n tuples, block i displaced in argument i;
+                   block n
+  quasi Taylor     both sides of two quasi Siggers instances at the pair,
+                   left values first; block 2
 
-Pairs are enumerated in lexicographic order and the first failing pair
-refutes.  Yes answers carry one verified witness term per pair; terms found
-for earlier pairs are tried first on later pairs, which only changes which
-valid witness is reported, never the verdict.  All witnesses are checked
-against their claimed equalities via materialized term tables before a
-report is constructed.
+Read the other way, the k argument positions are the generator columns of a
+subpower, and a witness exists iff that subpower holds a block repeat.
+
+The sweep is term first.  Pairs are taken in lexicographic order, in blocks
+of _PAIR_BLOCK.  Each term found so far is evaluated, in discovery order, on
+every pair of the block that no earlier term covers, one batched
+``evaluate_columns`` call per term.  The first pair left uncovered is
+saturated; the term read off its derivation is evaluated on the uncovered
+pairs after it, and so on.  So every pair gets the earliest-discovered term
+that works for it, and the first pair whose saturation holds no block repeat
+refutes.  A refutation is saturated again from scratch and checked by the
+standalone pattern finder.  Before a report is built, every witness is
+evaluated again on its pair, one call per distinct term, and checked against
+the equalities it claims.
 """
 from __future__ import annotations
 
@@ -23,23 +33,26 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
-from .algebra import (
+import numpy as np
+
+from .algebra import (  # noqa: F401  term_table stays importable from here
     FiniteAlgebra,
     Term,
-    flat_index,
+    evaluate_columns,
     idempotence_violation,
-    term_arity,
     term_table,
 )
-from .errors import BudgetExceededError, ConsistencyError, TermError
+from .errors import BudgetExceededError, ConsistencyError
 from .subpower import (
     DEFAULT_TUPLE_BUDGET,
     extract_witness,
     find_block_repeat,
-    find_constant,
     generate_subpower,
     generate_until,
 )
+
+# pairs per sweep block; the block's argument array is k x _PAIR_BLOCK x W
+_PAIR_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -78,25 +91,46 @@ class DecisionReport:
         return dict(self.parameters)
 
 
-def _column_output(table, gens, width, size):
-    """Apply a k-ary term table coordinate-wise to k generator columns."""
-    return tuple(
-        table[flat_index((g[c] for g in gens), size)] for c in range(width)
-    )
 
 
-class _TableCache:
-    def __init__(self, alg, arity):
-        self.alg = alg
-        self.arity = arity
-        self._tables: dict[int, tuple[int, ...]] = {}
+def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
+    """Which rows of a (P, W) array are W/block copies of their first block."""
+    v = values.reshape(values.shape[0], -1, block)
+    return (v == v[:, :1]).all(axis=(1, 2))
 
-    def get(self, term: Term) -> tuple[int, ...]:
-        tab = self._tables.get(id(term))
-        if tab is None:
-            tab = term_table(self.alg, term, self.arity)
-            self._tables[id(term)] = tab
-        return tab
+
+def _values(alg, term, cols, idx) -> np.ndarray:
+    """The term's values on pairs ``idx`` of a (k, P, W) argument array, as a
+    (len(idx), W) array."""
+    k, _, width = cols.shape
+    values = evaluate_columns(alg, term, cols[:, idx].reshape(k, -1))
+    return values.reshape(len(idx), width)
+
+
+def _claimed_witnesses(alg, chunk, cols, term_of, block, identities_of):
+    """The witnesses of one block, each term evaluated again on its pairs."""
+    members: dict[int, list[int]] = {}
+    for p, term in enumerate(term_of):
+        members.setdefault(id(term), []).append(p)
+    witnesses: list = [None] * len(chunk)
+    for group in members.values():
+        term = term_of[group[0]]
+        values = _values(alg, term, cols, group)
+        ok = _is_repeat(values, block)
+        if not ok.all():
+            pair = chunk[group[int(np.argmin(ok))]]
+            raise ConsistencyError(
+                f"witness violates its claimed equalities at pair {pair}"
+            )
+        for p, row in zip(group, values[:, :block].tolist()):
+            result = tuple(row)
+            witnesses[p] = PairWitness(
+                pair=chunk[p],
+                term=term,
+                result=result,
+                identities=identities_of(chunk[p], result),
+            )
+    return witnesses
 
 
 def _run_pair_sweep(
@@ -104,81 +138,94 @@ def _run_pair_sweep(
     problem: str,
     parameters: tuple[tuple[str, int], ...],
     pairs: Iterable[tuple],
-    columns_of: Callable[[tuple], list[tuple[int, ...]]],
-    pattern: Callable[[tuple[int, ...]], bool],
-    absent_in: Callable,
-    claims_of: Callable,
+    args_of: Callable[[tuple], list[tuple[int, ...]]],
+    block: int,
+    identities_of: Callable[[tuple, tuple], tuple[str, ...]],
     budget: int,
 ) -> DecisionReport:
     start = time.perf_counter()
-    k = None
-    cache: Optional[_TableCache] = None
     known_terms: list[Term] = []
     witnesses: list[PairWitness] = []
     tuples_generated = 0
     rounds_max = 0
     pairs_checked = 0
-    for pair in pairs:
-        pairs_checked += 1
-        gens = columns_of(pair)
-        if cache is None:
-            k = len(gens)
-            cache = _TableCache(alg, k)
-        width = len(gens[0])
-        term = None
-        for candidate in known_terms:
-            out = _column_output(cache.get(candidate), gens, width, alg.size)
-            if pattern(out):
-                term = candidate
-                break
-        if term is None:
-            rel, hit = generate_until(alg, gens, pattern, budget)
+
+    def report(refutation):
+        stats = ReportStats(
+            pairs_checked=pairs_checked,
+            tuples_generated=tuples_generated,
+            rounds_max=rounds_max,
+            elapsed_seconds=time.perf_counter() - start,
+        )
+        return DecisionReport(
+            problem=problem,
+            algebra=alg.name,
+            parameters=parameters,
+            answer=refutation is None,
+            witnesses=tuple(witnesses) if refutation is None else (),
+            refutation=refutation,
+            stats=stats,
+        )
+
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, _PAIR_BLOCK)):
+        # cols[j, p, c]: argument j of pair p at output coordinate c
+        cols = np.array([args_of(p) for p in chunk], dtype=np.int64).transpose(2, 0, 1)
+        reps = cols.shape[2] // block
+        term_of: list[Optional[Term]] = [None] * len(chunk)
+        uncovered = np.ones(len(chunk), dtype=bool)
+
+        def cover(term, lo):
+            idx = lo + np.flatnonzero(uncovered[lo:])
+            if idx.size == 0:
+                return
+            hit = idx[_is_repeat(_values(alg, term, cols, idx), block)]
+            uncovered[hit] = False
+            for p in hit.tolist():
+                term_of[p] = term
+
+        for term in known_terms:
+            cover(term, 0)
+        for p, pair in enumerate(chunk):
+            pairs_checked += 1
+            if term_of[p] is not None:
+                continue
+            gens = [tuple(g) for g in cols[:, p].tolist()]
+            rel, hit = generate_until(
+                alg, gens, lambda t: t == t[:block] * reps, budget
+            )
             tuples_generated += len(rel)
             rounds_max = max(rounds_max, rel.rounds)
             if hit is None:
                 # refutation: replay the pair from scratch and require the
                 # standalone pattern finder to agree before reporting "no"
                 again = generate_subpower(alg, gens, budget)
-                if again.as_set() != rel.as_set() or absent_in(again) is not None:
+                if (
+                    again.as_set() != rel.as_set()
+                    or find_block_repeat(again, block, reps) is not None
+                ):
                     raise ConsistencyError(
                         f"refutation at pair {pair} did not reproduce"
                     )
-                stats = ReportStats(
-                    pairs_checked=pairs_checked,
-                    tuples_generated=tuples_generated,
-                    rounds_max=rounds_max,
-                    elapsed_seconds=time.perf_counter() - start,
-                )
-                return DecisionReport(
-                    problem=problem,
-                    algebra=alg.name,
-                    parameters=parameters,
-                    answer=False,
-                    witnesses=(),
-                    refutation=pair,
-                    stats=stats,
-                )
+                return report(pair)
             term = extract_witness(rel, rel.tuples[hit]).term
             known_terms.append(term)
-        result, identities = claims_of(cache.get(term), pair)
-        witnesses.append(
-            PairWitness(pair=pair, term=term, result=result, identities=identities)
+            term_of[p] = term
+            uncovered[p] = False
+            cover(term, p + 1)
+        witnesses.extend(
+            _claimed_witnesses(alg, chunk, cols, term_of, block, identities_of)
         )
-    stats = ReportStats(
-        pairs_checked=pairs_checked,
-        tuples_generated=tuples_generated,
-        rounds_max=rounds_max,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-    return DecisionReport(
-        problem=problem,
-        algebra=alg.name,
-        parameters=parameters,
-        answer=True,
-        witnesses=tuple(witnesses),
-        refutation=None,
-        stats=stats,
-    )
+    return report(None)
+
+
+def _local_result(alg, term, args, block) -> Optional[tuple]:
+    """The first block of the term's values at the argument tuples, if the
+    values repeat it, else None."""
+    values = evaluate_columns(alg, term, np.array(args, dtype=np.int64).T)
+    if not _is_repeat(values.reshape(1, -1), block)[0]:
+        return None
+    return tuple(values[:block].tolist())
 
 
 def _displaced_args(r, s, k, i):
@@ -187,24 +234,39 @@ def _displaced_args(r, s, k, i):
     return tuple(args)
 
 
-def _qwnu_claims(alg, k):
-    def claims(table, pair):
-        r, s = pair
-        values = [
-            table[flat_index(_displaced_args(r, s, k, i), alg.size)]
-            for i in range(k)
-        ]
-        if len(set(values)) != 1:
-            raise ConsistencyError(
-                f"witness violates its displaced equalities at pair {pair}"
-            )
-        chain = " = ".join(
-            "t(" + ",".join(map(str, _displaced_args(r, s, k, i))) + ")"
-            for i in range(k)
-        )
-        return (values[0],), (f"{chain} = {values[0]}",)
+def _qwnu_args(r, s, k):
+    return [_displaced_args(r, s, k, i) for i in range(k)]
 
-    return claims
+
+def _nlocal_args(rbar, sbar, k):
+    """Block i, coordinate c: sbar[c] in argument i, rbar[c] elsewhere."""
+    return [
+        tuple((sbar if i == j else rbar)[c] for j in range(k))
+        for i in range(k)
+        for c in range(len(rbar))
+    ]
+
+
+def _siggers_instances(a, b):
+    """Two instantiations of s(r,x,r,e) = s(x,r,e,x) over the values {a, b}.
+
+    The first flips a/b in argument positions 1 and 2, the second in
+    positions 3 and 4, so one term satisfying both is a local quasi Taylor
+    term for the pair.  Each instance is ((left args), (right args)).
+    """
+    return (
+        ((a, b, a, b), (b, a, b, b)),  # (r, x, e) = (a, b, b)
+        ((b, b, b, a), (b, b, a, b)),  # (r, x, e) = (b, b, a)
+    )
+
+
+def _qtaylor_args(a, b):
+    (i1l, i1r), (i2l, i2r) = _siggers_instances(a, b)
+    return [i1l, i2l, i1r, i2r]
+
+
+def _call(name, args):
+    return name + "(" + ",".join(map(str, args)) + ")"
 
 
 def has_k_qwnu(
@@ -219,19 +281,18 @@ def has_k_qwnu(
     if k < 2:
         raise ValueError("k must be at least 2")
 
-    def columns(pair):
-        r, s = pair
-        return [_displaced_args(r, s, k, j) for j in range(k)]
+    def identities(pair, result):
+        chain = " = ".join(_call("t", args) for args in _qwnu_args(*pair, k))
+        return (f"{chain} = {result[0]}",)
 
     return _run_pair_sweep(
         alg,
         problem="qwnu",
         parameters=(("k", k),),
         pairs=itertools.product(range(alg.size), repeat=2),
-        columns_of=columns,
-        pattern=lambda t: len(set(t)) == 1,
-        absent_in=find_constant,
-        claims_of=_qwnu_claims(alg, k),
+        args_of=lambda pair: _qwnu_args(*pair, k),
+        block=1,
+        identities_of=identities,
         budget=budget,
     )
 
@@ -255,14 +316,13 @@ def has_k_wnu_idemp(
             f"expected {element}"
         )
     report = has_k_qwnu(alg, k, budget=budget)
-    if report.answer:
-        for w in report.witnesses:
-            table = term_table(alg, w.term, k)
-            for a in range(alg.size):
-                if table[flat_index((a,) * k, alg.size)] != a:
-                    raise ConsistencyError(
-                        "witness of an idempotent algebra is not idempotent"
-                    )
+    diagonal = np.tile(np.arange(alg.size), (k, 1))
+    terms = {id(w.term): w.term for w in report.witnesses}
+    for term in terms.values():
+        if (evaluate_columns(alg, term, diagonal) != diagonal[0]).any():
+            raise ConsistencyError(
+                "witness of an idempotent algebra is not idempotent"
+            )
     return replace(report, problem="wnu-idemp")
 
 
@@ -284,46 +344,14 @@ def has_n_local_k_qwnu(
             f"{pair_count} tuple pairs exceed the budget of {budget}"
         )
 
-    def columns(pair):
+    def identities(pair, result):
         rbar, sbar = pair
-        return [
-            tuple(
-                itertools.chain.from_iterable(
-                    (sbar if i == j else rbar) for i in range(k)
-                )
-            )
-            for j in range(k)
-        ]
-
-    def pattern(t):
-        return t == t[:n] * k
-
-    def claims(table, pair):
-        rbar, sbar = pair
-        blocks = []
-        for i in range(k):
-            block = tuple(
-                table[
-                    flat_index(
-                        ((sbar if i == j else rbar)[c] for j in range(k)),
-                        alg.size,
-                    )
-                ]
-                for c in range(n)
-            )
-            blocks.append(block)
-        if len(set(blocks)) != 1:
-            raise ConsistencyError(
-                f"witness violates its block equalities at pair {pair}"
-            )
 
         def fmt(i):
-            cols = ["(" + ",".join(map(str, sbar if i == j else rbar)) + ")" for j in range(k)]
-            return "t(" + ",".join(cols) + ")"
+            return _call("t", (_call("", sbar if i == j else rbar) for j in range(k)))
 
         chain = " = ".join(fmt(i) for i in range(k))
-        u = "(" + ",".join(map(str, blocks[0])) + ")"
-        return blocks[0], (f"{chain} = {u} in every block",)
+        return (f"{chain} = {_call('', result)} in every block",)
 
     tuples_n = list(itertools.product(range(alg.size), repeat=n))
     return _run_pair_sweep(
@@ -331,24 +359,10 @@ def has_n_local_k_qwnu(
         problem="nlocal-qwnu",
         parameters=(("n", n), ("k", k)),
         pairs=itertools.product(tuples_n, repeat=2),
-        columns_of=columns,
-        pattern=pattern,
-        absent_in=lambda rel: find_block_repeat(rel, n, k),
-        claims_of=claims,
+        args_of=lambda pair: _nlocal_args(*pair, k),
+        block=n,
+        identities_of=identities,
         budget=budget,
-    )
-
-
-def _siggers_instances(a, b):
-    """Two instantiations of s(r,x,r,e) = s(x,r,e,x) over the values {a, b}.
-
-    The first flips a/b in argument positions 1 and 2, the second in
-    positions 3 and 4, so one term satisfying both is a local quasi Taylor
-    term for the pair.  Each instance is ((left args), (right args)).
-    """
-    return (
-        ((a, b, a, b), (b, a, b, b)),  # (r, x, e) = (a, b, b)
-        ((b, b, b, a), (b, b, a, b)),  # (r, x, e) = (b, b, a)
     )
 
 
@@ -366,39 +380,22 @@ def has_quasi_taylor(
     equivalent to having a global quasi Taylor term.
     """
 
-    def columns(pair):
+    def identities(pair, result):
         (i1l, i1r), (i2l, i2r) = _siggers_instances(*pair)
-        return [(i1l[i], i2l[i], i1r[i], i2r[i]) for i in range(4)]
-
-    def claims(table, pair):
-        (i1l, i1r), (i2l, i2r) = _siggers_instances(*pair)
-        u = table[flat_index(i1l, alg.size)]
-        v = table[flat_index(i2l, alg.size)]
-        if u != table[flat_index(i1r, alg.size)] or v != table[
-            flat_index(i2r, alg.size)
-        ]:
-            raise ConsistencyError(
-                f"witness violates the instance equalities at pair {pair}"
-            )
-
-        def fmt(args):
-            return "s(" + ",".join(map(str, args)) + ")"
-
-        ids = (
-            f"{fmt(i1l)} = {fmt(i1r)} = {u}",
-            f"{fmt(i2l)} = {fmt(i2r)} = {v}",
+        u, v = result
+        return (
+            f"{_call('s', i1l)} = {_call('s', i1r)} = {u}",
+            f"{_call('s', i2l)} = {_call('s', i2r)} = {v}",
         )
-        return (u, v), ids
 
     return _run_pair_sweep(
         alg,
         problem="qtaylor",
         parameters=(),
         pairs=itertools.product(range(alg.size), repeat=2),
-        columns_of=columns,
-        pattern=lambda t: t[0] == t[2] and t[1] == t[3],
-        absent_in=lambda rel: find_block_repeat(rel, 2, 2),
-        claims_of=claims,
+        args_of=lambda pair: _qtaylor_args(*pair),
+        block=2,
+        identities_of=identities,
         budget=budget,
     )
 
@@ -407,71 +404,34 @@ def check_qwnu_identities(alg: FiniteAlgebra, t: Term, k: int) -> bool:
     """Global check: do all k displaced evaluations coincide for ALL x, y."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if term_arity(t) > k:
-        raise TermError(f"term arity {term_arity(t)} exceeds k = {k}")
-    table = term_table(alg, t, k)
-    for x in range(alg.size):
-        for y in range(alg.size):
-            values = {
-                table[flat_index(_displaced_args(x, y, k, i), alg.size)]
-                for i in range(k)
-            }
-            if len(values) != 1:
-                return False
-    return True
+    args = [
+        a
+        for x, y in itertools.product(range(alg.size), repeat=2)
+        for a in _qwnu_args(x, y, k)
+    ]
+    values = evaluate_columns(alg, t, np.array(args, dtype=np.int64).T)
+    return bool(_is_repeat(values.reshape(-1, k), 1).all())
 
 
 def check_quasi_siggers_identity(alg: FiniteAlgebra, s: Term) -> bool:
     """Global check of s(r,a,r,e) = s(a,r,e,a) over the whole universe."""
-    if term_arity(s) > 4:
-        raise TermError(f"term arity {term_arity(s)} exceeds 4")
-    table = term_table(alg, s, 4)
-    for r in range(alg.size):
-        for a in range(alg.size):
-            for e in range(alg.size):
-                if (
-                    table[flat_index((r, a, r, e), alg.size)]
-                    != table[flat_index((a, r, e, a), alg.size)]
-                ):
-                    return False
-    return True
+    r, a, e = np.indices((alg.size,) * 3).reshape(3, -1)
+    left = evaluate_columns(alg, s, np.stack([r, a, r, e]))
+    right = evaluate_columns(alg, s, np.stack([a, r, e, a]))
+    return bool((left == right).all())
 
 
 def verify_qwnu_witness(alg, k, r, s, term) -> Optional[int]:
     """The common value of the k displaced evaluations at (r, s), or None."""
-    table = term_table(alg, term, k)
-    values = {
-        table[flat_index(_displaced_args(r, s, k, i), alg.size)] for i in range(k)
-    }
-    return values.pop() if len(values) == 1 else None
+    got = _local_result(alg, term, _qwnu_args(r, s, k), 1)
+    return None if got is None else got[0]
 
 
 def verify_nlocal_witness(alg, n, k, rbar, sbar, term) -> Optional[tuple[int, ...]]:
     """The repeated block produced by the witness at (rbar, sbar), or None."""
-    table = term_table(alg, term, k)
-    blocks = set()
-    for i in range(k):
-        blocks.add(
-            tuple(
-                table[
-                    flat_index(
-                        ((sbar if i == j else rbar)[c] for j in range(k)), alg.size
-                    )
-                ]
-                for c in range(n)
-            )
-        )
-    return blocks.pop() if len(blocks) == 1 else None
+    return _local_result(alg, term, _nlocal_args(rbar, sbar, k), n)
 
 
 def verify_qtaylor_witness(alg, a, b, term) -> Optional[tuple[int, int]]:
     """The (u, v) instance values realized by the witness at (a, b), or None."""
-    table = term_table(alg, term, 4)
-    (i1l, i1r), (i2l, i2r) = _siggers_instances(a, b)
-    u = table[flat_index(i1l, alg.size)]
-    v = table[flat_index(i2l, alg.size)]
-    if u == table[flat_index(i1r, alg.size)] and v == table[
-        flat_index(i2r, alg.size)
-    ]:
-        return u, v
-    return None
+    return _local_result(alg, term, _qtaylor_args(a, b), 2)

@@ -8,6 +8,7 @@ length is the number of forward steps minus the number of backward steps.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
@@ -122,11 +123,11 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
         potential = {root: 0}
         parent: dict = {root: None}  # vertex -> (previous vertex, step)
         tree_edges = set()
-        queue = [root]
+        queue = deque([root])
         component = [root]
         visited.add(root)
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in out_adj[u]:
                 if v not in potential:
                     potential[v] = potential[u] + 1

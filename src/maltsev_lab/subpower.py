@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Apply, FiniteAlgebra, Term, Variable, evaluate_term
+from .algebra import Apply, FiniteAlgebra, Term, Variable, evaluate_columns
 from .errors import BudgetExceededError, ConsistencyError
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
@@ -164,7 +164,7 @@ class _Closure:
         rows = np.array(self.tuples, dtype=np.int64).reshape(-1, w)
         if self.use_keys:
             self.known_keys = np.sort(rows @ self.key_powers)
-        tables = [np.asarray(op.table, dtype=np.int64) for op in self.alg.ops]
+        tables = [self.alg.table_arrays[op.symbol] for op in self.alg.ops]
         lo, hi = 0, len(self.tuples)
         while lo < hi:
             self.rounds += 1
@@ -389,12 +389,8 @@ def extract_witness(rel: TupleRelation, target) -> WitnessTerm:
         terms[i] = Apply(symbol, tuple(terms[p] for p in parents))
         stack.pop()
     term = terms[root]
-    replay = tuple(
-        evaluate_term(
-            rel.algebra, term, tuple(g[c] for g in rel.generators)
-        )
-        for c in range(rel.width)
-    )
+    # generator j is row j, so column c holds the arguments at coordinate c
+    replay = tuple(evaluate_columns(rel.algebra, term, rel.generators).tolist())
     if replay != target:
         raise ConsistencyError(
             f"witness replay produced {replay}, expected {target}"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from maltsev_lab import FiniteAlgebra, Operation
+from maltsev_lab import Apply, FiniteAlgebra, Operation, Variable
 from maltsev_lab.algebra import flat_index
 
 
@@ -38,6 +38,25 @@ ALL_BINARY2 = [
     make_algebra(f"b{i}", 2, ("f", 2, tuple((i >> (3 - j)) & 1 for j in range(4))))
     for i in range(16)
 ]
+
+
+def scalar_evaluate(alg, term, args):
+    """Independent term evaluation: plain recursion, one argument tuple."""
+    if isinstance(term, Variable):
+        return args[term.index]
+    op = alg.operation(term.symbol)
+    values = [scalar_evaluate(alg, c, args) for c in term.children]
+    return op.table[flat_index(values, alg.size)]
+
+
+def random_dag_term(rng, alg, k, nodes):
+    """A random term over x0..x(k-1) whose nodes reuse earlier nodes, so
+    subterm objects are shared; ``rng`` is a random.Random."""
+    pool = [Variable(i) for i in range(k)]
+    for _ in range(nodes):
+        op = rng.choice(alg.ops)
+        pool.append(Apply(op.symbol, tuple(rng.choice(pool) for _ in range(op.arity))))
+    return pool[-1]
 
 
 def naive_subpower(alg, generators):

@@ -1,17 +1,33 @@
 from __future__ import annotations
 
 import itertools
+import os
+import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from helpers import CLIP3, MIN2, NOT2, Z2_MINORITY, make_algebra, naive_unary_maps
+from helpers import (
+    CLIP3,
+    MIN2,
+    NOT2,
+    Z2_MINORITY,
+    make_algebra,
+    naive_unary_maps,
+    random_dag_term,
+    scalar_evaluate,
+)
 from maltsev_lab import (
     Apply,
     FiniteAlgebra,
     Operation,
     UnaryMap,
     Variable,
+    evaluate_columns,
     evaluate_term,
+    random_algebra,
     induced_image_algebra,
     is_idempotent,
     minimal_unary_idempotent,
@@ -64,6 +80,47 @@ def test_evaluate_term_errors():
         evaluate_term(MIN2, MEET, (0, 2))
     with pytest.raises(TermError):
         evaluate_term(MIN2, MEET, (0,))
+
+
+def test_evaluate_columns_agrees_with_scalar_reference():
+    rng = random.Random(2002)
+    signatures = ([2], [0, 2], [1, 3], [0, 1, 2, 3])
+    for seed in range(40):
+        alg = random_algebra(seed, 2 + seed % 4, signatures[seed % len(signatures)])
+        k = 1 + seed % 4
+        term = random_dag_term(rng, alg, k, nodes=1 + seed % 12)
+        cols = np.array(
+            [[rng.randrange(alg.size) for _ in range(25)] for _ in range(k)]
+        )
+        got = evaluate_columns(alg, term, cols)
+        assert got.shape == (25,)
+        want = [scalar_evaluate(alg, term, tuple(cols[:, w])) for w in range(25)]
+        assert got.tolist() == want
+
+
+def test_evaluate_columns_shares_subterms():
+    # 60 nested self-compositions: a tree walk would visit 2^60 nodes
+    t = Variable(0)
+    for _ in range(60):
+        t = Apply("meet", (t, t))
+    cols = np.array([[0, 1, 1]])
+    assert evaluate_columns(MIN2, t, cols).tolist() == [0, 1, 1]
+
+
+def test_evaluate_columns_errors():
+    cols = np.array([[0, 1], [1, 1]])
+    with pytest.raises(TermError, match="outside universe"):
+        evaluate_columns(MIN2, MEET, np.array([[0, 1], [1, 2]]))
+    with pytest.raises(TermError, match="outside universe"):
+        evaluate_columns(MIN2, MEET, np.array([[0, -1], [1, 1]]))
+    with pytest.raises(TermError, match="unknown operation"):
+        evaluate_columns(MIN2, Apply("join", (Variable(0), Variable(1))), cols)
+    with pytest.raises(TermError, match="expects 2 children"):
+        evaluate_columns(MIN2, Apply("meet", (Variable(0),)), cols)
+    with pytest.raises(TermError, match="x2"):
+        evaluate_columns(MIN2, Apply("meet", (Variable(0), Variable(2))), cols)
+    with pytest.raises(TermError, match="shape"):
+        evaluate_columns(MIN2, MEET, np.array([0, 1]))
 
 
 def test_term_table_examples():
@@ -189,3 +246,24 @@ def test_induced_image_algebra_is_idempotent():
         induced, alpha, b = induced_image_algebra(alg)
         assert induced.size == len(b)
         assert is_idempotent(induced)
+
+
+def test_reimport_releases_old_classes():
+    # re-importing the package must not keep earlier copies of its classes
+    # alive (a typing.Union alias would, through typing's cache)
+    script = """
+import gc, importlib, sys, weakref
+refs = []
+for _ in range(4):
+    for name in [m for m in sys.modules if m.startswith("maltsev_lab")]:
+        del sys.modules[name]
+    refs.append(weakref.ref(importlib.import_module("maltsev_lab").Apply))
+gc.collect()
+print(sum(r() is not None for r in refs))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"

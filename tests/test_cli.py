@@ -5,8 +5,9 @@ import json
 import pytest
 
 from helpers import MIN2, NOT2, PROJ2
-from maltsev_lab import format_algebra
+from maltsev_lab import decision, format_algebra
 from maltsev_lab.cli import run_cli
+from maltsev_lab.errors import ConsistencyError
 
 
 @pytest.fixture
@@ -60,6 +61,27 @@ def test_budget_exit(files):
 def test_budget_env_override(files, monkeypatch):
     monkeypatch.setenv("MALTSEV_LAB_BUDGET", "1")
     assert run_cli(["check", "qwnu", "--k", "2", files["min2"]]) == 3
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    return raise_it
+
+
+def test_consistency_error_has_its_own_exit(files, monkeypatch, capsys):
+    monkeypatch.setattr(
+        decision, "has_k_qwnu", _raiser(ConsistencyError("replay disagreed"))
+    )
+    assert run_cli(["check", "qwnu", "--k", "2", files["min2"]]) == 4
+    assert "internal consistency error: replay disagreed" in capsys.readouterr().err
+
+
+def test_memory_error_is_resource_exhaustion(files, monkeypatch, capsys):
+    monkeypatch.setattr(decision, "has_quasi_taylor", _raiser(MemoryError()))
+    assert run_cli(["check", "qtaylor", files["min2"]]) == 3
+    assert "resource exhausted" in capsys.readouterr().err
 
 
 def test_usage_error():
