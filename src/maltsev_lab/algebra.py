@@ -14,11 +14,10 @@ inclusion-minimal images drive the idempotent image construction exposed by
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -250,44 +249,24 @@ def unary_term_monoid(
 ) -> tuple[UnaryMap, ...]:
     """All unary term operations of the algebra, in canonical generation order.
 
-    Least fixed point containing the identity map and closed under
-    u = f(u1(x), ..., um(x)) for every basic f and already-found maps.
-    Generation is round based: operations in declaration order, argument
-    combinations in lexicographic order over the maps found so far.  Raises
-    BudgetExceededError when more than ``budget`` maps would be created.
+    The unary term operations are the subpower of A^n generated by the
+    identity map (x0 evaluated at every element), so this is that closure:
+    operations in declaration order, argument combinations in lexicographic
+    order over the maps found so far.  The identity counts toward
+    ``budget``; raises BudgetExceededError when more than ``budget`` maps
+    would be created.
     """
-    n = alg.size
-    ident = tuple(range(n))
-    maps: list[tuple[int, ...]] = [ident]
-    seen = {ident}
-    lo, hi = 0, 1
-    while lo < hi:
-        k = hi
-        for op in alg.ops:
-            m = op.arity
-            if m == 0:
-                combos: Iterable[tuple[int, ...]] = [()] if lo == 0 else []
-            else:
-                combos = (
-                    c
-                    for c in itertools.product(range(k), repeat=m)
-                    if any(i >= lo for i in c)
-                )
-            for combo in combos:
-                parents = [maps[i] for i in combo]
-                new = tuple(
-                    op.table[flat_index((p[x] for p in parents), n)] for x in range(n)
-                )
-                if new in seen:
-                    continue
-                if len(maps) >= budget:
-                    raise BudgetExceededError(
-                        f"unary term monoid exceeds budget of {budget} maps"
-                    )
-                seen.add(new)
-                maps.append(new)
-        lo, hi = k, len(maps)
-    return tuple(UnaryMap(m) for m in maps)
+    # subpower imports this module
+    from .subpower import generate_subpower
+
+    try:
+        # the identity is always kept, even under a budget below one
+        rel = generate_subpower(alg, [tuple(range(alg.size))], max(budget, 1))
+    except BudgetExceededError:
+        raise BudgetExceededError(
+            f"unary term monoid exceeds budget of {budget} maps"
+        ) from None
+    return tuple(UnaryMap(t) for t in rel.tuples)
 
 
 def _perm_order_and_power(mapping: dict, p_from_order) -> dict:

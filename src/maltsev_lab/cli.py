@@ -2,7 +2,8 @@
 
 Exit codes: 0 for yes/success, 1 for no, 2 for usage, parse, or precondition
 errors, 3 when a resource budget was exceeded or memory ran out, 4 when an
-internal consistency check failed.  The default budget can be
+internal consistency check failed.  Each command's default budget (tuples
+per closure for check, clone tables for oracle, unary maps for image) can be
 overridden with --budget or the MALTSEV_LAB_BUDGET environment variable.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ import os
 import sys
 
 from . import decision, digraph, oracle
+from .algebra import DEFAULT_MONOID_BUDGET, minimal_unary_idempotent
 from .errors import AlgebraFormatError, BudgetExceededError, ConsistencyError, TermError
 from .io import (
     format_algebra,
@@ -92,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(args) -> int:
+def _budget(args, default: int) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
     if env:
         return int(env)
-    return DEFAULT_TUPLE_BUDGET
+    return default
 
 
 def _load_algebra(path):
@@ -116,7 +118,7 @@ def _emit_report(report, args) -> int:
 
 def _run_check(args) -> int:
     alg = _load_algebra(args.file)
-    budget = _budget(args)
+    budget = _budget(args, DEFAULT_TUPLE_BUDGET)
     if args.problem == "qwnu":
         report = decision.has_k_qwnu(alg, args.k, budget=budget)
     elif args.problem == "wnu-idemp":
@@ -130,10 +132,7 @@ def _run_check(args) -> int:
 
 def _run_oracle(args) -> int:
     alg = _load_algebra(args.file)
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV)
-        budget = int(env) if env else oracle.DEFAULT_TABLE_BUDGET
+    budget = _budget(args, oracle.DEFAULT_TABLE_BUDGET)
     if args.problem == "qwnu":
         table, complete = oracle.oracle_find_qwnu(alg, args.k, budget=budget)
         label = f"qwnu k={args.k}"
@@ -163,10 +162,8 @@ def _run_oracle(args) -> int:
 
 
 def _run_image(args) -> int:
-    from .algebra import minimal_unary_idempotent
-
     alg = _load_algebra(args.file)
-    alpha, b = minimal_unary_idempotent(alg)
+    alpha, b = minimal_unary_idempotent(alg, _budget(args, DEFAULT_MONOID_BUDGET))
     if args.json:
         out = {"algebra": alg.name, "alpha": list(alpha.images), "image": list(b)}
         sys.stdout.write(json.dumps(out, indent=2) + "\n")

@@ -10,12 +10,25 @@ set or the first discovery of any tuple.  Each tuple carries the operation
 and parent indices that first produced it, so membership certificates are
 replayable terms over the generators.
 
-Rounds are vectorized with numpy; the committed order is identical to the
-scalar enumeration above.
+One engine, ``_Closure``, runs every closure, the unary term monoid
+included, and one enumerator serves every arity.  Per (m-2)-prefix of an
+m-ary operation, a round is the rectangles of the last two indices: old x
+new then new x full, or full x full once the prefix holds a new index.  The
+rectangles are cut into blocks of at most ``_CHUNK`` combinations.  A
+block's table indices are one broadcast sum of row arrays, and only the
+committed rows get their parent indices, decoded from their flat position
+in the block, so a round's memory is bounded by ``_CHUNK`` whatever its
+size.  Each block is committed in bulk: its rows not known yet, in
+first-occurrence order, are appended at once, and the stop predicate and
+the tuple budget are applied to them in that order.  Once the relation
+holds all n^width tuples no later combination can add one, so enumeration
+stops there; ``rounds`` still counts the one empty round that the plain
+loop runs after its last commit.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -25,7 +38,9 @@ from .algebra import Apply, FiniteAlgebra, Term, Variable, evaluate_columns
 from .errors import BudgetExceededError, ConsistencyError
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
-_CHUNK = 1 << 20
+# combinations per block: large enough to amortise numpy's per-call cost,
+# small enough that a block's arrays stay in cache
+_CHUNK = 1 << 16
 
 # derivations: (None, (generator_position,)) for generators,
 # (op_symbol, parent_indices) for derived tuples
@@ -34,7 +49,11 @@ Derivation = tuple
 
 @dataclass(frozen=True)
 class TupleRelation:
-    """A generated set of fixed-width tuples with per-tuple derivations."""
+    """A generated set of fixed-width tuples with per-tuple derivations.
+
+    ``_index`` maps each tuple to its position; it is built from ``tuples``
+    unless the closure that produced them hands its own over.
+    """
 
     algebra: FiniteAlgebra
     width: int
@@ -43,12 +62,13 @@ class TupleRelation:
     derivations: tuple[Derivation, ...]
     rounds: int
     complete: bool
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _index: Optional[dict] = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {t: i for i, t in enumerate(self.tuples)}
-        )
+        if self._index is None:
+            object.__setattr__(
+                self, "_index", {t: i for i, t in enumerate(self.tuples)}
+            )
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -71,6 +91,43 @@ class WitnessTerm:
     target: tuple[int, ...]
 
 
+def _rectangles(m, lo, k):
+    """One round of an m-ary operation (m >= 1) in lexicographic order.
+
+    The round is every index combination over [0, k) holding an index >= lo.
+    Yields (prefix, ranges): the combinations prefix + the row-major product
+    of the ranges, which hold the last index (m = 1) or the last two.  Per
+    (m-2)-prefix that is old x new then new x full, or full x full once the
+    prefix holds a new index.
+    """
+    if m == 1:
+        yield (), (range(lo, k),)
+        return
+    for prefix in itertools.product(range(k), repeat=m - 2):
+        if any(i >= lo for i in prefix):
+            yield prefix, (range(k), range(k))
+            continue
+        if lo:
+            yield prefix, (range(lo), range(lo, k))
+        yield prefix, (range(lo, k), range(k))
+
+
+def _blocks(m, lo, k):
+    """The round's rectangles cut into blocks of at most _CHUNK combinations,
+    in the same order and form."""
+    for prefix, (first, *rest) in _rectangles(m, lo, k):
+        inner = math.prod(len(r) for r in rest)
+        if inner <= _CHUNK:
+            step = _CHUNK // inner
+            for start in range(0, len(first), step):
+                yield prefix, (first[start:start + step], *rest)
+        else:
+            (cols,) = rest
+            for i in first:
+                for start in range(0, len(cols), _CHUNK):
+                    yield prefix, (range(i, i + 1), cols[start:start + _CHUNK])
+
+
 class _Closure:
     """Mutable saturation state; committed order is the canonical one."""
 
@@ -78,6 +135,7 @@ class _Closure:
         self.alg = alg
         self.n = alg.size
         self.width = len(generators[0])
+        self.full_size = self.n**self.width
         self.budget = budget
         self.stop = stop
         self.tuples: list[tuple[int, ...]] = []
@@ -87,46 +145,32 @@ class _Closure:
         self.rounds = 0
         # int64 ranking keys fit iff n^width < 2^62; otherwise fall back to
         # a slower per-candidate dict check
-        self.use_keys = self.n ** self.width < (1 << 62)
+        self.use_keys = self.full_size < (1 << 62)
         if self.use_keys:
             self.key_powers = np.array(
                 [self.n ** (self.width - 1 - i) for i in range(self.width)],
                 dtype=np.int64,
             )
+        # keys of every committed tuple
         self.known_keys = np.empty(0, dtype=np.int64)
-        self.round_rows: list[np.ndarray] = []
-        for pos, g in enumerate(generators):
-            if g in self.index:
-                continue
-            self._commit(g, (None, (pos,)))
-            if self.hit is not None:
-                return
+        # committed rows not yet stacked into the row array
+        self.pending: list[np.ndarray] = []
+        self._commit_block(
+            np.array(generators, dtype=np.int64),
+            None,
+            lambda positions: [positions.tolist()],
+        )
 
-    def _commit(self, t, derivation):
-        if len(self.tuples) >= self.budget:
-            raise BudgetExceededError(
-                f"subpower generation exceeds budget of {self.budget} tuples"
-            )
-        idx = len(self.tuples)
-        self.index[t] = idx
-        self.tuples.append(t)
-        self.derivs.append(derivation)
-        if self.stop is not None and self.hit is None and self.stop(t):
-            self.hit = idx
+    def _commit_block(self, res, symbol, parents_of):
+        """Commit the new rows of a result block in first-occurrence order.
 
-    def _commit_block(self, res, parents, symbol):
-        """Commit the new tuples of a result block in first-occurrence order."""
-        if res.shape[0] == 0:
-            return
+        ``parents_of(positions)`` gives the parent indices of the rows at
+        those positions as one list per argument (for generators: their
+        generator positions).
+        """
         if self.use_keys:
             keys = res @ self.key_powers
-            fresh = (
-                np.nonzero(~np.isin(keys, self.known_keys))[0]
-                if self.known_keys.size
-                else np.arange(keys.shape[0])
-            )
-            if fresh.size == 0:
-                return
+            fresh = np.flatnonzero(np.isin(keys, self.known_keys, invert=True))
             _, first = np.unique(keys[fresh], return_index=True)
             positions = fresh[np.sort(first)]
         else:
@@ -136,126 +180,100 @@ class _Closure:
             ).ravel()
             _, first = np.unique(view, return_index=True)
             positions = np.sort(first)
-        for p in positions.tolist():
-            t = tuple(int(v) for v in res[p])
-            if t in self.index:
-                continue
-            self._commit(t, (symbol, tuple(int(a[p]) for a in parents)))
-            self.round_rows.append(res[p])
-            if self.hit is not None:
-                return
+            # without keys, known tuples are looked up in the index
+            known = [tuple(t) in self.index for t in res[positions].tolist()]
+            positions = positions[~np.array(known, dtype=bool)]
+        new = list(map(tuple, res[positions].tolist()))
+        if not new:
+            return
+        start = len(self.tuples)
+        room = max(self.budget - start, 0)
+        cut = len(new)
+        if self.stop is not None:
+            for i, t in enumerate(itertools.islice(new, room)):
+                if self.stop(t):
+                    cut = i + 1
+                    self.hit = start + i
+                    break
+        if cut > room:
+            raise BudgetExceededError(
+                f"subpower generation exceeds budget of {self.budget} tuples"
+            )
+        positions = positions[:cut]
+        new = new[:cut]
+        self.tuples.extend(new)
+        self.index.update(zip(new, range(start, start + cut)))
+        parents = parents_of(positions)
+        args = zip(*parents) if parents else itertools.repeat((), cut)
+        self.derivs.extend(zip(itertools.repeat(symbol), args))
+        self.pending.append(res[positions])
+        if self.use_keys:
+            self.known_keys = np.concatenate([self.known_keys, keys[positions]])
 
-    def _apply_batch(self, table, rows, idx_arrays, symbol):
-        """Compose one operation over explicit parent index arrays, chunked."""
-        total = idx_arrays[0].shape[0]
-        for start in range(0, total, _CHUNK):
-            end = min(start + _CHUNK, total)
-            chunk = [a[start:end] for a in idx_arrays]
-            flat = rows[chunk[0]].astype(np.int64)
-            for a in chunk[1:]:
-                flat = flat * self.n + rows[a]
-            res = table[flat]
-            self._commit_block(res, chunk, symbol)
-            if self.hit is not None:
+    def _done(self):
+        return self.hit is not None or len(self.tuples) == self.full_size
+
+    def _round(self, op, table, rows, lo, k):
+        """Apply one operation to the round's combinations, block by block."""
+        n, w, m = self.n, self.width, op.arity
+        if m == 0:
+            # the constant tuple can only appear once; round 1 suffices
+            if lo == 0:
+                res = np.full((1, w), int(op.table[0]), dtype=np.int64)
+                self._commit_block(res, op.symbol, lambda positions: [])
+            return
+        for prefix, ranges in _blocks(m, lo, k):
+            # table index of every combination: the prefix's part plus the
+            # last indices' parts, broadcast over the block's grid
+            flat = sum(
+                rows[i] * n ** (m - 1 - q) for q, i in enumerate(prefix)
+            )
+            shape = tuple(len(r) for r in ranges)
+            for d, r in enumerate(ranges):
+                after = len(ranges) - 1 - d
+                part = rows[r.start:r.stop] * n**after
+                flat = flat + part.reshape((1,) * d + (len(r),) + (1,) * after + (w,))
+            res = table[flat.reshape(-1, w)]
+
+            def parents_of(positions):
+                grid = np.unravel_index(positions, shape)
+                return [[i] * positions.size for i in prefix] + [
+                    (g + r.start).tolist() for g, r in zip(grid, ranges)
+                ]
+
+            self._commit_block(res, op.symbol, parents_of)
+            if self._done():
                 return
 
     def run(self):
-        n, w = self.n, self.width
-        rows = np.array(self.tuples, dtype=np.int64).reshape(-1, w)
-        if self.use_keys:
-            self.known_keys = np.sort(rows @ self.key_powers)
+        rows = np.empty((0, self.width), dtype=np.int64)
         tables = [self.alg.table_arrays[op.symbol] for op in self.alg.ops]
-        lo, hi = 0, len(self.tuples)
-        while lo < hi:
+        lo = 0
+        while self.hit is None and lo < len(self.tuples):
+            k = len(self.tuples)
             self.rounds += 1
-            k = hi
-            self.round_rows = []
-            for op, table in zip(self.alg.ops, tables):
-                m = op.arity
-                if m == 0:
-                    # the constant tuple can only appear once; round 1 suffices
-                    if lo == 0:
-                        res = np.full((1, w), int(op.table[0]), dtype=np.int64)
-                        self._commit_block(res, [], op.symbol)
-                elif m == 1:
-                    idx = np.arange(lo, k, dtype=np.int64)
-                    self._apply_batch(table, rows, [idx], op.symbol)
-                elif m == 2:
-                    old = np.arange(0, lo, dtype=np.int64)
-                    new = np.arange(lo, k, dtype=np.int64)
-                    full = np.arange(0, k, dtype=np.int64)
-                    if old.size and new.size:
-                        # i < lo pairs only with j >= lo; all-old pairs were
-                        # enumerated in an earlier round
-                        self._apply_batch(
-                            table,
-                            rows,
-                            [np.repeat(old, new.size), np.tile(new, old.size)],
-                            op.symbol,
-                        )
-                    if self.hit is None and new.size:
-                        self._apply_batch(
-                            table,
-                            rows,
-                            [np.repeat(new, full.size), np.tile(full, new.size)],
-                            op.symbol,
-                        )
-                elif m == 3:
-                    self._ternary_round(table, rows, lo, k, op.symbol)
-                else:
-                    self._generic_round(op, lo, k)
-                if self.hit is not None:
-                    return
-            if self.round_rows:
-                rows = np.vstack([rows] + self.round_rows)
-                if self.use_keys:
-                    self.known_keys = np.sort(rows @ self.key_powers)
-            lo, hi = k, len(self.tuples)
-
-    def _ternary_round(self, table, rows, lo, k, symbol):
-        old = np.arange(0, lo, dtype=np.int64)
-        new = np.arange(lo, k, dtype=np.int64)
-        full = np.arange(0, k, dtype=np.int64)
-        for i1 in range(k):
-            if i1 < lo:
-                # (i2, i3) must contain a new index: [0,lo) x [lo,k), then
-                # [lo,k) x [0,k), which is lexicographic among survivors
-                blocks = []
-                if old.size and new.size:
-                    blocks.append(
-                        (np.repeat(old, new.size), np.tile(new, old.size))
-                    )
-                if new.size:
-                    blocks.append(
-                        (np.repeat(new, full.size), np.tile(full, new.size))
-                    )
-            else:
-                blocks = [(np.repeat(full, full.size), np.tile(full, full.size))]
-            for i2, i3 in blocks:
-                i1_arr = np.full(i2.shape[0], i1, dtype=np.int64)
-                self._apply_batch(table, rows, [i1_arr, i2, i3], symbol)
-                if self.hit is not None:
-                    return
-
-    def _generic_round(self, op, lo, k):
-        # arities above 3 are rare at this scale; scalar path, same order
-        n = self.n
-        for combo in itertools.product(range(k), repeat=op.arity):
-            if max(combo) < lo:
-                continue
-            parents = [self.tuples[i] for i in combo]
-            t = tuple(
-                op.table[
-                    sum(p[c] * n ** (op.arity - 1 - j) for j, p in enumerate(parents))
-                ]
-                for c in range(self.width)
-            )
-            if t in self.index:
-                continue
-            self._commit(t, (op.symbol, combo))
-            self.round_rows.append(np.array(t, dtype=np.int64))
-            if self.hit is not None:
+            if k == self.full_size:
+                # the round after the last commit, which finds nothing new
                 return
+            rows = np.vstack([rows] + self.pending)
+            self.pending = []
+            for op, table in zip(self.alg.ops, tables):
+                self._round(op, table, rows, lo, k)
+                if self._done():
+                    break
+            lo = k
+
+    def relation(self, generators) -> TupleRelation:
+        return TupleRelation(
+            algebra=self.alg,
+            width=self.width,
+            generators=tuple(generators),
+            tuples=tuple(self.tuples),
+            derivations=tuple(self.derivs),
+            rounds=self.rounds,
+            complete=self.hit is None,
+            _index=self.index,
+        )
 
 
 def _validate_generators(alg, generators):
@@ -271,7 +289,7 @@ def _validate_generators(alg, generators):
         for v in g:
             if not 0 <= v < alg.size:
                 raise ValueError(f"generator entry {v} outside universe")
-    return gens, width
+    return gens
 
 
 def generate_subpower(
@@ -280,18 +298,10 @@ def generate_subpower(
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> TupleRelation:
     """The subpower generated by the given tuples, fully saturated."""
-    gens, width = _validate_generators(alg, generators)
+    gens = _validate_generators(alg, generators)
     state = _Closure(alg, gens, budget, None)
     state.run()
-    return TupleRelation(
-        algebra=alg,
-        width=width,
-        generators=tuple(gens),
-        tuples=tuple(state.tuples),
-        derivations=tuple(state.derivs),
-        rounds=state.rounds,
-        complete=True,
-    )
+    return state.relation(gens)
 
 
 def generate_until(
@@ -306,20 +316,10 @@ def generate_until(
     full closure (complete=False); a None hit means the closure saturated
     without a match and the relation is complete.
     """
-    gens, width = _validate_generators(alg, generators)
+    gens = _validate_generators(alg, generators)
     state = _Closure(alg, gens, budget, predicate)
-    if state.hit is None:
-        state.run()
-    rel = TupleRelation(
-        algebra=alg,
-        width=width,
-        generators=tuple(gens),
-        tuples=tuple(state.tuples),
-        derivations=tuple(state.derivs),
-        rounds=state.rounds,
-        complete=state.hit is None,
-    )
-    return rel, state.hit
+    state.run()
+    return state.relation(gens), state.hit
 
 
 def find_block_repeat(

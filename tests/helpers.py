@@ -1,8 +1,10 @@
 """Shared fixtures and independent brute-force oracles for the test suite.
 
-The closures here are deliberately written differently from the library
-(set-based, sorted rescan until stable, no derivations) so they can serve as
-ground truth.
+The naive closures here are deliberately written differently from the
+library (set-based, sorted rescan until stable, no derivations) so they can
+serve as ground truth for the result sets.  ``reference_closure`` is the
+scalar statement of the canonical order (tuples, derivations, rounds) that
+the vectorised engine must reproduce exactly.
 """
 from __future__ import annotations
 
@@ -76,6 +78,52 @@ def naive_subpower(alg, generators):
         if not added:
             return current
         current |= added
+
+
+def reference_closure(alg, generators, stop=None):
+    """Scalar closure in canonical order: (tuples, derivations, rounds, hit).
+
+    Rounds apply each operation in declaration order to every argument
+    combination, in lexicographic order of tuple indices, that holds an index
+    new from the previous round; a nullary operation contributes in round 1.
+    Without a stop predicate the last round is the one that finds nothing
+    new.  With one, generation ends at the first tuple satisfying it, whose
+    index is ``hit``.
+    """
+    n = alg.size
+    tuples, derivations, index = [], [], {}
+
+    def commit(t, derivation):
+        index[t] = len(tuples)
+        tuples.append(t)
+        derivations.append(derivation)
+        return stop is not None and stop(t)
+
+    for pos, g in enumerate(generators):
+        g = tuple(g)
+        if g not in index and commit(g, (None, (pos,))):
+            return tuples, derivations, 0, len(tuples) - 1
+    width = len(tuples[0])
+    rounds, lo = 0, 0
+    while lo < len(tuples):
+        rounds += 1
+        k = len(tuples)
+        for op in alg.ops:
+            if op.arity == 0:
+                combos = [()] if lo == 0 else []
+            else:
+                combos = itertools.product(range(k), repeat=op.arity)
+            for combo in combos:
+                if combo and max(combo) < lo:
+                    continue
+                t = tuple(
+                    op.table[flat_index((tuples[i][c] for i in combo), n)]
+                    for c in range(width)
+                )
+                if t not in index and commit(t, (op.symbol, combo)):
+                    return tuples, derivations, rounds, len(tuples) - 1
+        lo = k
+    return tuples, derivations, rounds, None
 
 
 def naive_unary_maps(alg):

@@ -13,6 +13,7 @@ from helpers import (
     CLIP3,
     MIN2,
     NOT2,
+    ONE1,
     Z2_MINORITY,
     make_algebra,
     naive_unary_maps,
@@ -185,8 +186,14 @@ def test_unary_term_monoid_closure_properties():
 
 
 def test_unary_term_monoid_budget():
-    with pytest.raises(BudgetExceededError):
+    # NOT2 has two maps, the identity and negation; the identity counts
+    assert len(unary_term_monoid(NOT2, budget=2)) == 2
+    with pytest.raises(BudgetExceededError, match="^unary term monoid exceeds budget of 1 maps$"):
         unary_term_monoid(NOT2, budget=1)
+    # the identity alone always fits, even under a budget of 0
+    assert len(unary_term_monoid(ONE1, budget=0)) == 1
+    with pytest.raises(BudgetExceededError, match="budget of 0 maps"):
+        unary_term_monoid(NOT2, budget=0)
 
 
 def test_minimal_unary_idempotent_examples():

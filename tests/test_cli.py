@@ -63,6 +63,14 @@ def test_budget_env_override(files, monkeypatch):
     assert run_cli(["check", "qwnu", "--k", "2", files["min2"]]) == 3
 
 
+def test_image_budget(files, monkeypatch):
+    # the unary term monoid of NOT2 has two maps: the identity and negation
+    assert run_cli(["image", files["not2"], "--budget", "1"]) == 3
+    assert run_cli(["image", files["not2"], "--budget", "2"]) == 0
+    monkeypatch.setenv("MALTSEV_LAB_BUDGET", "1")
+    assert run_cli(["image", files["not2"]]) == 3
+
+
 def _raiser(exc):
     def raise_it(*args, **kwargs):
         raise exc

@@ -24,6 +24,7 @@ from maltsev_lab import (
     has_quasi_taylor,
     random_algebra,
     report_to_json,
+    subpower,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -147,6 +148,15 @@ def test_report_matches_golden(name, procedure, alg, args):
 def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
     # blocks of 3 pairs make every known term cross block boundaries
     monkeypatch.setattr(decision, "_PAIR_BLOCK", 3)
+    for name, procedure, alg, args in CASES:
+        want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert render(procedure, alg, args) == want, name
+
+
+def test_reports_do_not_depend_on_the_saturation_chunk(monkeypatch):
+    # chunks of 7 combinations make duplicates within a round cross chunk
+    # boundaries, which the bulk commit must resolve in first-occurrence order
+    monkeypatch.setattr(subpower, "_CHUNK", 7)
     for name, procedure, alg, args in CASES:
         want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         assert render(procedure, alg, args) == want, name

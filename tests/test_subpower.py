@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 
-from helpers import MIN2, PROJ2, Z2_MINORITY, naive_subpower
+from helpers import MIN2, PROJ2, Z2_MINORITY, naive_subpower, reference_closure
 from maltsev_lab import (
     Variable,
     evaluate_term,
@@ -13,6 +16,8 @@ from maltsev_lab import (
     generate_subpower,
     generate_until,
     random_algebra,
+    subpower,
+    unary_term_monoid,
 )
 from maltsev_lab.errors import BudgetExceededError
 
@@ -230,3 +235,176 @@ def test_nullary_operation_closure():
     rel = generate_subpower(with_const, [(0, 1)])
     assert (2, 2) in rel
     assert rel.as_set() == naive_subpower(with_const, [(0, 1)])
+
+
+def _reference_cases(seed, count):
+    """Seeded closures on random algebras: operations of arity 0-4 (an
+    arity only where the scalar reference stays cheap), widths 1-4, and
+    generator lists that are random, repeat a tuple, or are all of A^w."""
+    import random
+
+    rng = random.Random(seed)
+    for case in range(count):
+        size = rng.randint(1, 3)
+        width = rng.randint(1, 4)
+        arities = [m for m in range(5) if (size**width) ** m <= 20000]
+        signature = [rng.choice(arities) for _ in range(rng.randint(1, 3))]
+        alg = random_algebra(seed + case, size, signature)
+        if case % 10 == 0:
+            gens = list(itertools.product(range(size), repeat=width))
+            rng.shuffle(gens)
+        else:
+            gens = [
+                tuple(rng.randrange(size) for _ in range(width))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if case % 10 == 1:
+                gens.append(gens[0])
+        yield rng, alg, gens
+
+
+def _as_reference(rel, hit=None):
+    return list(rel.tuples), list(rel.derivations), rel.rounds, hit
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 1])
+def test_engine_matches_reference_closure(monkeypatch, chunk):
+    # the engine commits exactly the scalar reference's tuples, derivations
+    # and rounds, whatever the chunk size; chunks of 7 or 1 make a round's
+    # duplicates and a rectangle's rows cross chunk boundaries
+    if chunk is not None:
+        monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    full_power = generators_full = 0
+    for rng, alg, gens in _reference_cases(4000, 240):
+        label = (alg.name, gens)
+        want = reference_closure(alg, gens)
+        rel = generate_subpower(alg, gens)
+        assert _as_reference(rel) == want, label
+        full = alg.size ** len(gens[0])
+        full_power += len(rel) == full
+        generators_full += len(set(gens)) == full
+        if len(set(gens)) == full:
+            assert rel.rounds == 1, label
+        # a stop at a random member: the prefix up to it, cut mid-block
+        target = rng.choice(want[0])
+        until = reference_closure(alg, gens, lambda t: t == target)
+        got, hit = generate_until(alg, gens, lambda t: t == target)
+        assert _as_reference(got, hit) == until, label
+        assert got.complete is False
+    assert full_power >= 60 and generators_full >= 20
+
+
+def test_wide_tuples_match_reference_closure():
+    # 2^62 tuples and more do not fit int64 keys: the index fallback runs
+    import random
+
+    rng = random.Random(62)
+    for alg in (MIN2, Z2_MINORITY, random_algebra(1, 2, [0, 1, 2])):
+        for width in (61, 62, 64):
+            gens = [tuple(rng.randrange(2) for _ in range(width)) for _ in range(2)]
+            gens.append(gens[0])
+            assert _as_reference(generate_subpower(alg, gens)) == reference_closure(
+                alg, gens
+            ), (alg.name, width)
+
+
+def test_enumeration_stops_at_the_full_power(monkeypatch):
+    # once a closure holds all of A^w, no later combination is enumerated
+    commit = subpower._Closure._commit_block
+
+    def checked(self, *args):
+        assert len(self.tuples) < self.full_size
+        return commit(self, *args)
+
+    monkeypatch.setattr(subpower._Closure, "_commit_block", checked)
+    reached = 0
+    for _, alg, gens in _reference_cases(4000, 240):
+        rel = generate_subpower(alg, gens)
+        reached += len(rel) == alg.size ** len(gens[0])
+    assert reached >= 60
+
+
+def test_budget_counts_commits_up_to_the_hit():
+    # the budget is exceeded only by a tuple committed at or before the hit
+    for rng, alg, gens in _reference_cases(5000, 80):
+        tuples = reference_closure(alg, gens)[0]
+        generate_subpower(alg, gens, budget=len(tuples))
+        with pytest.raises(BudgetExceededError, match=f"budget of {len(tuples) - 1} tuples"):
+            generate_subpower(alg, gens, budget=len(tuples) - 1)
+        h = rng.randrange(len(tuples))
+        stop = lambda t: t == tuples[h]
+        _, hit = generate_until(alg, gens, stop, budget=h + 1)
+        assert hit == h
+        with pytest.raises(BudgetExceededError):
+            generate_until(alg, gens, stop, budget=h)
+
+
+def test_unary_term_monoid_is_the_identity_closure():
+    # the order matters: minimal_unary_idempotent breaks ties by it
+    checked = 0
+    for _, alg, _ in _reference_cases(6000, 200):
+        n = alg.size
+        if any((n**n) ** op.arity > 20000 for op in alg.ops):
+            continue
+        tuples = reference_closure(alg, [tuple(range(n))])[0]
+        assert [u.images for u in unary_term_monoid(alg)] == tuples, alg.name
+        checked += 1
+    assert checked >= 100
+
+
+def test_blocks_enumerate_a_round_lexicographically(monkeypatch):
+    # the blocks of a round, flattened, are exactly the lexicographic
+    # combinations holding a new index, for every chunk size
+    for m, lo, k in [(1, 2, 5), (2, 0, 3), (2, 2, 5), (3, 1, 4), (4, 2, 3)]:
+        want = [
+            c for c in itertools.product(range(k), repeat=m) if max(c) >= lo
+        ]
+        for chunk in (1, 2, 7, 1 << 20):
+            monkeypatch.setattr(subpower, "_CHUNK", chunk)
+            blocks = list(subpower._blocks(m, lo, k))
+            got = [
+                prefix + tail
+                for prefix, ranges in blocks
+                for tail in itertools.product(*ranges)
+            ]
+            assert got == want, (m, lo, k, chunk)
+            assert max(math.prod(map(len, ranges)) for _, ranges in blocks) <= chunk
+
+
+@pytest.mark.parametrize(
+    "size,width,arity,seed,count,chunk",
+    [(4, 6, 2, 3, 3, 1 << 14), (3, 6, 3, 1, 2, 1 << 12)],
+    ids=["binary", "ternary"],
+)
+def test_round_memory_is_bounded_by_the_chunk(
+    monkeypatch, size, width, arity, seed, count, chunk
+):
+    # a round's working set is a few arrays of one chunk's rows, whatever
+    # the round's size, plus the closure's own row and key arrays
+    import random
+    import tracemalloc
+
+    alg = random_algebra(seed, size, [arity])
+    rng = random.Random(1)
+    gens = [tuple(rng.randrange(size) for _ in range(width)) for _ in range(count)]
+    generate_subpower(alg, [(0,) * width])  # numpy imports some helpers lazily
+    monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    combinations = 0
+    blocks = subpower._blocks
+
+    def counted(m, lo, k):
+        nonlocal combinations
+        for prefix, ranges in blocks(m, lo, k):
+            combinations += math.prod(map(len, ranges))
+            yield prefix, ranges
+
+    monkeypatch.setattr(subpower, "_blocks", counted)
+    tracemalloc.start()
+    try:
+        rel = generate_subpower(alg, gens)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert combinations >= 10**7
+    bound = 6 * chunk * width * 8 + 4 * len(rel) * (width + 1) * 8
+    assert peak - current <= bound, (peak - current, bound)
