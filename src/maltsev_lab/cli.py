@@ -95,12 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args, default: int) -> int:
+    """The --budget value, else MALTSEV_LAB_BUDGET, else the default; a
+    value that is not a positive integer is a usage error."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        return int(env)
-    return default
+        value, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV)
+        if not env:
+            return default
+        source = BUDGET_ENV
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be a positive integer, got {env!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value}")
+    return value
 
 
 def _load_algebra(path):

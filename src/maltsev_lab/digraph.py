@@ -7,14 +7,16 @@ length is the number of forward steps minus the number of backward steps.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
-from .algebra import FiniteAlgebra, flat_index
+import numpy as np
+
+from .algebra import FiniteAlgebra
 from .errors import AlgebraFormatError, ConsistencyError
+from .subpower import is_closed
 
 WalkStep = tuple  # ((u, v), +1 | -1)
 
@@ -194,7 +196,14 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
 
 
 def is_admissible(alg: FiniteAlgebra, rel) -> bool:
-    """Is the relation closed under every basic operation, coordinate-wise."""
+    """Is the relation closed under every basic operation, coordinate-wise.
+
+    The empty relation is.  Otherwise this is one round of the closure
+    enumerator over the relation's tuples that commits nothing
+    (``subpower.is_closed``): it stops at the first block of combinations
+    with an image outside the relation, and its memory is bounded by the
+    enumerator's block size, not by the number of combinations.
+    """
     tuples = [tuple(t) for t in rel]
     if not tuples:
         return True
@@ -205,16 +214,11 @@ def is_admissible(alg: FiniteAlgebra, rel) -> bool:
         for v in t:
             if not 0 <= v < alg.size:
                 raise ValueError(f"relation entry {v} outside universe")
-    members = set(tuples)
-    for op in alg.ops:
-        for combo in itertools.product(tuples, repeat=op.arity):
-            image = tuple(
-                op.table[flat_index((p[c] for p in combo), alg.size)]
-                for c in range(width)
-            )
-            if image not in members:
-                return False
-    return True
+    rows = np.array(tuples)
+    if rows.dtype.kind not in "biu":
+        # an int64 cast would truncate 1.5 to a valid entry
+        raise TypeError(f"relation entries must be integers, got {rows.dtype}")
+    return is_closed(alg, rows.astype(np.int64, copy=False))
 
 
 def build_S(rel, n: int) -> frozenset:

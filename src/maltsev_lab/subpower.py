@@ -24,6 +24,11 @@ the tuple budget are applied to them in that order.  Once the relation
 holds all n^width tuples no later combination can add one, so enumeration
 stops there; ``rounds`` still counts the one empty round that the plain
 loop runs after its last commit.
+
+``is_closed`` decides whether a given relation is closed with the same
+pieces: one round over all combinations of the relation's rows that commits
+nothing, block by block, stopping at the first block with an image outside
+the relation.
 """
 from __future__ import annotations
 
@@ -128,6 +133,33 @@ def _blocks(m, lo, k):
                     yield prefix, (range(i, i + 1), cols[start:start + _CHUNK])
 
 
+def _block_indices(rows, n, m, prefix, ranges):
+    """Table indices of a block's combinations of an m-ary operation.
+
+    One row per combination, in the block's row-major order: the prefix's
+    part plus the last indices' parts, broadcast over the block's grid.
+    """
+    w = rows.shape[1]
+    flat = 0
+    for q, i in enumerate(prefix):
+        flat = flat + rows[i] * n ** (m - 1 - q)
+    last = len(ranges) - 1
+    for d, r in enumerate(ranges):
+        part = rows[r.start:r.stop]
+        if d < last:
+            part = part * n ** (last - d)
+        flat = flat + part.reshape((1,) * d + (len(r),) + (1,) * (last - d) + (w,))
+    return flat.reshape(-1, w)
+
+
+def _key_powers(n, width):
+    """Weights of the base-n ranking key of a width-w row, or None when the
+    keys do not fit int64 (n^width >= 2^62)."""
+    if n**width >= 1 << 62:
+        return None
+    return n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
 class _Closure:
     """Mutable saturation state; committed order is the canonical one."""
 
@@ -143,14 +175,10 @@ class _Closure:
         self.index: dict[tuple[int, ...], int] = {}
         self.hit: Optional[int] = None
         self.rounds = 0
-        # int64 ranking keys fit iff n^width < 2^62; otherwise fall back to
-        # a slower per-candidate dict check
-        self.use_keys = self.full_size < (1 << 62)
-        if self.use_keys:
-            self.key_powers = np.array(
-                [self.n ** (self.width - 1 - i) for i in range(self.width)],
-                dtype=np.int64,
-            )
+        # without int64 ranking keys, fall back to a slower per-candidate
+        # dict check
+        self.key_powers = _key_powers(self.n, self.width)
+        self.use_keys = self.key_powers is not None
         # keys of every committed tuple
         self.known_keys = np.empty(0, dtype=np.int64)
         # committed rows not yet stacked into the row array
@@ -223,17 +251,8 @@ class _Closure:
                 self._commit_block(res, op.symbol, lambda positions: [])
             return
         for prefix, ranges in _blocks(m, lo, k):
-            # table index of every combination: the prefix's part plus the
-            # last indices' parts, broadcast over the block's grid
-            flat = sum(
-                rows[i] * n ** (m - 1 - q) for q, i in enumerate(prefix)
-            )
             shape = tuple(len(r) for r in ranges)
-            for d, r in enumerate(ranges):
-                after = len(ranges) - 1 - d
-                part = rows[r.start:r.stop] * n**after
-                flat = flat + part.reshape((1,) * d + (len(r),) + (1,) * after + (w,))
-            res = table[flat.reshape(-1, w)]
+            res = table[_block_indices(rows, n, m, prefix, ranges)]
 
             def parents_of(positions):
                 grid = np.unravel_index(positions, shape)
@@ -320,6 +339,37 @@ def generate_until(
     state = _Closure(alg, gens, budget, predicate)
     state.run()
     return state.relation(gens), state.hit
+
+
+def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
+    """Is the set of rows of a (k, width) array closed under every basic
+    operation, coordinate-wise?
+
+    One round of the closure enumerator over all k^m combinations of each
+    m-ary operation, in declaration order, that commits nothing: each
+    block's images must all be rows already, and the first block holding
+    one that is not ends the check.  Memory is bounded by ``_CHUNK``.
+    """
+    k, w = rows.shape
+    n = alg.size
+    powers = _key_powers(n, w)
+    if powers is None:
+        keys = lambda block: map(tuple, block.tolist())
+    else:
+        keys = lambda block: (block @ powers).tolist()
+    members = set(keys(rows))
+    for op in alg.ops:
+        table = alg.table_arrays[op.symbol]
+        m = op.arity
+        if m == 0:
+            if not members.issuperset(keys(np.full((1, w), table[0]))):
+                return False
+            continue
+        for prefix, ranges in _blocks(m, 0, k):
+            block = table[_block_indices(rows, n, m, prefix, ranges)]
+            if not members.issuperset(keys(block)):
+                return False
+    return True
 
 
 def find_block_repeat(

@@ -126,6 +126,31 @@ def reference_closure(alg, generators, stop=None):
     return tuples, derivations, rounds, None
 
 
+def scalar_is_admissible(alg, rel):
+    """Scalar closedness check: every combination of tuples, one at a time,
+    with the same validation and error messages as ``is_admissible``."""
+    tuples = [tuple(t) for t in rel]
+    if not tuples:
+        return True
+    width = len(tuples[0])
+    for t in tuples:
+        if len(t) != width:
+            raise ValueError("relation tuples must have equal width")
+        for v in t:
+            if not 0 <= v < alg.size:
+                raise ValueError(f"relation entry {v} outside universe")
+    members = set(tuples)
+    for op in alg.ops:
+        for combo in itertools.product(tuples, repeat=op.arity):
+            image = tuple(
+                op.table[flat_index((p[c] for p in combo), alg.size)]
+                for c in range(width)
+            )
+            if image not in members:
+                return False
+    return True
+
+
 def naive_unary_maps(alg):
     """Independent fixed point of unary term operations."""
     n = alg.size

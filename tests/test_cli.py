@@ -71,6 +71,26 @@ def test_image_budget(files, monkeypatch):
     assert run_cli(["image", files["not2"]]) == 3
 
 
+@pytest.mark.parametrize("command", [["check", "qwnu", "--k", "2"], ["image"], ["oracle", "qsiggers"]])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_budget_flag_must_be_positive(files, capsys, command, value):
+    assert run_cli(command + [files["min2"], "--budget", value]) == 2
+    assert f"--budget must be a positive integer, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["check", "qwnu", "--k", "2"], ["image"], ["oracle", "qsiggers"]])
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_budget_env_must_be_a_positive_integer(files, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("MALTSEV_LAB_BUDGET", value)
+    assert run_cli(command + [files["min2"]]) == 2
+    assert "MALTSEV_LAB_BUDGET must be a positive integer" in capsys.readouterr().err
+
+
+def test_budget_flag_must_be_an_integer(files, capsys):
+    assert run_cli(["check", "qwnu", "--k", "2", files["min2"], "--budget", "abc"]) == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def _raiser(exc):
     def raise_it(*args, **kwargs):
         raise exc

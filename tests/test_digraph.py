@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import MIN2, walk_net_lengths
+from helpers import MIN2, Z2_MINORITY, scalar_is_admissible, walk_net_lengths
 from maltsev_lab import (
     Digraph,
     build_G,
@@ -20,6 +20,7 @@ from maltsev_lab import (
     parse_digraph,
     random_algebra,
     replay_walk,
+    subpower,
 )
 from maltsev_lab.errors import AlgebraFormatError
 
@@ -93,6 +94,108 @@ def test_is_admissible_examples():
     assert not is_admissible(MIN2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         is_admissible(MIN2, [(0, 5)])
+
+
+def _admissibility_cases(seed, count):
+    """Seeded (algebra, relation) pairs: operations of arity 0-3, widths 1-4,
+    relations that are random (some with duplicates), empty, generated
+    closures, or such closures without their last tuple."""
+    rng = random.Random(seed)
+    for case in range(count):
+        size = rng.randint(1, 3)
+        width = rng.randint(1, 4)
+        # keep the scalar reference cheap on closed relations
+        arities = [m for m in range(4) if (size**width) ** m <= 20000]
+        signature = [rng.choice(arities) for _ in range(rng.randint(1, 3))]
+        alg = random_algebra(seed + case, size, signature)
+        gens = [
+            tuple(rng.randrange(size) for _ in range(width))
+            for _ in range(rng.randint(1, 4))
+        ]
+        kind = case % 4
+        if case % 25 == 0:
+            rel = []
+        elif kind == 0:
+            rel = gens + [gens[0]]
+        elif kind == 1:
+            rel = list(generate_subpower(alg, gens).tuples)
+        elif kind == 2:
+            rel = list(generate_subpower(alg, gens).tuples)[:-1]
+        else:
+            rel = [
+                tuple(rng.randrange(size) for _ in range(width))
+                for _ in range(rng.randint(1, size**width))
+            ]
+        yield alg, rel
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_is_admissible_matches_scalar_check(monkeypatch, chunk):
+    # at chunk 7 the first failing combination can lie past a block
+    # boundary, so the early exit has to cross blocks
+    if chunk is not None:
+        monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    answers = []
+    for alg, rel in _admissibility_cases(8000, 320):
+        want = scalar_is_admissible(alg, rel)
+        assert is_admissible(alg, rel) == want, (alg.name, rel)
+        answers.append(want)
+    assert answers.count(True) >= 80 and answers.count(False) >= 80
+
+
+def test_is_admissible_wide_tuples_match_scalar_check():
+    # 2^62 tuples and more do not fit int64 keys: the tuple fallback runs
+    rng = random.Random(64)
+    for alg in (MIN2, Z2_MINORITY, random_algebra(2, 2, [0, 1, 2])):
+        for width in (61, 62, 64):
+            gens = [tuple(rng.randrange(2) for _ in range(width)) for _ in range(3)]
+            closure = list(generate_subpower(alg, gens).tuples)
+            for rel in (closure, closure[:-1], gens):
+                want = scalar_is_admissible(alg, rel)
+                assert is_admissible(alg, rel) == want, (alg.name, width, rel)
+            assert is_admissible(alg, closure)
+
+
+def test_is_admissible_errors():
+    # the tuples are validated in order; the first defect names the error
+    for rel, message in [
+        ([(0, 1), (1,)], "relation tuples must have equal width"),
+        ([(0, 5)], "relation entry 5 outside universe"),
+        ([(0, -1)], "relation entry -1 outside universe"),
+        ([(0, 1), (1,), (0, 5)], "relation tuples must have equal width"),
+        ([(0, 5), (1,)], "relation entry 5 outside universe"),
+        ([(0, 1), (1, 7, 0)], "relation tuples must have equal width"),
+    ]:
+        for check in (is_admissible, scalar_is_admissible):
+            with pytest.raises(ValueError) as info:
+                check(MIN2, rel)
+            assert str(info.value) == message, (check, rel)
+    assert is_admissible(MIN2, []) and is_admissible(MIN2, iter(()))
+    # entries that are not integers are refused, not truncated
+    for check in (is_admissible, scalar_is_admissible):
+        with pytest.raises(TypeError):
+            check(MIN2, [(0, 1), (1, 0.5)])
+    assert is_admissible(MIN2, [(True, False)])
+
+
+def test_is_admissible_memory_is_bounded_by_the_chunk():
+    # all of A^5 for n = 4 is closed, so every one of its 2^20 combinations
+    # is checked; one broadcast over them all needs about 80 MB
+    import tracemalloc
+
+    alg = random_algebra(3, 4, [2])
+    width = 5
+    rel = list(itertools.product(range(4), repeat=width))
+    is_admissible(alg, rel[:2])  # numpy imports some helpers lazily
+    tracemalloc.start()
+    try:
+        assert is_admissible(alg, rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rel) ** 2 >= 1 << 20
+    bound = 6 * subpower._CHUNK * width * 8 + 4 * len(rel) * (width + 1) * 8
+    assert peak <= bound, (peak, bound)
 
 
 def test_build_S_examples():
