@@ -309,10 +309,18 @@ def parse_digraph(text: str) -> Digraph:
 
 
 def format_digraph(g: Digraph) -> str:
-    """Serialize an integer-labeled digraph in the exchange format."""
-    if any(not isinstance(v, int) for v in g.vertices):
+    """Serialize a digraph on the vertices 0..count-1 in the exchange format.
+
+    The format declares exactly those vertices, so any other labels would
+    not parse back as the same digraph.
+    """
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in g.vertices):
         raise ValueError("only integer-labeled digraphs can be serialized")
-    count = (max(g.vertices) + 1) if g.vertices else 0
+    count = len(set(g.vertices))
+    if set(g.vertices) != set(range(count)):
+        raise ValueError(
+            f"only digraphs on the vertices 0..{count - 1} can be serialized"
+        )
     lines = [f"digraph {count}"]
     for u, v in sorted(g.edges):
         lines.append(f"{u} {v}")

@@ -218,8 +218,11 @@ def random_algebra(
     index order, operation by operation in signature order, each entry being
     next_u64() mod size.  With ``idempotent`` the diagonal entries are then
     forced to the diagonal argument; that requires every arity to be at
-    least 1.
+    least 1.  The seed must lie in 0..2^64-1: splitmix64 keeps only its low
+    64 bits, so any other seed would alias one of those under another name.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
     if size < 1:
         raise ValueError("size must be at least 1")
     if not signature:

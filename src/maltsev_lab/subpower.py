@@ -25,6 +25,17 @@ holds all n^width tuples no later combination can add one, so enumeration
 stops there; ``rounds`` still counts the one empty round that the plain
 loop runs after its last commit.
 
+Rows are compared by their base-n keys.  When the key space n^width is at
+most ``_CHUNK``, a closure keeps two tables indexed by the key: a bool per
+possible tuple that marks the committed ones, and an index slot per
+possible tuple that ``np.minimum.at`` fills with the first position of each
+fresh key in a block.  A block's commit then needs no sort and no search of
+a growing array.  Tying the limit to ``_CHUNK`` keeps the tables within the
+working set a block already has.  Larger key spaces search an array of the
+committed keys with ``np.isin`` and order first occurrences with
+``np.unique``; from 2^62 on, keys do not fit int64 and tuples are looked up
+in the index.
+
 ``is_closed`` decides whether a given relation is closed with the same
 pieces: one round over all combinations of the relation's rows that commits
 nothing, block by block, stopping at the first block with an image outside
@@ -179,8 +190,16 @@ class _Closure:
         # dict check
         self.key_powers = _key_powers(self.n, self.width)
         self.use_keys = self.key_powers is not None
-        # keys of every committed tuple
-        self.known_keys = np.empty(0, dtype=np.int64)
+        # key-indexed tables for key spaces of at most _CHUNK tuples: seen
+        # marks committed tuples, first holds a block's positions and so
+        # takes their dtype (a cast makes np.minimum.at many times
+        # slower); larger key spaces keep an array of the committed keys
+        self.dense = self.full_size <= _CHUNK
+        if self.dense:
+            self.seen = np.zeros(self.full_size, dtype=bool)
+            self.first = np.zeros(self.full_size, dtype=np.intp)
+        else:
+            self.known_keys = np.empty(0, dtype=np.int64)
         # committed rows not yet stacked into the row array
         self.pending: list[np.ndarray] = []
         self._commit_block(
@@ -196,7 +215,17 @@ class _Closure:
         those positions as one list per argument (for generators: their
         generator positions).
         """
-        if self.use_keys:
+        if self.dense:
+            keys = res @ self.key_powers
+            fresh = np.flatnonzero(~self.seen[keys])
+            fk = keys[fresh]
+            # the least position of each fresh key, its slot reset first;
+            # rows past a stop hit or a budget cut leave stale slots, never
+            # read again because the closure ends there
+            self.first[fk] = len(keys)
+            np.minimum.at(self.first, fk, fresh)
+            positions = fresh[self.first[fk] == fresh]
+        elif self.use_keys:
             keys = res @ self.key_powers
             fresh = np.flatnonzero(np.isin(keys, self.known_keys, invert=True))
             _, first = np.unique(keys[fresh], return_index=True)
@@ -235,7 +264,9 @@ class _Closure:
         args = zip(*parents) if parents else itertools.repeat((), cut)
         self.derivs.extend(zip(itertools.repeat(symbol), args))
         self.pending.append(res[positions])
-        if self.use_keys:
+        if self.dense:
+            self.seen[keys[positions]] = True
+        elif self.use_keys:
             self.known_keys = np.concatenate([self.known_keys, keys[positions]])
 
     def _done(self):

@@ -8,9 +8,12 @@ the vectorised engine must reproduce exactly.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 
-from maltsev_lab import Apply, FiniteAlgebra, Operation, Variable
+import numpy as np
+
+from maltsev_lab import Apply, FiniteAlgebra, Operation, Variable, subpower
 from maltsev_lab.algebra import flat_index
 
 
@@ -124,6 +127,45 @@ def reference_closure(alg, generators, stop=None):
                     return tuples, derivations, rounds, len(tuples) - 1
         lo = k
     return tuples, derivations, rounds, None
+
+
+def record_closure_paths(monkeypatch):
+    """Count the closures run from now on by the path their commits take.
+
+    A closure whose key space n^width is at most ``_CHUNK`` is "dense": it
+    keeps tables indexed by the key.  A larger one is "keyed": it searches
+    an array of committed keys.  From 2^62 on, keys do not fit int64 and the
+    closure looks up "tuple"s.  Each closure must take the path its size
+    selects, and when it ends, a dense table must mark exactly the tuples
+    it committed, also after a stop that cut a block short.
+    """
+    paths = collections.Counter()
+    run = subpower._Closure.run
+
+    def recorded(state):
+        full = state.n**state.width
+        want = (
+            "dense" if full <= subpower._CHUNK
+            else "keyed" if full < 1 << 62
+            else "tuple"
+        )
+        got = (
+            "dense" if state.dense
+            else "keyed" if state.use_keys
+            else "tuple"
+        )
+        assert got == want, (state.n, state.width, got)
+        paths[got] += 1
+        run(state)
+        if state.dense:
+            marked = {
+                tuple(int(d) for d in np.unravel_index(key, (state.n,) * state.width))
+                for key in np.flatnonzero(state.seen)
+            }
+            assert marked == set(state.tuples)
+
+    monkeypatch.setattr(subpower._Closure, "run", recorded)
+    return paths
 
 
 def scalar_is_admissible(alg, rel):

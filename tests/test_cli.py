@@ -161,6 +161,20 @@ def test_gen_roundtrip(capsys):
     assert alg.size == 3 and [op.arity for op in alg.ops] == [2, 1]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_gen_refuses_seeds_outside_64_bits(seed, capsys):
+    assert run_cli(["gen", "--seed", seed, "--size", "3", "--arity", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be in 0..2^64-1" in captured.err
+
+
+def test_gen_accepts_the_largest_seed(capsys):
+    top = str((1 << 64) - 1)
+    assert run_cli(["gen", "--seed", top, "--size", "3", "--arity", "2"]) == 0
+    assert f"rand-s{top}-n3-a2" in capsys.readouterr().out
+
+
 def test_gen_idempotent(capsys):
     assert run_cli(["gen", "--seed", "5", "--size", "3", "--arity", "2", "--idempotent"]) == 0
     from maltsev_lab import is_idempotent, parse_algebra

@@ -278,6 +278,32 @@ def test_digraph_format_roundtrip():
     assert len(again.vertices) == 4
 
 
+def test_digraph_format_roundtrip_is_exact():
+    # digraphs on 0..count-1, isolated vertices and the empty one included
+    rng = random.Random(5)
+    graphs = [Digraph(vertices=(), edges=frozenset())]
+    for count in range(1, 7):
+        edges = [(u, v) for u in range(count) for v in range(count) if rng.random() < 0.3]
+        graphs.append(Digraph.from_edges(edges, vertices=range(count)))
+    for g in graphs:
+        assert parse_digraph(format_digraph(g)) == g
+
+
+def test_format_digraph_refuses_labels_that_do_not_round_trip():
+    # the header declares 0..count-1: a gap would come back as isolated
+    # vertices, and a negative label would not parse at all
+    gap = Digraph.from_edges([(0, 5), (5, 0)])
+    assert is_smooth(gap)
+    with pytest.raises(ValueError, match=r"vertices 0\.\.1"):
+        format_digraph(gap)
+    with pytest.raises(ValueError, match=r"vertices 0\.\.1"):
+        format_digraph(Digraph.from_edges([(-1, 0), (0, -1)]))
+    with pytest.raises(ValueError, match="integer-labeled"):
+        format_digraph(Digraph.from_edges([(0, True)]))
+    with pytest.raises(ValueError, match="integer-labeled"):
+        format_digraph(Digraph.from_edges([("a", "b")]))
+
+
 def test_parse_digraph_errors():
     with pytest.raises(AlgebraFormatError):
         parse_digraph("")

@@ -15,7 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import MIN2, NOT2, PROJ2, Z2_MINORITY, Z3_MALTSEV, make_algebra
+from helpers import (
+    MIN2,
+    NOT2,
+    PROJ2,
+    Z2_MINORITY,
+    Z3_MALTSEV,
+    make_algebra,
+    record_closure_paths,
+)
 from maltsev_lab import (
     decision,
     has_k_qwnu,
@@ -60,6 +68,9 @@ MAJ4ARY2 = make_algebra(
     2,
     ("q", 4, tuple(int(sum(a) >= 2) for a in itertools.product(range(2), repeat=4))),
 )
+MEET4 = make_algebra(
+    "meet4", 4, ("meet", 2, tuple(min(a, b) for a, b in itertools.product(range(4), repeat=2)))
+)
 
 # (name, procedure, algebra, extra arguments)
 CASES = [
@@ -74,6 +85,8 @@ CASES = [
     ("qwnu-k3-z2minority", has_k_qwnu, Z2_MINORITY, (3,)),
     ("qwnu-k2-affine4", has_k_qwnu, _affine(4), (2,)),
     ("qwnu-k3-affine5", has_k_qwnu, _affine(5), (3,)),
+    # 4^9 tuples: above the dense limit of the saturation engine
+    ("qwnu-k9-meet4", has_k_qwnu, MEET4, (9,)),
     ("qwnu-k4-quat2", has_k_qwnu, MAJ4ARY2, (4,)),
     ("qwnu-k2-nullary3", has_k_qwnu, NULLARY3, (2,)),
     ("qwnu-k3-nullary3", has_k_qwnu, NULLARY3, (3,)),
@@ -146,20 +159,25 @@ def test_report_matches_golden(name, procedure, alg, args):
 
 
 def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
-    # blocks of 3 pairs make every known term cross block boundaries
+    # blocks of 3 pairs make every known term cross block boundaries; the
+    # corpus has closures on both sides of the dense limit n^width <= _CHUNK
     monkeypatch.setattr(decision, "_PAIR_BLOCK", 3)
+    paths = record_closure_paths(monkeypatch)
     for name, procedure, alg, args in CASES:
         want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         assert render(procedure, alg, args) == want, name
+    assert paths["dense"] >= 100 and paths["keyed"] >= 1, paths
 
 
 def test_reports_do_not_depend_on_the_saturation_chunk(monkeypatch):
     # chunks of 7 combinations make duplicates within a round cross chunk
     # boundaries, which the bulk commit must resolve in first-occurrence order
     monkeypatch.setattr(subpower, "_CHUNK", 7)
+    paths = record_closure_paths(monkeypatch)
     for name, procedure, alg, args in CASES:
         want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         assert render(procedure, alg, args) == want, name
+    assert paths["keyed"] >= 100 and paths["dense"] >= 1, paths
 
 
 if __name__ == "__main__":

@@ -121,6 +121,19 @@ def test_random_algebra_deterministic():
     assert a.ops[0].symbol == "f0" and a.ops[1].symbol == "f1"
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+def test_random_algebra_refuses_seeds_outside_64_bits(seed):
+    # splitmix64 keeps the low 64 bits: -1 would alias 2^64 - 1 by name
+    with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\^64-1"):
+        random_algebra(seed, 2, [2])
+
+
+def test_random_algebra_accepts_the_64_bit_range():
+    top = random_algebra((1 << 64) - 1, 3, [2])
+    assert top.name == "rand-s18446744073709551615-n3-a2"
+    assert top != random_algebra(0, 3, [2])
+
+
 def test_random_algebra_idempotent_flag():
     for seed in range(10):
         alg = random_algebra(seed, 3, [2, 3], idempotent=True)

@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from helpers import MIN2, PROJ2, Z2_MINORITY, naive_subpower, reference_closure
+from helpers import (
+    MIN2,
+    PROJ2,
+    Z2_MINORITY,
+    make_algebra,
+    naive_subpower,
+    record_closure_paths,
+    reference_closure,
+)
 from maltsev_lab import (
     Variable,
     evaluate_term,
@@ -271,9 +279,11 @@ def _as_reference(rel, hit=None):
 def test_engine_matches_reference_closure(monkeypatch, chunk):
     # the engine commits exactly the scalar reference's tuples, derivations
     # and rounds, whatever the chunk size; chunks of 7 or 1 make a round's
-    # duplicates and a rectangle's rows cross chunk boundaries
+    # duplicates and a rectangle's rows cross chunk boundaries, and put most
+    # cases above the dense limit n^width <= _CHUNK
     if chunk is not None:
         monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    paths = record_closure_paths(monkeypatch)
     full_power = generators_full = 0
     for rng, alg, gens in _reference_cases(4000, 240):
         label = (alg.name, gens)
@@ -292,6 +302,68 @@ def test_engine_matches_reference_closure(monkeypatch, chunk):
         assert _as_reference(got, hit) == until, label
         assert got.complete is False
     assert full_power >= 60 and generators_full >= 20
+    if chunk is None:
+        assert paths == {"dense": 480}
+    else:
+        assert paths["dense"] >= 100 and paths["keyed"] >= 100, paths
+
+
+def _limit_algebra(size):
+    """A constant, halving and the sum mod 2: closures of a few generators
+    stay small enough for the reference, and the sum's blocks repeat
+    tuples."""
+    return make_algebra(
+        f"limit{size}",
+        size,
+        ("c", 0, (size - 1,)),
+        ("h", 1, tuple(x // 2 for x in range(size))),
+        ("s", 2, tuple((x + y) % 2 for x, y in itertools.product(range(size), repeat=2))),
+    )
+
+
+@pytest.mark.parametrize(
+    "size,width,path",
+    [(256, 2, "dense"), (4, 8, "dense"), (257, 2, "keyed"), (5, 7, "keyed")],
+)
+def test_closures_at_the_dense_limit_match_reference_closure(
+    monkeypatch, size, width, path
+):
+    # n^width = 2^16 = _CHUNK is the largest key space with dense tables;
+    # 257^2 and 5^7 lie just above it
+    import random
+
+    assert (size**width <= subpower._CHUNK) == (path == "dense")
+    paths = record_closure_paths(monkeypatch)
+    alg = _limit_algebra(size)
+    rng = random.Random(size * 100 + width)
+    for _ in range(3):
+        gens = [
+            tuple(rng.randrange(size) for _ in range(width))
+            for _ in range(rng.randint(2, 4))
+        ]
+        want = reference_closure(alg, gens)
+        assert _as_reference(generate_subpower(alg, gens)) == want, gens
+        target = rng.choice(want[0])
+        until = reference_closure(alg, gens, lambda t: t == target)
+        got, hit = generate_until(alg, gens, lambda t: t == target)
+        assert _as_reference(got, hit) == until, gens
+    assert paths == {path: 6}
+
+
+@pytest.mark.parametrize("chunk", [None, 4], ids=["dense", "keyed"])
+def test_repeated_fresh_tuples_commit_at_their_first_occurrence(monkeypatch, chunk):
+    # the first round's one block is 9, 4, 9, 4: both are new, 9 comes first
+    # though its key is larger, and each is derived from its first position
+    if chunk is not None:
+        monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    paths = record_closure_paths(monkeypatch)
+    alg = make_algebra("repeat10", 10, ("f", 1, (9, 4, 9, 4, 4, 5, 6, 7, 8, 9)))
+    gens = [(0,), (1,), (2,), (3,)]
+    rel = generate_subpower(alg, gens)
+    assert rel.tuples == ((0,), (1,), (2,), (3,), (9,), (4,))
+    assert rel.derivations[4:] == (("f", (0,)), ("f", (1,)))
+    assert _as_reference(rel) == reference_closure(alg, gens)
+    assert paths == {"dense" if chunk is None else "keyed": 1}
 
 
 def test_wide_tuples_match_reference_closure():
@@ -373,8 +445,13 @@ def test_blocks_enumerate_a_round_lexicographically(monkeypatch):
 
 @pytest.mark.parametrize(
     "size,width,arity,seed,count,chunk",
-    [(4, 6, 2, 3, 3, 1 << 14), (3, 6, 3, 1, 2, 1 << 12)],
-    ids=["binary", "ternary"],
+    [
+        (4, 6, 2, 3, 3, 1 << 14),
+        (3, 6, 3, 1, 2, 1 << 12),
+        # 4^8 = 2^16 = _CHUNK: the largest key space with dense tables
+        (4, 8, 2, 3, 3, 1 << 16),
+    ],
+    ids=["binary", "ternary", "binary-dense-limit"],
 )
 def test_round_memory_is_bounded_by_the_chunk(
     monkeypatch, size, width, arity, seed, count, chunk
