@@ -24,16 +24,19 @@ from .algebra import (
 from .decision import (
     DecisionReport,
     PairWitness,
+    Problem,
     ReportStats,
     check_quasi_siggers_identity,
     check_qwnu_identities,
+    decide,
     has_k_qwnu,
     has_k_wnu_idemp,
     has_n_local_k_qwnu,
     has_quasi_taylor,
-    verify_nlocal_witness,
-    verify_qtaylor_witness,
-    verify_qwnu_witness,
+    nlocal,
+    qtaylor,
+    qwnu,
+    verify_local,
 )
 from .digraph import (
     Digraph,
@@ -79,7 +82,6 @@ from .subpower import (
     extract_witness,
     find_block_repeat,
     find_constant,
-    find_qqrr,
     generate_subpower,
     generate_until,
 )

@@ -98,10 +98,6 @@ class FiniteAlgebra:
         """Sum of all table sizes; the natural encoding size of the algebra."""
         return sum(len(op.table) for op in self.ops)
 
-    def apply(self, symbol: str, args) -> int:
-        op = self.operation(symbol)
-        return op.table[flat_index(args, self.size)]
-
 
 @dataclass(frozen=True)
 class Variable:

@@ -26,6 +26,15 @@ from .subpower import DEFAULT_TUPLE_BUDGET
 
 BUDGET_ENV = "MALTSEV_LAB_BUDGET"
 
+# check subcommands: name -> (help, integer parameters, procedure name); the
+# procedure is looked up in ``decision`` at run time, so a wrapped one runs
+_CHECKS = {
+    "qwnu": ("k-ary quasi weak near-unanimity", ("k",), "has_k_qwnu"),
+    "wnu-idemp": ("k-ary weak near-unanimity of an idempotent algebra", ("k",), "has_k_wnu_idemp"),
+    "qtaylor": ("quasi Taylor term", (), "has_quasi_taylor"),
+    "nlocal": ("n-local k-ary quasi weak near-unanimity", ("n", "k"), "has_n_local_k_qwnu"),
+}
+
 
 def _add_common(parser):
     parser.add_argument("--witness", action="store_true", help="include witness terms in the output")
@@ -42,22 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a decision procedure")
     checksub = check.add_subparsers(dest="problem", required=True)
-    p = checksub.add_parser("qwnu", help="k-ary quasi weak near-unanimity")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("file")
-    _add_common(p)
-    p = checksub.add_parser("wnu-idemp", help="k-ary weak near-unanimity of an idempotent algebra")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("file")
-    _add_common(p)
-    p = checksub.add_parser("qtaylor", help="quasi Taylor term")
-    p.add_argument("file")
-    _add_common(p)
-    p = checksub.add_parser("nlocal", help="n-local k-ary quasi weak near-unanimity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("file")
-    _add_common(p)
+    for name, (text, params, _) in _CHECKS.items():
+        p = checksub.add_parser(name, help=text)
+        for param in params:
+            p.add_argument(f"--{param}", type=int, required=True)
+        p.add_argument("file")
+        _add_common(p)
 
     orc = sub.add_parser("oracle", help="brute-force clone search")
     orcsub = orc.add_subparsers(dest="problem", required=True)
@@ -129,14 +128,9 @@ def _emit_report(report, args) -> int:
 def _run_check(args) -> int:
     alg = _load_algebra(args.file)
     budget = _budget(args, DEFAULT_TUPLE_BUDGET)
-    if args.problem == "qwnu":
-        report = decision.has_k_qwnu(alg, args.k, budget=budget)
-    elif args.problem == "wnu-idemp":
-        report = decision.has_k_wnu_idemp(alg, args.k, budget=budget)
-    elif args.problem == "qtaylor":
-        report = decision.has_quasi_taylor(alg, budget=budget)
-    else:
-        report = decision.has_n_local_k_qwnu(alg, args.n, args.k, budget=budget)
+    _, params, procedure = _CHECKS[args.problem]
+    values = [getattr(args, param) for param in params]
+    report = getattr(decision, procedure)(alg, *values, budget=budget)
     return _emit_report(report, args)
 
 

@@ -1,15 +1,18 @@
 """Decision procedures for quasi weak near-unanimity and quasi Taylor terms.
 
-Each procedure quantifies over pairs of elements (or element tuples).  A
-pair fixes W argument tuples of length k, one per output coordinate, and a
-k-ary term is a local witness at the pair when its W values repeat their
-first block:
+Each condition is a ``Problem`` record that quantifies over pairs of
+elements (or element tuples).  A pair fixes W argument tuples of length k,
+one per output coordinate, and a k-ary term is a local witness at the pair
+when its W values repeat their first block:
 
-  k-qWNU           the k displaced tuples; block 1, a constant
-  n-local k-qWNU   k blocks of n tuples, block i displaced in argument i;
+  qwnu(k)          the k displaced tuples; block 1, a constant
+  nlocal(n, k)     k blocks of n tuples, block i displaced in argument i;
                    block n
-  quasi Taylor     both sides of two quasi Siggers instances at the pair,
+  qtaylor()        both sides of two quasi Siggers instances at the pair,
                    left values first; block 2
+
+``decide(alg, problem, budget)`` sweeps the pairs, and
+``verify_local(alg, problem, pair, term)`` checks one witness the same way.
 
 Read the other way, the k argument positions are the generator columns of a
 subpower, and a witness exists iff that subpower holds a block repeat.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +56,36 @@ from .subpower import (
 
 # pairs per sweep block; the block's argument array is k x _PAIR_BLOCK x W
 _PAIR_BLOCK = 1 << 12
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One condition, decided pair by pair.
+
+    Pairs are of elements when ``point`` is None, else of ``point``-tuples.
+    ``args_of(pair)`` lists the W argument tuples at a pair, and
+    ``identities_of(pair, result)`` states the equalities of a witness whose
+    values repeat ``result``, their first ``block`` values.  Reports name
+    the pair's two fields ``pair_names``.
+    """
+
+    name: str
+    parameters: tuple[tuple[str, int], ...]
+    point: Optional[int]
+    args_of: Callable[[tuple], list[tuple[int, ...]]]
+    block: int
+    identities_of: Callable[[tuple, tuple], tuple[str, ...]]
+    pair_names: tuple[str, str]
+
+    def points(self, alg: FiniteAlgebra) -> Sequence:
+        """The elements, or the ``point``-tuples in lexicographic order."""
+        if self.point is None:
+            return range(alg.size)
+        return list(itertools.product(range(alg.size), repeat=self.point))
+
+    def pairs(self, alg: FiniteAlgebra) -> Iterable[tuple]:
+        """The pairs the sweep visits on the algebra, in its order."""
+        return itertools.product(self.points(alg), repeat=2)
 
 
 @dataclass(frozen=True)
@@ -81,22 +114,23 @@ class DecisionReport:
     problem: str
     algebra: str
     parameters: tuple[tuple[str, int], ...]
+    pair_names: tuple[str, str]
     answer: bool
     witnesses: tuple[PairWitness, ...]
     refutation: Optional[tuple]
     stats: ReportStats
-
-    @property
-    def parameter_map(self) -> dict:
-        return dict(self.parameters)
-
-
 
 
 def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
     """Which rows of a (P, W) array are W/block copies of their first block."""
     v = values.reshape(values.shape[0], -1, block)
     return (v == v[:, :1]).all(axis=(1, 2))
+
+
+def _columns(problem: Problem, pairs) -> np.ndarray:
+    """cols[j, p, c]: argument j of pair p at output coordinate c."""
+    args = [problem.args_of(pair) for pair in pairs]
+    return np.array(args, dtype=np.int64).transpose(2, 0, 1)
 
 
 def _values(alg, term, cols, idx) -> np.ndarray:
@@ -107,7 +141,15 @@ def _values(alg, term, cols, idx) -> np.ndarray:
     return values.reshape(len(idx), width)
 
 
-def _claimed_witnesses(alg, chunk, cols, term_of, block, identities_of):
+def _results(alg, problem, term, cols, idx) -> list[Optional[tuple]]:
+    """Per pair of ``idx``: the first block of the term's values if they repeat it, else None."""
+    values = _values(alg, term, cols, idx)
+    ok = _is_repeat(values, problem.block).tolist()
+    rows = values[:, :problem.block].tolist()
+    return [tuple(row) if good else None for row, good in zip(rows, ok)]
+
+
+def _claimed_witnesses(alg, problem, chunk, cols, term_of):
     """The witnesses of one block, each term evaluated again on its pairs."""
     members: dict[int, list[int]] = {}
     for p, term in enumerate(term_of):
@@ -115,35 +157,29 @@ def _claimed_witnesses(alg, chunk, cols, term_of, block, identities_of):
     witnesses: list = [None] * len(chunk)
     for group in members.values():
         term = term_of[group[0]]
-        values = _values(alg, term, cols, group)
-        ok = _is_repeat(values, block)
-        if not ok.all():
-            pair = chunk[group[int(np.argmin(ok))]]
-            raise ConsistencyError(
-                f"witness violates its claimed equalities at pair {pair}"
-            )
-        for p, row in zip(group, values[:, :block].tolist()):
-            result = tuple(row)
-            witnesses[p] = PairWitness(
-                pair=chunk[p],
-                term=term,
-                result=result,
-                identities=identities_of(chunk[p], result),
-            )
+        for p, result in zip(group, _results(alg, problem, term, cols, group)):
+            if result is None:
+                raise ConsistencyError(
+                    f"witness violates its claimed equalities at pair {chunk[p]}"
+                )
+            identities = problem.identities_of(chunk[p], result)
+            witnesses[p] = PairWitness(chunk[p], term, result, identities)
     return witnesses
 
 
-def _run_pair_sweep(
-    alg: FiniteAlgebra,
-    problem: str,
-    parameters: tuple[tuple[str, int], ...],
-    pairs: Iterable[tuple],
-    args_of: Callable[[tuple], list[tuple[int, ...]]],
-    block: int,
-    identities_of: Callable[[tuple, tuple], tuple[str, ...]],
-    budget: int,
+def decide(
+    alg: FiniteAlgebra, problem: Problem, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> DecisionReport:
+    """Sweep the problem's pairs: a verified witness for every pair, or the
+    first pair whose subpower holds no block repeat."""
+    if problem.point is not None:
+        pair_count = alg.size ** (2 * problem.point)
+        if pair_count > budget:
+            raise BudgetExceededError(
+                f"{pair_count} tuple pairs exceed the budget of {budget}"
+            )
     start = time.perf_counter()
+    block = problem.block
     known_terms: list[Term] = []
     witnesses: list[PairWitness] = []
     tuples_generated = 0
@@ -158,19 +194,19 @@ def _run_pair_sweep(
             elapsed_seconds=time.perf_counter() - start,
         )
         return DecisionReport(
-            problem=problem,
+            problem=problem.name,
             algebra=alg.name,
-            parameters=parameters,
+            parameters=problem.parameters,
+            pair_names=problem.pair_names,
             answer=refutation is None,
             witnesses=tuple(witnesses) if refutation is None else (),
             refutation=refutation,
             stats=stats,
         )
 
-    pairs = iter(pairs)
+    pairs = iter(problem.pairs(alg))
     while chunk := list(itertools.islice(pairs, _PAIR_BLOCK)):
-        # cols[j, p, c]: argument j of pair p at output coordinate c
-        cols = np.array([args_of(p) for p in chunk], dtype=np.int64).transpose(2, 0, 1)
+        cols = _columns(problem, chunk)
         reps = cols.shape[2] // block
         term_of: list[Optional[Term]] = [None] * len(chunk)
         uncovered = np.ones(len(chunk), dtype=bool)
@@ -213,88 +249,114 @@ def _run_pair_sweep(
             term_of[p] = term
             uncovered[p] = False
             cover(term, p + 1)
-        witnesses.extend(
-            _claimed_witnesses(alg, chunk, cols, term_of, block, identities_of)
-        )
+        witnesses.extend(_claimed_witnesses(alg, problem, chunk, cols, term_of))
     return report(None)
 
 
-def _local_result(alg, term, args, block) -> Optional[tuple]:
-    """The first block of the term's values at the argument tuples, if the
-    values repeat it, else None."""
-    values = evaluate_columns(alg, term, np.array(args, dtype=np.int64).T)
-    if not _is_repeat(values.reshape(1, -1), block)[0]:
-        return None
-    return tuple(values[:block].tolist())
+def verify_local(
+    alg: FiniteAlgebra, problem: Problem, pair: tuple, term: Term
+) -> Optional[tuple]:
+    """The first block of the term's values at the pair when the values
+    repeat it, which is the ``result`` a witness reports there, else None.
 
-
-def _displaced_args(r, s, k, i):
-    args = [r] * k
-    args[i] = s
-    return tuple(args)
-
-
-def _qwnu_args(r, s, k):
-    return [_displaced_args(r, s, k, i) for i in range(k)]
-
-
-def _nlocal_args(rbar, sbar, k):
-    """Block i, coordinate c: sbar[c] in argument i, rbar[c] elsewhere."""
-    return [
-        tuple((sbar if i == j else rbar)[c] for j in range(k))
-        for i in range(k)
-        for c in range(len(rbar))
-    ]
-
-
-def _siggers_instances(a, b):
-    """Two instantiations of s(r,x,r,e) = s(x,r,e,x) over the values {a, b}.
-
-    The first flips a/b in argument positions 1 and 2, the second in
-    positions 3 and 4, so one term satisfying both is a local quasi Taylor
-    term for the pair.  Each instance is ((left args), (right args)).
+    A pair that the problem's sweep never visits on this algebra is a
+    ValueError naming the expected shape.
     """
-    return (
-        ((a, b, a, b), (b, a, b, b)),  # (r, x, e) = (a, b, b)
-        ((b, b, b, a), (b, b, a, b)),  # (r, x, e) = (b, b, a)
-    )
-
-
-def _qtaylor_args(a, b):
-    (i1l, i1r), (i2l, i2r) = _siggers_instances(a, b)
-    return [i1l, i2l, i1r, i2r]
+    points = problem.points(alg)
+    if not (isinstance(pair, tuple) and len(pair) == 2 and all(x in points for x in pair)):
+        shape = "elements" if problem.point is None else f"{problem.point}-tuples"
+        raise ValueError(
+            f"{problem.name} pairs are ({', '.join(problem.pair_names)}) of "
+            f"{shape} over 0..{alg.size - 1}, got {pair!r}"
+        )
+    return _results(alg, problem, term, _columns(problem, [pair]), [0])[0]
 
 
 def _call(name, args):
     return name + "(" + ",".join(map(str, args)) + ")"
 
 
-def has_k_qwnu(
-    alg: FiniteAlgebra, k: int, budget: int = DEFAULT_TUPLE_BUDGET
-) -> DecisionReport:
-    """Decide whether the algebra has a k-ary quasi weak near-unanimity term.
+def _displaced(rbar, sbar, k):
+    """The k displaced argument tuples at (rbar, sbar), block by block:
+    block i, coordinate c holds sbar[c] in argument i and rbar[c] elsewhere."""
+    return [(r,) * i + (s,) + (r,) * (k - 1 - i) for i in range(k) for r, s in zip(rbar, sbar)]
 
-    For every ordered pair (r, s) the subpower generated by the k tuples
-    with s in one coordinate and r elsewhere must contain a constant tuple.
-    k = 1 is rejected: the unary case is vacuous and almost always a misuse.
+
+def qwnu(k: int) -> Problem:
+    """k-ary quasi weak near-unanimity: at every pair (r, s) the k tuples
+    with s in one coordinate and r elsewhere generate a subpower holding a
+    constant tuple.  k = 1 is rejected: the unary case is vacuous and
+    almost always a misuse.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
 
+    def args_of(pair):
+        r, s = pair
+        return _displaced((r,), (s,), k)
+
     def identities(pair, result):
-        chain = " = ".join(_call("t", args) for args in _qwnu_args(*pair, k))
+        chain = " = ".join(_call("t", args) for args in args_of(pair))
         return (f"{chain} = {result[0]}",)
 
-    return _run_pair_sweep(
-        alg,
-        problem="qwnu",
-        parameters=(("k", k),),
-        pairs=itertools.product(range(alg.size), repeat=2),
-        args_of=lambda pair: _qwnu_args(*pair, k),
-        block=1,
-        identities_of=identities,
-        budget=budget,
-    )
+    return Problem("qwnu", (("k", k),), None, args_of, 1, identities, ("r", "s"))
+
+
+def nlocal(n: int, k: int) -> Problem:
+    """n-local k-ary quasi weak near-unanimity: for every pair of n-tuples
+    (rbar, sbar), the subpower of width k*n generated by the k block columns
+    (sbar in block i of column i, rbar in the other blocks) must contain a
+    k-fold block repeat (ubar, ..., ubar).
+    """
+    if n < 1:
+        raise ValueError("locality n must be at least 1")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+
+    def args_of(pair):
+        return _displaced(*pair, k)
+
+    def identities(pair, result):
+        rbar, sbar = pair
+
+        def fmt(i):
+            return _call("t", (_call("", sbar if i == j else rbar) for j in range(k)))
+
+        chain = " = ".join(fmt(i) for i in range(k))
+        return (f"{chain} = {_call('', result)} in every block",)
+
+    return Problem("nlocal-qwnu", (("n", n), ("k", k)), n, args_of, n, identities, ("r", "s"))
+
+
+def qtaylor() -> Problem:
+    """Quasi Taylor: at every pair (a, b), one term satisfies two instances
+    of s(r,x,r,e) = s(x,r,e,x) over {a, b}, the first flipping a/b in
+    argument positions 1 and 2, the second in positions 3 and 4.  Such a
+    term flips a against b in every position, so it is a local quasi Taylor
+    term at (a, b); one for every pair is equivalent to a global one.
+    """
+
+    def args_of(pair):
+        a, b = pair
+        # left sides, then right sides; (r, x, e) = (a, b, b), then (b, b, a)
+        return [(a, b, a, b), (b, b, b, a), (b, a, b, b), (b, b, a, b)]
+
+    def identities(pair, result):
+        left1, left2, right1, right2 = args_of(pair)
+        u, v = result
+        return (
+            f"{_call('s', left1)} = {_call('s', right1)} = {u}",
+            f"{_call('s', left2)} = {_call('s', right2)} = {v}",
+        )
+
+    return Problem("qtaylor", (), None, args_of, 2, identities, ("a", "b"))
+
+
+def has_k_qwnu(
+    alg: FiniteAlgebra, k: int, budget: int = DEFAULT_TUPLE_BUDGET
+) -> DecisionReport:
+    """Decide whether the algebra has a k-ary quasi weak near-unanimity term."""
+    return decide(alg, qwnu(k), budget)
 
 
 def has_k_wnu_idemp(
@@ -315,7 +377,7 @@ def has_k_wnu_idemp(
             f"algebra is not idempotent: {symbol}({diag}) = {value}, "
             f"expected {element}"
         )
-    report = has_k_qwnu(alg, k, budget=budget)
+    report = decide(alg, qwnu(k), budget)
     diagonal = np.tile(np.arange(alg.size), (k, 1))
     terms = {id(w.term): w.term for w in report.witnesses}
     for term in terms.values():
@@ -329,75 +391,15 @@ def has_k_wnu_idemp(
 def has_n_local_k_qwnu(
     alg: FiniteAlgebra, n: int, k: int, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> DecisionReport:
-    """Decide whether the algebra has n-local k-ary quasi weak near-unanimity
-    terms: for every pair of n-tuples (rbar, sbar), the subpower of width k*n
-    generated by the k block columns (sbar in block i of column i, rbar in the
-    other blocks) must contain a k-fold block repeat (ubar, ..., ubar).
-    """
-    if n < 1:
-        raise ValueError("locality n must be at least 1")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    pair_count = alg.size ** (2 * n)
-    if pair_count > budget:
-        raise BudgetExceededError(
-            f"{pair_count} tuple pairs exceed the budget of {budget}"
-        )
-
-    def identities(pair, result):
-        rbar, sbar = pair
-
-        def fmt(i):
-            return _call("t", (_call("", sbar if i == j else rbar) for j in range(k)))
-
-        chain = " = ".join(fmt(i) for i in range(k))
-        return (f"{chain} = {_call('', result)} in every block",)
-
-    tuples_n = list(itertools.product(range(alg.size), repeat=n))
-    return _run_pair_sweep(
-        alg,
-        problem="nlocal-qwnu",
-        parameters=(("n", n), ("k", k)),
-        pairs=itertools.product(tuples_n, repeat=2),
-        args_of=lambda pair: _nlocal_args(*pair, k),
-        block=n,
-        identities_of=identities,
-        budget=budget,
-    )
+    """Decide whether the algebra has n-local k-ary quasi weak near-unanimity terms."""
+    return decide(alg, nlocal(n, k), budget)
 
 
 def has_quasi_taylor(
     alg: FiniteAlgebra, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> DecisionReport:
-    """Decide whether the algebra has a quasi Taylor term.
-
-    For every pair (a, b), both sides of the two quasi Siggers instances at
-    the pair are stacked into four coordinates (left values first); the
-    subpower generated by the four variable columns must contain a tuple of
-    shape (u, v, u, v), meaning some term satisfies both instances.  Such a
-    term flips a against b in every argument position, which makes it a
-    local quasi Taylor term at (a, b), and having one for every pair is
-    equivalent to having a global quasi Taylor term.
-    """
-
-    def identities(pair, result):
-        (i1l, i1r), (i2l, i2r) = _siggers_instances(*pair)
-        u, v = result
-        return (
-            f"{_call('s', i1l)} = {_call('s', i1r)} = {u}",
-            f"{_call('s', i2l)} = {_call('s', i2r)} = {v}",
-        )
-
-    return _run_pair_sweep(
-        alg,
-        problem="qtaylor",
-        parameters=(),
-        pairs=itertools.product(range(alg.size), repeat=2),
-        args_of=lambda pair: _qtaylor_args(*pair),
-        block=2,
-        identities_of=identities,
-        budget=budget,
-    )
+    """Decide whether the algebra has a quasi Taylor term."""
+    return decide(alg, qtaylor(), budget)
 
 
 def check_qwnu_identities(alg: FiniteAlgebra, t: Term, k: int) -> bool:
@@ -407,7 +409,7 @@ def check_qwnu_identities(alg: FiniteAlgebra, t: Term, k: int) -> bool:
     args = [
         a
         for x, y in itertools.product(range(alg.size), repeat=2)
-        for a in _qwnu_args(x, y, k)
+        for a in _displaced((x,), (y,), k)
     ]
     values = evaluate_columns(alg, t, np.array(args, dtype=np.int64).T)
     return bool(_is_repeat(values.reshape(-1, k), 1).all())
@@ -419,19 +421,3 @@ def check_quasi_siggers_identity(alg: FiniteAlgebra, s: Term) -> bool:
     left = evaluate_columns(alg, s, np.stack([r, a, r, e]))
     right = evaluate_columns(alg, s, np.stack([a, r, e, a]))
     return bool((left == right).all())
-
-
-def verify_qwnu_witness(alg, k, r, s, term) -> Optional[int]:
-    """The common value of the k displaced evaluations at (r, s), or None."""
-    got = _local_result(alg, term, _qwnu_args(r, s, k), 1)
-    return None if got is None else got[0]
-
-
-def verify_nlocal_witness(alg, n, k, rbar, sbar, term) -> Optional[tuple[int, ...]]:
-    """The repeated block produced by the witness at (rbar, sbar), or None."""
-    return _local_result(alg, term, _nlocal_args(rbar, sbar, k), n)
-
-
-def verify_qtaylor_witness(alg, a, b, term) -> Optional[tuple[int, int]]:
-    """The (u, v) instance values realized by the witness at (a, b), or None."""
-    return _local_result(alg, term, _qtaylor_args(a, b), 2)

@@ -182,19 +182,6 @@ def parse_term(text: str) -> Term:
     return term
 
 
-_PAIR_NAMES = {
-    "qwnu": ("r", "s"),
-    "wnu-idemp": ("r", "s"),
-    "nlocal-qwnu": ("r", "s"),
-    "qtaylor": ("a", "b"),
-}
-
-
-def _pair_parts(problem: str, pair) -> list[tuple[str, object]]:
-    names = _PAIR_NAMES.get(problem, ("r", "s"))
-    return list(zip(names, pair))
-
-
 def _render_value(v) -> str:
     if isinstance(v, tuple):
         return "(" + ",".join(map(str, v)) + ")"
@@ -210,13 +197,13 @@ def report_to_text(report: DecisionReport, include_witnesses: bool = False) -> s
     lines.append(f"answer: {'yes' if report.answer else 'no'}")
     if report.refutation is not None:
         parts = " ".join(
-            f"{k}={_render_value(v)}" for k, v in _pair_parts(report.problem, report.refutation)
+            f"{k}={_render_value(v)}" for k, v in zip(report.pair_names, report.refutation)
         )
         lines.append(f"refuted at: {parts}")
     if include_witnesses:
         for w in report.witnesses:
             parts = ", ".join(
-                f"{k}={_render_value(v)}" for k, v in _pair_parts(report.problem, w.pair)
+                f"{k}={_render_value(v)}" for k, v in zip(report.pair_names, w.pair)
             )
             lines.append(f"witness ({parts}): {format_term(w.term)}")
             for identity in w.identities:
@@ -252,12 +239,12 @@ def report_to_dict(report: DecisionReport, include_witnesses: bool = False) -> d
     }
     if report.refutation is not None:
         out["refutation"] = {
-            k: _jsonable(v) for k, v in _pair_parts(report.problem, report.refutation)
+            k: _jsonable(v) for k, v in zip(report.pair_names, report.refutation)
         }
     if include_witnesses:
         out["witnesses"] = [
             {
-                **{k: _jsonable(v) for k, v in _pair_parts(report.problem, w.pair)},
+                **{k: _jsonable(v) for k, v in zip(report.pair_names, w.pair)},
                 "term": format_term(w.term),
                 "result": _jsonable(w.result),
                 "identities": list(w.identities),

@@ -427,19 +427,6 @@ def find_constant(rel: TupleRelation) -> Optional[int]:
     return None if u is None else u[0]
 
 
-def find_qqrr(rel: TupleRelation) -> Optional[tuple[int, int]]:
-    """Least (q, r) lexicographically with (q, q, r, r) in rel; q = r allowed."""
-    if rel.width != 4:
-        raise ValueError(f"relation width must be 4, got {rel.width}")
-    best = None
-    for t in rel.tuples:
-        if t[0] == t[1] and t[2] == t[3]:
-            qr = (t[0], t[2])
-            if best is None or qr < best:
-                best = qr
-    return best
-
-
 def extract_witness(rel: TupleRelation, target) -> WitnessTerm:
     """A term over generator variables deriving the target tuple.
 

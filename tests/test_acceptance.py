@@ -35,13 +35,14 @@ from maltsev_lab import (
     is_admissible,
     is_smooth,
     minimal_unary_idempotent,
+    nlocal,
     oracle_find_quasi_siggers,
     oracle_find_qwnu,
+    qtaylor,
+    qwnu,
     random_algebra,
     unary_term_monoid,
-    verify_nlocal_witness,
-    verify_qtaylor_witness,
-    verify_qwnu_witness,
+    verify_local,
 )
 from maltsev_lab.algebra import flat_index
 
@@ -93,8 +94,7 @@ def test_criterion_02_named_verdicts():
         assert report.answer == expected, (alg.name, k)
         if expected:
             for w in report.witnesses:
-                r, s = w.pair
-                assert verify_qwnu_witness(alg, k, r, s, w.term) == w.result[0]
+                assert verify_local(alg, qwnu(k), w.pair, w.term) == w.result
     _passed(2, "named verdicts, oracle-confirmed, witnesses replayed")
 
 
@@ -111,14 +111,12 @@ def test_criterion_03_witness_soundness():
             report = has_k_qwnu(alg, k)
             if report.answer:
                 for w in report.witnesses:
-                    r, s = w.pair
-                    if verify_qwnu_witness(alg, k, r, s, w.term) != w.result[0]:
+                    if verify_local(alg, qwnu(k), w.pair, w.term) != w.result:
                         failures += 1
         report = has_quasi_taylor(alg)
         if report.answer:
             for w in report.witnesses:
-                a, b = w.pair
-                if verify_qtaylor_witness(alg, a, b, w.term) != w.result:
+                if verify_local(alg, qtaylor(), w.pair, w.term) != w.result:
                     failures += 1
     assert failures == 0
     _passed(3, "witness soundness on 200 random algebras")
@@ -138,8 +136,7 @@ def test_criterion_04_local_monotonicity():
             violations.append((alg.name, r2.answer, r3.answer))
         else:
             for w in r3.witnesses[:3]:
-                rbar, sbar = w.pair
-                assert verify_nlocal_witness(alg, 3, 3, rbar, sbar, w.term) == w.result
+                assert verify_local(alg, nlocal(3, 3), w.pair, w.term) == w.result
     assert violations == []
     _passed(4, "1-local => 2-local => 3-local on 100 random algebras")
 

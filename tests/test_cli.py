@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from helpers import MIN2, NOT2, PROJ2
+from helpers import MIN2, NOT2, PROJ2, Z2_MINORITY
 from maltsev_lab import decision, format_algebra
 from maltsev_lab.cli import run_cli
 from maltsev_lab.errors import ConsistencyError
@@ -13,7 +15,7 @@ from maltsev_lab.errors import ConsistencyError
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for alg in (MIN2, PROJ2, NOT2):
+    for alg in (MIN2, PROJ2, NOT2, Z2_MINORITY):
         p = tmp_path / f"{alg.name}.alg"
         p.write_text(format_algebra(alg))
         paths[alg.name] = str(p)
@@ -131,6 +133,24 @@ def test_json_and_text_decisions_agree(files, capsys):
         data = json.loads(capsys.readouterr().out)
         assert (data["answer"] == "yes") == (expected == 0)
         assert ("answer: yes" in text) == (expected == 0)
+
+
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        ("qwnu-k3-min2", ["qwnu", "--k", "3", "min2"]),
+        ("wnu-k3-z2minority", ["wnu-idemp", "--k", "3", "z2minority"]),
+        ("nlocal-n2k2-min2", ["nlocal", "--n", "2", "--k", "2", "min2"]),
+        ("qtaylor-min2", ["qtaylor", "min2"]),
+    ],
+)
+def test_check_json_output_matches_golden(files, capsys, golden, argv):
+    *options, name = argv
+    assert run_cli(["check", *options, files[name], "--json", "--witness"]) == 0
+    # drop the stats' last field, elapsed_seconds, and the comma before it
+    out = re.sub(r',\n *"elapsed_seconds": [^\n]*', "", capsys.readouterr().out)
+    golden_file = Path(__file__).resolve().parent / "golden" / f"{golden}.json"
+    assert out == golden_file.read_text(encoding="utf-8")
 
 
 def test_oracle_commands(files, capsys):

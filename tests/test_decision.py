@@ -18,19 +18,21 @@ from maltsev_lab import (
     Variable,
     check_quasi_siggers_identity,
     check_qwnu_identities,
+    decide,
     enumerate_clone_slice,
     has_k_qwnu,
     has_k_wnu_idemp,
     has_n_local_k_qwnu,
     has_quasi_taylor,
     induced_image_algebra,
+    nlocal,
     oracle_find_quasi_siggers,
     oracle_find_qwnu,
+    qtaylor,
+    qwnu,
     random_algebra,
     term_table,
-    verify_nlocal_witness,
-    verify_qtaylor_witness,
-    verify_qwnu_witness,
+    verify_local,
 )
 from maltsev_lab.errors import BudgetExceededError
 
@@ -54,8 +56,7 @@ def test_qwnu_rejects_k_one():
 def test_qwnu_witnesses_are_locally_valid():
     report = has_k_qwnu(MIN2, 3)
     for w in report.witnesses:
-        r, s = w.pair
-        assert verify_qwnu_witness(MIN2, 3, r, s, w.term) == w.result[0]
+        assert verify_local(MIN2, qwnu(3), w.pair, w.term) == w.result
 
 
 def test_wnu_idemp_named_verdicts():
@@ -93,12 +94,28 @@ def test_nlocal_validation():
         has_n_local_k_qwnu(MIN2, 4, 2, budget=100)
 
 
+def test_decide_refuses_more_tuple_pairs_than_the_budget():
+    # the n-local pair guard holds on the record entry point too
+    with pytest.raises(BudgetExceededError, match="256 tuple pairs exceed the budget of 100"):
+        decide(MIN2, nlocal(4, 2), budget=100)
+
+
 def test_nlocal_witnesses_are_locally_valid():
     report = has_n_local_k_qwnu(MIN2, 2, 2)
     assert report.answer
     for w in report.witnesses:
-        rbar, sbar = w.pair
-        assert verify_nlocal_witness(MIN2, 2, 2, rbar, sbar, w.term) == w.result
+        assert verify_local(MIN2, nlocal(2, 2), w.pair, w.term) == w.result
+
+
+def test_verify_local_rejects_pairs_the_sweep_never_visits():
+    meet = Apply("meet", (Variable(0), Variable(1)))
+    # 3-tuples and a ragged pair are not pairs of 2-tuples
+    for pair in [((0, 0, 0), (0, 0, 0)), ((0, 1), (1,))]:
+        with pytest.raises(ValueError, match=r"pairs are \(r, s\) of 2-tuples over 0\.\.1"):
+            verify_local(MIN2, nlocal(2, 2), pair, meet)
+    for problem, pair in [(qwnu(2), (0, 2)), (qwnu(2), (0, 1, 1)), (qtaylor(), ((0,), (1,)))]:
+        with pytest.raises(ValueError, match="of elements over 0..1"):
+            verify_local(MIN2, problem, pair, meet)
 
 
 def test_qtaylor_named_verdicts():
@@ -112,8 +129,7 @@ def test_qtaylor_named_verdicts():
 def test_qtaylor_witnesses_are_locally_valid():
     report = has_quasi_taylor(MIN2)
     for w in report.witnesses:
-        a, b = w.pair
-        assert verify_qtaylor_witness(MIN2, a, b, w.term) == w.result
+        assert verify_local(MIN2, qtaylor(), w.pair, w.term) == w.result
 
 
 def test_qtaylor_minority_regression():
@@ -125,8 +141,7 @@ def test_qtaylor_minority_regression():
     report = has_quasi_taylor(Z2_MINORITY)
     assert report.answer
     for w in report.witnesses:
-        a, b = w.pair
-        assert verify_qtaylor_witness(Z2_MINORITY, a, b, w.term) == w.result
+        assert verify_local(Z2_MINORITY, qtaylor(), w.pair, w.term) == w.result
 
 
 def test_check_qwnu_identities():

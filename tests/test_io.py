@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -11,15 +12,17 @@ from maltsev_lab import (
     format_algebra,
     format_term,
     has_k_qwnu,
+    has_n_local_k_qwnu,
     has_quasi_taylor,
     parse_algebra,
     parse_term,
+    qtaylor,
+    qwnu,
     random_algebra,
     report_to_dict,
     report_to_json,
     report_to_text,
-    verify_qtaylor_witness,
-    verify_qwnu_witness,
+    verify_local,
 )
 from maltsev_lab.errors import AlgebraFormatError, TermError
 
@@ -108,10 +111,137 @@ def test_serialized_witnesses_reverify():
     data = report_to_dict(report, include_witnesses=True)
     for w in data["witnesses"]:
         term = parse_term(w["term"])
-        value = verify_qwnu_witness(MIN2, 3, w["r"], w["s"], term)
-        assert value == w["result"][0]
+        value = verify_local(MIN2, qwnu(3), (w["r"], w["s"]), term)
+        assert value == tuple(w["result"])
     report = has_quasi_taylor(MIN2)
     data = report_to_dict(report, include_witnesses=True)
     for w in data["witnesses"]:
         term = parse_term(w["term"])
-        assert verify_qtaylor_witness(MIN2, w["a"], w["b"], term) == tuple(w["result"])
+        assert verify_local(MIN2, qtaylor(), (w["a"], w["b"]), term) == tuple(w["result"])
+
+
+# name -> (decision, report_to_text with witnesses, elapsed time stripped):
+# a witnessed and a refuted report for each pair naming, (r, s), pairs of
+# n-tuples and (a, b)
+TEXT_REPORTS = {
+    "qwnu-k2-min2": (
+        lambda: has_k_qwnu(MIN2, 2),
+        """\
+problem: qwnu
+algebra: min2
+parameters: k=2
+answer: yes
+witness (r=0, s=0): x0
+  satisfies: t(0,0) = t(0,0) = 0
+witness (r=0, s=1): (meet x0 x1)
+  satisfies: t(1,0) = t(0,1) = 0
+witness (r=1, s=0): (meet x0 x1)
+  satisfies: t(0,1) = t(1,0) = 0
+witness (r=1, s=1): x0
+  satisfies: t(1,1) = t(1,1) = 1
+stats: pairs=4 tuples=4 rounds=1
+""",
+    ),
+    "qwnu-k2-proj2": (
+        lambda: has_k_qwnu(PROJ2, 2),
+        """\
+problem: qwnu
+algebra: proj2
+parameters: k=2
+answer: no
+refuted at: r=0 s=1
+stats: pairs=2 tuples=3 rounds=1
+""",
+    ),
+    "nlocal-n2k2-min2": (
+        lambda: has_n_local_k_qwnu(MIN2, 2, 2),
+        """\
+problem: nlocal-qwnu
+algebra: min2
+parameters: n=2 k=2
+answer: yes
+witness (r=(0,0), s=(0,0)): x0
+  satisfies: t((0,0),(0,0)) = t((0,0),(0,0)) = (0,0) in every block
+witness (r=(0,0), s=(0,1)): (meet x0 x1)
+  satisfies: t((0,1),(0,0)) = t((0,0),(0,1)) = (0,0) in every block
+witness (r=(0,0), s=(1,0)): (meet x0 x1)
+  satisfies: t((1,0),(0,0)) = t((0,0),(1,0)) = (0,0) in every block
+witness (r=(0,0), s=(1,1)): (meet x0 x1)
+  satisfies: t((1,1),(0,0)) = t((0,0),(1,1)) = (0,0) in every block
+witness (r=(0,1), s=(0,0)): (meet x0 x1)
+  satisfies: t((0,0),(0,1)) = t((0,1),(0,0)) = (0,0) in every block
+witness (r=(0,1), s=(0,1)): x0
+  satisfies: t((0,1),(0,1)) = t((0,1),(0,1)) = (0,1) in every block
+witness (r=(0,1), s=(1,0)): (meet x0 x1)
+  satisfies: t((1,0),(0,1)) = t((0,1),(1,0)) = (0,0) in every block
+witness (r=(0,1), s=(1,1)): (meet x0 x1)
+  satisfies: t((1,1),(0,1)) = t((0,1),(1,1)) = (0,1) in every block
+witness (r=(1,0), s=(0,0)): (meet x0 x1)
+  satisfies: t((0,0),(1,0)) = t((1,0),(0,0)) = (0,0) in every block
+witness (r=(1,0), s=(0,1)): (meet x0 x1)
+  satisfies: t((0,1),(1,0)) = t((1,0),(0,1)) = (0,0) in every block
+witness (r=(1,0), s=(1,0)): x0
+  satisfies: t((1,0),(1,0)) = t((1,0),(1,0)) = (1,0) in every block
+witness (r=(1,0), s=(1,1)): (meet x0 x1)
+  satisfies: t((1,1),(1,0)) = t((1,0),(1,1)) = (1,0) in every block
+witness (r=(1,1), s=(0,0)): (meet x0 x1)
+  satisfies: t((0,0),(1,1)) = t((1,1),(0,0)) = (0,0) in every block
+witness (r=(1,1), s=(0,1)): (meet x0 x1)
+  satisfies: t((0,1),(1,1)) = t((1,1),(0,1)) = (0,1) in every block
+witness (r=(1,1), s=(1,0)): (meet x0 x1)
+  satisfies: t((1,0),(1,1)) = t((1,1),(1,0)) = (1,0) in every block
+witness (r=(1,1), s=(1,1)): x0
+  satisfies: t((1,1),(1,1)) = t((1,1),(1,1)) = (1,1) in every block
+stats: pairs=16 tuples=4 rounds=1
+""",
+    ),
+    "nlocal-n2k2-proj2": (
+        lambda: has_n_local_k_qwnu(PROJ2, 2, 2),
+        """\
+problem: nlocal-qwnu
+algebra: proj2
+parameters: n=2 k=2
+answer: no
+refuted at: r=(0,0) s=(0,1)
+stats: pairs=2 tuples=3 rounds=1
+""",
+    ),
+    "qtaylor-min2": (
+        lambda: has_quasi_taylor(MIN2),
+        """\
+problem: qtaylor
+algebra: min2
+answer: yes
+witness (a=0, b=0): x0
+  satisfies: s(0,0,0,0) = s(0,0,0,0) = 0
+  satisfies: s(0,0,0,0) = s(0,0,0,0) = 0
+witness (a=0, b=1): (meet x0 x1)
+  satisfies: s(0,1,0,1) = s(1,0,1,1) = 0
+  satisfies: s(1,1,1,0) = s(1,1,0,1) = 1
+witness (a=1, b=0): (meet x0 x1)
+  satisfies: s(1,0,1,0) = s(0,1,0,0) = 0
+  satisfies: s(0,0,0,1) = s(0,0,1,0) = 0
+witness (a=1, b=1): x0
+  satisfies: s(1,1,1,1) = s(1,1,1,1) = 1
+  satisfies: s(1,1,1,1) = s(1,1,1,1) = 1
+stats: pairs=4 tuples=6 rounds=1
+""",
+    ),
+    "qtaylor-not2": (
+        lambda: has_quasi_taylor(NOT2),
+        """\
+problem: qtaylor
+algebra: not2
+answer: no
+refuted at: a=0 b=1
+stats: pairs=2 tuples=9 rounds=2
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_REPORTS)
+def test_text_report_is_pinned(name):
+    run, want = TEXT_REPORTS[name]
+    text = report_to_text(run(), include_witnesses=True)
+    assert re.sub(r" elapsed=\S+", "", text) == want

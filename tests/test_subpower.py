@@ -20,7 +20,6 @@ from maltsev_lab import (
     extract_witness,
     find_block_repeat,
     find_constant,
-    find_qqrr,
     generate_subpower,
     generate_until,
     random_algebra,
@@ -85,19 +84,7 @@ def test_find_block_repeat():
         find_block_repeat(rel, 3, 2)
 
 
-def test_find_qqrr():
-    rel = generate_subpower(PROJ2, [(0, 0, 1, 1)])
-    assert find_qqrr(rel) == (0, 1)
-    rel = generate_subpower(PROJ2, [(0, 1, 0, 1)])
-    assert find_qqrr(rel) is None
-    rel = generate_subpower(PROJ2, [(1, 1, 1, 1)])
-    assert find_qqrr(rel) == (1, 1)
-    rel = generate_subpower(PROJ2, [(0, 1)])
-    with pytest.raises(ValueError):
-        find_qqrr(rel)
-
-
-def test_find_qqrr_negation_diagonal_closure():
+def test_negation_diagonal_closure_has_no_qqrr():
     # closing the columns of the diagonal a/b matrix under negation gives
     # eight tuples and no (q,q,r,r) member
     from helpers import NOT2
@@ -105,7 +92,7 @@ def test_find_qqrr_negation_diagonal_closure():
     cols = [tuple(0 if i == j else 1 for i in range(4)) for j in range(4)]
     rel = generate_subpower(NOT2, cols)
     assert len(rel) == 8
-    assert find_qqrr(rel) is None
+    assert not any(t[0] == t[1] and t[2] == t[3] for t in rel.tuples)
 
 
 def test_extract_witness_generator():
