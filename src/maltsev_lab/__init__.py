@@ -77,6 +77,7 @@ from .oracle import (
     random_algebra,
 )
 from .subpower import (
+    BlockRepeat,
     TupleRelation,
     WitnessTerm,
     extract_witness,

@@ -24,7 +24,9 @@ every pair of the block that no earlier term covers, one batched
 saturated; the term read off its derivation is evaluated on the uncovered
 pairs after it, and so on.  So every pair gets the earliest-discovered term
 that works for it, and the first pair whose saturation holds no block repeat
-refutes.  A refutation is saturated again from scratch and checked by the
+refutes.  A saturation stops at its first block repeat, a ``BlockRepeat``
+mask over each block of fresh rows.  A refutation is saturated again from
+scratch, its row set compared with the first one's, and checked by the
 standalone pattern finder.  Before a report is built, every witness is
 evaluated again on its pair, one call per distinct term, and checked against
 the equalities it claims.
@@ -48,6 +50,8 @@ from .algebra import (  # noqa: F401  term_table stays importable from here
 from .errors import BudgetExceededError, ConsistencyError
 from .subpower import (
     DEFAULT_TUPLE_BUDGET,
+    BlockRepeat,
+    _is_repeat,
     extract_witness,
     find_block_repeat,
     generate_subpower,
@@ -121,10 +125,9 @@ class DecisionReport:
     stats: ReportStats
 
 
-def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
-    """Which rows of a (P, W) array are W/block copies of their first block."""
-    v = values.reshape(values.shape[0], -1, block)
-    return (v == v[:, :1]).all(axis=(1, 2))
+def _sorted_rows(rel) -> np.ndarray:
+    """A relation's rows in lexicographic order: equal for equal row sets."""
+    return rel.rows[np.lexsort(rel.rows.T[::-1])]
 
 
 def _columns(problem: Problem, pairs) -> np.ndarray:
@@ -180,6 +183,7 @@ def decide(
             )
     start = time.perf_counter()
     block = problem.block
+    stop = BlockRepeat(block)
     known_terms: list[Term] = []
     witnesses: list[PairWitness] = []
     tuples_generated = 0
@@ -227,9 +231,7 @@ def decide(
             if term_of[p] is not None:
                 continue
             gens = [tuple(g) for g in cols[:, p].tolist()]
-            rel, hit = generate_until(
-                alg, gens, lambda t: t == t[:block] * reps, budget
-            )
+            rel, hit = generate_until(alg, gens, stop, budget)
             tuples_generated += len(rel)
             rounds_max = max(rounds_max, rel.rounds)
             if hit is None:
@@ -237,14 +239,17 @@ def decide(
                 # standalone pattern finder to agree before reporting "no"
                 again = generate_subpower(alg, gens, budget)
                 if (
-                    again.as_set() != rel.as_set()
+                    not np.array_equal(_sorted_rows(again), _sorted_rows(rel))
                     or find_block_repeat(again, block, reps) is not None
                 ):
                     raise ConsistencyError(
                         f"refutation at pair {pair} did not reproduce"
                     )
                 return report(pair)
-            term = extract_witness(rel, rel.tuples[hit]).term
+            term = extract_witness(rel, rel.rows[hit].tolist()).term
+            # free the closure's arrays before the term is evaluated on the
+            # block, which would otherwise hold both at the sweep's peak
+            del rel
             known_terms.append(term)
             term_of[p] = term
             uncovered[p] = False

@@ -105,7 +105,17 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         arity, line, column = tokens.take_int("operation arity")
         if arity < 0:
             raise AlgebraFormatError("arity must be nonnegative", line, column)
-        expected = size ** arity
+        # decided before the power is taken, which for a huge arity would
+        # not finish: size^arity > left holds once 2^arity > left
+        left = len(tokens.items) - tokens.pos
+        if size > 1 and (arity >= left.bit_length() or size**arity > left):
+            raise AlgebraFormatError(
+                f"arity {arity} needs a table entry for each of the "
+                f"{size}^{arity} argument tuples, but only {left} tokens are left",
+                line,
+                column,
+            )
+        expected = size**arity
         table = []
         for _ in range(expected):
             value, line, column = tokens.take_int("table entry")

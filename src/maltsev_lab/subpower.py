@@ -18,19 +18,29 @@ rectangles are cut into blocks of at most ``_CHUNK`` combinations.  A
 block's table indices are one broadcast sum of row arrays, and only the
 committed rows get their parent indices, decoded from their flat position
 in the block, so a round's memory is bounded by ``_CHUNK`` whatever its
-size.  Each block is committed in bulk: its rows not known yet, in
-first-occurrence order, are appended at once, and the stop predicate and
-the tuple budget are applied to them in that order.  Once the relation
-holds all n^width tuples no later combination can add one, so enumeration
-stops there; ``rounds`` still counts the one empty round that the plain
-loop runs after its last commit.
+size.  Once the relation holds all n^width tuples no later combination can
+add one, so enumeration stops there; ``rounds`` still counts the one empty
+round that the plain loop runs after its last commit.
+
+The state is arrays: the committed rows in one int64 array whose capacity
+doubles when it fills, and per row the index of the operation that first
+produced it (-1 for a generator) and its parent rows.  Each block is
+committed in bulk: its rows not known yet, in first-occurrence order, are
+copied in at once.  The stop test is a mask over those fresh rows; its
+first hit within the budget's room ends the closure there, and a fresh row
+at or before the hit that exceeds the budget raises.  A plain per-tuple
+predicate is called on the fresh rows in order, up to its hit.  So on the
+dense and keyed paths a commit runs no Python per tuple.  A
+``TupleRelation`` reads the arrays and builds its ``tuples`` and
+``derivations`` only when they are asked for.
 
 Rows are compared by their base-n keys.  When the key space n^width is at
-most ``_CHUNK``, a closure keeps two tables indexed by the key: a bool per
-possible tuple that marks the committed ones, and an index slot per
-possible tuple that ``np.minimum.at`` fills with the first position of each
-fresh key in a block.  A block's commit then needs no sort and no search of
-a growing array.  Tying the limit to ``_CHUNK`` keeps the tables within the
+most ``_CHUNK``, a closure keeps two tables indexed by the key: the
+position of each committed tuple (-1 for the others), which answers both
+membership and ``index_of``, and an index slot per possible tuple that
+``np.minimum.at`` fills with the first position of each fresh key in a
+block.  A block's commit then needs no sort and no search of a growing
+array.  Tying the limit to ``_CHUNK`` keeps the tables within the
 working set a block already has.  Larger key spaces search an array of the
 committed keys with ``np.isin`` and order first occurrences with
 ``np.unique``; from 2^62 on, keys do not fit int64 and tuples are looked up
@@ -46,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,37 +74,84 @@ _CHUNK = 1 << 16
 Derivation = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TupleRelation:
     """A generated set of fixed-width tuples with per-tuple derivations.
 
-    ``_index`` maps each tuple to its position; it is built from ``tuples``
-    unless the closure that produced them hands its own over.
+    The closure's arrays are the state: ``rows`` holds the tuples in
+    committed order, ``op_ids[i]`` is the position in ``algebra.ops`` of the
+    operation that first produced row i (-1 for a generator), and
+    ``parents[i, :arity]`` are the rows it was applied to (a generator's
+    position in column 0; -1 past the arity).  ``tuples`` and
+    ``derivations`` are built from them when first asked for.  A tuple's row
+    is read from the dense path's key table, else found by a scan of
+    ``rows``.  Equality and hashing are by algebra, width, generators,
+    tuples, derivations, rounds and complete.
     """
 
     algebra: FiniteAlgebra
     width: int
     generators: tuple[tuple[int, ...], ...]
-    tuples: tuple[tuple[int, ...], ...]
-    derivations: tuple[Derivation, ...]
+    rows: np.ndarray
+    op_ids: np.ndarray
+    parents: np.ndarray
     rounds: int
     complete: bool
-    _index: Optional[dict] = field(default=None, repr=False, compare=False, hash=False)
+    # on the dense path, each tuple's position by its key (-1 for absent)
+    _table: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self._index is None:
-            object.__setattr__(
-                self, "_index", {t: i for i, t in enumerate(self.tuples)}
-            )
+    @cached_property
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def derivations(self) -> tuple[Derivation, ...]:
+        ops = self.algebra.ops
+        return tuple(
+            (None, (row[0],)) if o < 0 else (ops[o].symbol, tuple(row[:ops[o].arity]))
+            for o, row in zip(self.op_ids.tolist(), self.parents.tolist())
+        )
+
+    def _value(self) -> tuple:
+        return (
+            self.algebra, self.width, self.generators, self.tuples,
+            self.derivations, self.rounds, self.complete,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.rows)
+
+    def _position(self, t) -> int:
+        """The row holding the tuple, or -1."""
+        t = tuple(t)
+        if len(t) != self.width:
+            return -1
+        if self._table is None:
+            found = np.flatnonzero((self.rows == t).all(axis=1))
+            return int(found[0]) if found.size else -1
+        n, key = self.algebra.size, 0
+        for v in t:
+            if v not in range(n):
+                return -1
+            key = key * n + int(v)
+        return int(self._table[key])
 
     def __contains__(self, t) -> bool:
-        return tuple(t) in self._index
+        return self._position(t) >= 0
 
     def index_of(self, t) -> int:
-        return self._index[tuple(t)]
+        i = self._position(t)
+        if i < 0:
+            raise KeyError(tuple(t))
+        return i
 
     def as_set(self) -> frozenset:
         return frozenset(self.tuples)
@@ -171,8 +229,57 @@ def _key_powers(n, width):
     return n ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
+def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
+    """Which rows of a (P, W) array are W/block copies of their first block."""
+    v = values.reshape(values.shape[0], -1, block)
+    return (v == v[:, :1]).all(axis=(1, 2))
+
+
+class BlockRepeat:
+    """Stop predicate: the tuple is copies of its first ``block`` entries.
+
+    Callable on one tuple like any predicate; ``mask(rows)`` tests every row
+    of a (P, width) array at once, which is how a closure applies it.
+    """
+
+    def __init__(self, block: int):
+        self.block = block
+
+    def __call__(self, t) -> bool:
+        return t == t[:self.block] * (len(t) // self.block)
+
+    def mask(self, rows: np.ndarray) -> np.ndarray:
+        return _is_repeat(rows, self.block)
+
+
+def _hit_finder(predicate):
+    """The closure's stop test: first(rows) is the position of the first row
+    of a (P, width) array that satisfies the predicate, or None.
+
+    A predicate with a ``mask(rows)`` method is evaluated on the whole array
+    at once; a plain one is called on the rows as tuples, in order, and
+    never past the first hit.
+    """
+    mask = getattr(predicate, "mask", None)
+    if mask is not None:
+        def first(rows):
+            hits = np.flatnonzero(mask(rows))
+            return int(hits[0]) if hits.size else None
+    else:
+        def first(rows):
+            for i, t in enumerate(map(tuple, rows.tolist())):
+                if predicate(t):
+                    return i
+            return None
+    return first
+
+
 class _Closure:
-    """Mutable saturation state; committed order is the canonical one."""
+    """Mutable saturation state; committed order is the canonical one.
+
+    The committed rows and their derivations live in arrays whose capacity
+    doubles when they fill; ``count`` rows of them are committed.
+    """
 
     def __init__(self, alg, generators, budget, stop):
         self.alg = alg
@@ -180,44 +287,65 @@ class _Closure:
         self.width = len(generators[0])
         self.full_size = self.n**self.width
         self.budget = budget
-        self.stop = stop
-        self.tuples: list[tuple[int, ...]] = []
-        self.derivs: list[Derivation] = []
-        self.index: dict[tuple[int, ...], int] = {}
+        self.find_hit = None if stop is None else _hit_finder(stop)
         self.hit: Optional[int] = None
         self.rounds = 0
+        self.count = 0
+        # one parent column per argument of the largest arity; with one
+        # possible tuple no row is derived, whatever the arities
+        arity = max(op.arity for op in alg.ops) if self.full_size > 1 else 1
+        self.rows = np.empty((0, self.width), dtype=np.int64)
+        self.op_ids = np.empty(0, dtype=np.intp)
+        self.parents = np.empty((0, max(arity, 1)), dtype=np.intp)
         # without int64 ranking keys, fall back to a slower per-candidate
         # dict check
         self.key_powers = _key_powers(self.n, self.width)
         self.use_keys = self.key_powers is not None
         # key-indexed tables for key spaces of at most _CHUNK tuples: seen
-        # marks committed tuples, first holds a block's positions and so
-        # takes their dtype (a cast makes np.minimum.at many times
-        # slower); larger key spaces keep an array of the committed keys
+        # holds each committed tuple's position (-1 for the others), first
+        # holds a block's positions and so takes their dtype (a cast makes
+        # np.minimum.at many times slower); larger key spaces keep an array
+        # of the committed keys
         self.dense = self.full_size <= _CHUNK
         if self.dense:
-            self.seen = np.zeros(self.full_size, dtype=bool)
+            self.seen = np.full(self.full_size, -1, dtype=np.intp)
             self.first = np.zeros(self.full_size, dtype=np.intp)
-        else:
+        elif self.use_keys:
             self.known_keys = np.empty(0, dtype=np.int64)
-        # committed rows not yet stacked into the row array
-        self.pending: list[np.ndarray] = []
+        else:
+            self.index: dict[tuple[int, ...], int] = {}
+
+        def generator_positions(positions, out):
+            out[:, 0] = positions
+
         self._commit_block(
-            np.array(generators, dtype=np.int64),
-            None,
-            lambda positions: [positions.tolist()],
+            np.array(generators, dtype=np.int64), -1, generator_positions
         )
 
-    def _commit_block(self, res, symbol, parents_of):
+    def _reserve(self, end):
+        """Room for ``end`` rows, the capacity at least doubling."""
+        if end <= len(self.rows):
+            return
+        capacity = max(end, 2 * len(self.rows), 16)
+        names = ["rows", "op_ids", "parents"]
+        if not self.dense and self.use_keys:
+            names.append("known_keys")
+        for name in names:
+            old = getattr(self, name)
+            new = np.full((capacity,) + old.shape[1:], -1, dtype=old.dtype)
+            new[:self.count] = old[:self.count]
+            setattr(self, name, new)
+
+    def _commit_block(self, res, op_id, parents_of):
         """Commit the new rows of a result block in first-occurrence order.
 
-        ``parents_of(positions)`` gives the parent indices of the rows at
-        those positions as one list per argument (for generators: their
-        generator positions).
+        ``parents_of(positions, out)`` writes the parent indices of the rows
+        at those positions into the columns of ``out`` (for generators:
+        their generator positions).
         """
         if self.dense:
             keys = res @ self.key_powers
-            fresh = np.flatnonzero(~self.seen[keys])
+            fresh = np.flatnonzero(self.seen[keys] < 0)
             fk = keys[fresh]
             # the least position of each fresh key, its slot reset first;
             # rows past a stop hit or a budget cut leave stale slots, never
@@ -227,7 +355,8 @@ class _Closure:
             positions = fresh[self.first[fk] == fresh]
         elif self.use_keys:
             keys = res @ self.key_powers
-            fresh = np.flatnonzero(np.isin(keys, self.known_keys, invert=True))
+            known = self.known_keys[:self.count]
+            fresh = np.flatnonzero(np.isin(keys, known, invert=True))
             _, first = np.unique(keys[fresh], return_index=True)
             positions = fresh[np.sort(first)]
         else:
@@ -240,89 +369,94 @@ class _Closure:
             # without keys, known tuples are looked up in the index
             known = [tuple(t) in self.index for t in res[positions].tolist()]
             positions = positions[~np.array(known, dtype=bool)]
-        new = list(map(tuple, res[positions].tolist()))
-        if not new:
+        if not positions.size:
             return
-        start = len(self.tuples)
+        start = self.count
         room = max(self.budget - start, 0)
-        cut = len(new)
-        if self.stop is not None:
-            for i, t in enumerate(itertools.islice(new, room)):
-                if self.stop(t):
-                    cut = i + 1
-                    self.hit = start + i
-                    break
+        cut = positions.size
+        new = res[positions]
+        if self.find_hit is not None:
+            i = self.find_hit(new[:room])
+            if i is not None:
+                cut = i + 1
+                self.hit = start + i
         if cut > room:
             raise BudgetExceededError(
                 f"subpower generation exceeds budget of {self.budget} tuples"
             )
+        end = start + cut
         positions = positions[:cut]
-        new = new[:cut]
-        self.tuples.extend(new)
-        self.index.update(zip(new, range(start, start + cut)))
-        parents = parents_of(positions)
-        args = zip(*parents) if parents else itertools.repeat((), cut)
-        self.derivs.extend(zip(itertools.repeat(symbol), args))
-        self.pending.append(res[positions])
+        self._reserve(end)
+        self.rows[start:end] = new[:cut]
+        self.op_ids[start:end] = op_id
+        parents_of(positions, self.parents[start:end])
         if self.dense:
-            self.seen[keys[positions]] = True
+            self.seen[keys[positions]] = np.arange(start, end)
         elif self.use_keys:
-            self.known_keys = np.concatenate([self.known_keys, keys[positions]])
+            self.known_keys[start:end] = keys[positions]
+        else:
+            self.index.update(
+                zip(map(tuple, new[:cut].tolist()), range(start, end))
+            )
+        self.count = end
 
     def _done(self):
-        return self.hit is not None or len(self.tuples) == self.full_size
+        return self.hit is not None or self.count == self.full_size
 
-    def _round(self, op, table, rows, lo, k):
+    def _round(self, op_id, table, rows, lo, k):
         """Apply one operation to the round's combinations, block by block."""
+        op = self.alg.ops[op_id]
         n, w, m = self.n, self.width, op.arity
         if m == 0:
             # the constant tuple can only appear once; round 1 suffices
             if lo == 0:
                 res = np.full((1, w), int(op.table[0]), dtype=np.int64)
-                self._commit_block(res, op.symbol, lambda positions: [])
+                self._commit_block(res, op_id, lambda positions, out: None)
             return
         for prefix, ranges in _blocks(m, lo, k):
             shape = tuple(len(r) for r in ranges)
             res = table[_block_indices(rows, n, m, prefix, ranges)]
 
-            def parents_of(positions):
+            def parents_of(positions, out):
+                out[:, :len(prefix)] = prefix
                 grid = np.unravel_index(positions, shape)
-                return [[i] * positions.size for i in prefix] + [
-                    (g + r.start).tolist() for g, r in zip(grid, ranges)
-                ]
+                for d, (g, r) in enumerate(zip(grid, ranges), len(prefix)):
+                    out[:, d] = g + r.start
 
-            self._commit_block(res, op.symbol, parents_of)
+            self._commit_block(res, op_id, parents_of)
             if self._done():
                 return
 
     def run(self):
-        rows = np.empty((0, self.width), dtype=np.int64)
         tables = [self.alg.table_arrays[op.symbol] for op in self.alg.ops]
         lo = 0
-        while self.hit is None and lo < len(self.tuples):
-            k = len(self.tuples)
+        while self.hit is None and lo < self.count:
+            k = self.count
             self.rounds += 1
             if k == self.full_size:
                 # the round after the last commit, which finds nothing new
                 return
-            rows = np.vstack([rows] + self.pending)
-            self.pending = []
-            for op, table in zip(self.alg.ops, tables):
-                self._round(op, table, rows, lo, k)
+            # a view of the rows known at the round's start: commits only
+            # write past them, and a growth leaves this buffer intact
+            rows = self.rows[:k]
+            for op_id, table in enumerate(tables):
+                self._round(op_id, table, rows, lo, k)
                 if self._done():
                     break
             lo = k
 
     def relation(self, generators) -> TupleRelation:
+        c = self.count
         return TupleRelation(
             algebra=self.alg,
             width=self.width,
             generators=tuple(generators),
-            tuples=tuple(self.tuples),
-            derivations=tuple(self.derivs),
+            rows=self.rows[:c],
+            op_ids=self.op_ids[:c],
+            parents=self.parents[:c],
             rounds=self.rounds,
             complete=self.hit is None,
-            _index=self.index,
+            _table=self.seen if self.dense else None,
         )
 
 
@@ -364,7 +498,10 @@ def generate_until(
 
     Returns (relation, hit_index).  On a hit the relation is a prefix of the
     full closure (complete=False); a None hit means the closure saturated
-    without a match and the relation is complete.
+    without a match and the relation is complete.  A predicate with a
+    ``mask(rows)`` method, such as ``BlockRepeat``, is tested on each
+    block's fresh rows at once; a plain one is called once per committed
+    tuple, in order, up to the hit.
     """
     gens = _validate_generators(alg, generators)
     state = _Closure(alg, gens, budget, predicate)
@@ -413,12 +550,11 @@ def find_block_repeat(
         raise ValueError(
             f"relation width {rel.width} is not {block_width} x {block_count}"
         )
-    best = None
-    for t in rel.tuples:
-        u = t[:block_width]
-        if t == u * block_count and (best is None or u < best):
-            best = u
-    return best
+    blocks = rel.rows[_is_repeat(rel.rows, block_width), :block_width]
+    if not len(blocks):
+        return None
+    # lexsort's last key is the primary one
+    return tuple(blocks[np.lexsort(blocks.T[::-1])[0]].tolist())
 
 
 def find_constant(rel: TupleRelation) -> Optional[int]:
@@ -430,14 +566,16 @@ def find_constant(rel: TupleRelation) -> Optional[int]:
 def extract_witness(rel: TupleRelation, target) -> WitnessTerm:
     """A term over generator variables deriving the target tuple.
 
-    Generators map to Variable(position); derived tuples map to Apply over
-    their parents' terms.  The term is replayed coordinate-wise against the
-    generators before it is returned.
+    Walks the relation's parent arrays from the target's row: generators map
+    to Variable(position); derived tuples map to Apply over their parents'
+    terms.  The term is replayed coordinate-wise against the generators
+    before it is returned.
     """
     target = tuple(target)
-    if target not in rel:
+    root = rel._position(target)
+    if root < 0:
         raise ValueError(f"target tuple {target} is not in the relation")
-    root = rel.index_of(target)
+    ops = rel.algebra.ops
     terms: dict[int, Term] = {}
     stack = [root]
     while stack:
@@ -445,16 +583,18 @@ def extract_witness(rel: TupleRelation, target) -> WitnessTerm:
         if i in terms:
             stack.pop()
             continue
-        symbol, parents = rel.derivations[i]
-        if symbol is None:
+        o = rel.op_ids.item(i)
+        parents = rel.parents[i].tolist()
+        if o < 0:
             terms[i] = Variable(parents[0])
             stack.pop()
             continue
+        parents = parents[:ops[o].arity]
         missing = [p for p in parents if p not in terms]
         if missing:
             stack.extend(missing)
             continue
-        terms[i] = Apply(symbol, tuple(terms[p] for p in parents))
+        terms[i] = Apply(ops[o].symbol, tuple(terms[p] for p in parents))
         stack.pop()
     term = terms[root]
     # generator j is row j, so column c holds the arguments at coordinate c

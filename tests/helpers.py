@@ -45,6 +45,23 @@ ALL_BINARY2 = [
 ]
 
 
+def relabel(alg, perm, order=None):
+    """The isomorphic copy of ``alg`` whose element a is called perm[a], its
+    operations listed in ``order`` (positions in ``alg.ops``; default: as
+    declared).  Each new table sends (perm[x1], ..., perm[xm]) to
+    perm[f(x1, ..., xm)]."""
+    n = alg.size
+    forward = np.array(perm)
+    back = np.argsort(forward)
+    ops = []
+    for i in range(len(alg.ops)) if order is None else order:
+        op = alg.ops[i]
+        table = np.array(op.table).reshape((n,) * op.arity)
+        image = forward[table[np.ix_(*[back] * op.arity)]]
+        ops.append(Operation(op.symbol, op.arity, tuple(image.ravel().tolist())))
+    return FiniteAlgebra(alg.name, n, tuple(ops))
+
+
 def scalar_evaluate(alg, term, args):
     """Independent term evaluation: plain recursion, one argument tuple."""
     if isinstance(term, Variable):
@@ -137,7 +154,8 @@ def record_closure_paths(monkeypatch):
     an array of committed keys.  From 2^62 on, keys do not fit int64 and the
     closure looks up "tuple"s.  Each closure must take the path its size
     selects, and when it ends, a dense table must mark exactly the tuples
-    it committed, also after a stop that cut a block short.
+    it committed, each with its position, also after a stop that cut a
+    block short.
     """
     paths = collections.Counter()
     run = subpower._Closure.run
@@ -158,11 +176,15 @@ def record_closure_paths(monkeypatch):
         paths[got] += 1
         run(state)
         if state.dense:
+            committed = state.rows[:state.count]
             marked = {
                 tuple(int(d) for d in np.unravel_index(key, (state.n,) * state.width))
-                for key in np.flatnonzero(state.seen)
+                for key in np.flatnonzero(state.seen >= 0)
             }
-            assert marked == set(state.tuples)
+            assert marked == set(map(tuple, committed.tolist()))
+            # and each marked slot holds its tuple's position
+            keys = np.ravel_multi_index(committed.T, (state.n,) * state.width)
+            assert state.seen[keys].tolist() == list(range(state.count))
 
     monkeypatch.setattr(subpower._Closure, "run", recorded)
     return paths

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,25 @@ def test_check_wnu_idemp_precondition(files):
 
 def test_parse_error_exit(files):
     assert run_cli(["check", "qwnu", "--k", "2", files["bad"]]) == 2
+
+
+@pytest.mark.parametrize("arity", [10**8, 10**7, 3])
+def test_huge_arity_is_a_prompt_parse_error(tmp_path, capsys, arity):
+    # the table cannot fit in the one token left: refused at the arity,
+    # before size^arity is taken, which for 3^(10^8) would run for minutes
+    path = tmp_path / "huge.alg"
+    path.write_text(f"algebra a\nsize 3\nop f {arity}\n0\n")
+    start = time.perf_counter()
+    assert run_cli(["check", "qtaylor", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3, column 6: ") and f"3^{arity} " in err, err
+
+
+def test_size_one_table_is_one_entry_at_any_arity(tmp_path, capsys):
+    path = tmp_path / "one.alg"
+    path.write_text("algebra a\nsize 1\nop f 100000000\n0\n")
+    assert run_cli(["check", "qtaylor", str(path)]) == 0
 
 
 def test_missing_file_exit():

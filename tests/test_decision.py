@@ -12,6 +12,7 @@ from helpers import (
     Z2_MINORITY,
     Z3_MALTSEV,
     make_algebra,
+    relabel,
 )
 from maltsev_lab import (
     Apply,
@@ -20,6 +21,8 @@ from maltsev_lab import (
     check_qwnu_identities,
     decide,
     enumerate_clone_slice,
+    find_block_repeat,
+    generate_subpower,
     has_k_qwnu,
     has_k_wnu_idemp,
     has_n_local_k_qwnu,
@@ -247,3 +250,56 @@ def test_witness_tables_live_in_complete_clone_slices():
         assert slice2.complete
         for w in report.witnesses:
             assert term_table(alg, w.term, 2) in set(slice2.tables)
+
+
+def _refuted(alg, problem, pair):
+    """No block repeat in the subpower generated by the pair's argument
+    columns: no term is a local witness there."""
+    gens = list(zip(*problem.args_of(pair)))
+    rel = generate_subpower(alg, gens)
+    return find_block_repeat(rel, problem.block, rel.width // problem.block) is None
+
+
+def test_relabelling_and_reordering_operations_change_nothing():
+    # an isomorphic copy, its operations reordered, has the same verdicts;
+    # a refuted pair maps to a refuted pair both ways, and every witness,
+    # its pair and result mapped, is a witness of the copy
+    import random
+
+    rng = random.Random(7)
+    counts = {"yes": 0, "no": 0}
+    for case in range(200):
+        size = rng.randint(2, 4)
+        if case % 2:
+            # permutations refute at every pair; a unary map may not
+            tables = [tuple(rng.sample(range(size), size)) for _ in range(rng.randint(1, 2))]
+            tables += [tuple(rng.randrange(size) for _ in range(size))] * rng.randint(0, 1)
+            signature = [1] * len(tables)
+            ops = [(f"u{i}", 1, table) for i, table in enumerate(tables)]
+            alg = make_algebra(f"unary{case}", size, *ops)
+        else:
+            signature = [rng.choice([0, 1, 2, 2, 3]) for _ in range(rng.randint(1, 3))]
+            if size == 4 and 3 in signature:
+                signature = [min(m, 2) for m in signature]
+            alg = random_algebra(case, size, signature)
+        perm = rng.sample(range(size), size)
+        back = sorted(range(size), key=perm.__getitem__)
+        order = rng.sample(range(len(alg.ops)), len(alg.ops))
+        copy = relabel(alg, perm, order)
+        label = (case, size, signature, perm, order)
+        for problem in (qwnu(2), qwnu(3), qtaylor()):
+            report, mirrored = decide(alg, problem), decide(copy, problem)
+            assert report.answer == mirrored.answer, (label, problem.name)
+            counts["yes" if report.answer else "no"] += 1
+            if not report.answer:
+                r, s = report.refutation
+                assert _refuted(copy, problem, (perm[r], perm[s])), label
+                r, s = mirrored.refutation
+                assert _refuted(alg, problem, (back[r], back[s])), label
+                continue
+            assert len(report.witnesses) == len(mirrored.witnesses) == size**2
+            for w in report.witnesses:
+                pair = tuple(perm[x] for x in w.pair)
+                result = tuple(perm[x] for x in w.result)
+                assert verify_local(copy, problem, pair, w.term) == result, label
+    assert counts["yes"] >= 100 and counts["no"] >= 100, counts

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -15,6 +16,7 @@ from helpers import (
     reference_closure,
 )
 from maltsev_lab import (
+    BlockRepeat,
     Variable,
     evaluate_term,
     extract_witness,
@@ -295,6 +297,74 @@ def test_engine_matches_reference_closure(monkeypatch, chunk):
         assert paths["dense"] >= 100 and paths["keyed"] >= 100, paths
 
 
+class _Counted:
+    """A mask-form stop that counts its per-tuple calls and masked rows."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.masked = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.inner(t)
+
+    def mask(self, rows):
+        self.masked += len(rows)
+        return self.inner.mask(rows)
+
+
+class _Never:
+    """A mask-form stop that never fires."""
+
+    def __call__(self, t):
+        return False
+
+    def mask(self, rows):
+        return np.zeros(len(rows), dtype=bool)
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 1])
+def test_mask_stop_matches_the_per_tuple_stop(monkeypatch, chunk):
+    # a stop with a mask tests a block's fresh rows at once and must end
+    # where the same predicate, called tuple by tuple, ends; the per-tuple
+    # form is called on the committed tuples in order and never past the
+    # hit, and the mask form is never called per tuple
+    if chunk is not None:
+        monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    paths = record_closure_paths(monkeypatch)
+    later = misses = 0
+    for rng, alg, gens in _reference_cases(4000, 240):
+        width = len(gens[0])
+        block = rng.choice([b for b in range(1, width) if width % b == 0] or [width])
+        label = (alg.name, gens, block)
+        stop = _Counted(BlockRepeat(block))
+        rel, hit = generate_until(alg, gens, stop)
+        assert stop.calls == 0 and stop.masked >= len(rel), label
+        assert "tuples" not in vars(rel) and "derivations" not in vars(rel), label
+        called = []
+
+        def predicate(t):
+            called.append(t)
+            return t == t[:block] * (width // block)
+
+        want, want_hit = generate_until(alg, gens, predicate)
+        assert _as_reference(rel, hit) == _as_reference(want, want_hit), label
+        assert _as_reference(rel, hit) == reference_closure(alg, gens, BlockRepeat(block))
+        if hit is None:
+            assert called == list(rel.tuples), label
+            misses += 1
+        else:
+            assert len(called) == hit + 1 and called == list(rel.tuples[:hit + 1]), label
+            later += hit >= len(gens)
+    # most hits are a generator; some come later, and a few closures miss
+    assert later >= 40 and misses >= 2, (later, misses)
+    if chunk is None:
+        assert paths == {"dense": 480}
+    else:
+        assert paths["dense"] >= 100 and paths["keyed"] >= 100, paths
+
+
 def _limit_algebra(size):
     """A constant, halving and the sum mod 2: closures of a few generators
     stay small enough for the reference, and the sum's blocks repeat
@@ -372,7 +442,7 @@ def test_enumeration_stops_at_the_full_power(monkeypatch):
     commit = subpower._Closure._commit_block
 
     def checked(self, *args):
-        assert len(self.tuples) < self.full_size
+        assert self.count < self.full_size
         return commit(self, *args)
 
     monkeypatch.setattr(subpower._Closure, "_commit_block", checked)
@@ -396,6 +466,24 @@ def test_budget_counts_commits_up_to_the_hit():
         assert hit == h
         with pytest.raises(BudgetExceededError):
             generate_until(alg, gens, stop, budget=h)
+
+
+def test_stop_is_not_tested_past_the_budget_room():
+    # a stop that never fires sees exactly the tuples the budget admits, in
+    # committed order, and the closure then raises; a mask sees as many rows
+    for rng, alg, gens in _reference_cases(5000, 80):
+        tuples = reference_closure(alg, gens)[0]
+        if len(tuples) < 2:
+            continue
+        h = rng.randrange(1, len(tuples))
+        called = []
+        with pytest.raises(BudgetExceededError):
+            generate_until(alg, gens, lambda t: called.append(t), budget=h)
+        assert called == tuples[:h], (alg.name, gens, h)
+        stop = _Counted(_Never())
+        with pytest.raises(BudgetExceededError):
+            generate_until(alg, gens, stop, budget=h)
+        assert stop.masked == h and stop.calls == 0
 
 
 def test_unary_term_monoid_is_the_identity_closure():
