@@ -51,6 +51,8 @@ class FiniteAlgebra:
     size: int
     ops: tuple[Operation, ...]
     _op_map: dict = field(init=False, repr=False, compare=False, hash=False)
+    # lifted tables by (symbol, width), built on first use
+    _lifted: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -63,11 +65,16 @@ class FiniteAlgebra:
                 raise ValueError(f"operation {op.symbol}: negative arity")
             if op.symbol in op_map:
                 raise ValueError(f"duplicate operation symbol {op.symbol!r}")
-            expected = self.size ** op.arity
-            if len(op.table) != expected:
+            # size^arity > length holds once 2^arity > length: decided
+            # before the power is taken, which for a huge arity would not
+            # finish
+            length = len(op.table)
+            if (
+                self.size > 1 and op.arity >= length.bit_length()
+            ) or self.size**op.arity != length:
                 raise ValueError(
-                    f"operation {op.symbol}: table has {len(op.table)} entries, "
-                    f"expected {expected}"
+                    f"operation {op.symbol}: table has {length} entries, "
+                    f"expected {self.size}^{op.arity}"
                 )
             for v in op.table:
                 if not 0 <= v < self.size:
@@ -76,6 +83,7 @@ class FiniteAlgebra:
                     )
             op_map[op.symbol] = op
         object.__setattr__(self, "_op_map", op_map)
+        object.__setattr__(self, "_lifted", {})
 
     def operation(self, symbol: str) -> Operation:
         op = self._op_map.get(symbol)
@@ -92,6 +100,36 @@ class FiniteAlgebra:
             arr.flags.writeable = False
             arrays[op.symbol] = arr
         return arrays
+
+    def lifted_table(self, symbol: str, width: int) -> np.ndarray:
+        """The operation acting coordinate-wise on rows of A^width, by key.
+
+        A row's key is its base-n rank, first coordinate most significant.
+        An m-ary operation's table has shape (n^width,) * m; its entry at
+        (r1, ..., rm) is the key of the image of the rows with keys r1, ...,
+        rm.  Built on first use one coordinate at a time, in a few arrays
+        of (n^width)^m entries (the caller keeps that small), then cached
+        read-only.
+        """
+        table = self._lifted.get((symbol, width))
+        if table is None:
+            n, m = self.size, self.operation(symbol).arity
+            base = self.table_arrays[symbol]
+            rows = np.arange(n**width)
+            table = np.zeros((n**width,) * m, dtype=np.int64)
+            for c in range(width):
+                digit = rows // n ** (width - 1 - c)
+                digit %= n
+                # the base table's index at every m-tuple of coordinate-c
+                # digits, one argument per axis
+                flat = 0
+                for j in range(m):
+                    flat = flat * n + digit.reshape((-1,) + (1,) * (m - 1 - j))
+                table *= n
+                table += base[flat]
+            table.flags.writeable = False
+            self._lifted[(symbol, width)] = table
+        return table
 
     @property
     def total_table_size(self) -> int:

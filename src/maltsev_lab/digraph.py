@@ -198,21 +198,25 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
 def is_admissible(alg: FiniteAlgebra, rel) -> bool:
     """Is the relation closed under every basic operation, coordinate-wise.
 
-    The empty relation is.  Otherwise this is one round of the closure
-    enumerator over the relation's tuples that commits nothing
-    (``subpower.is_closed``): it stops at the first block of combinations
-    with an image outside the relation, and its memory is bounded by the
-    enumerator's block size, not by the number of combinations.
+    The empty relation is.  Otherwise the tuples are validated in order
+    and checked by ``subpower.is_closed``: an m-ary operation on k tuples
+    with n^width, (n^width)^m and k^m at most 2^16 in one gather per
+    argument of the algebra's lifted table (built on first use, cached on
+    the algebra), any other with one round of the closure enumerator that
+    stops at the first block with an image outside the relation.  Memory is
+    bounded by the enumerator's block size, not by the number of
+    combinations.
     """
     tuples = [tuple(t) for t in rel]
     if not tuples:
         return True
     width = len(tuples[0])
+    n = alg.size
     for t in tuples:
         if len(t) != width:
             raise ValueError("relation tuples must have equal width")
         for v in t:
-            if not 0 <= v < alg.size:
+            if not 0 <= v < n:
                 raise ValueError(f"relation entry {v} outside universe")
     rows = np.array(tuples)
     if rows.dtype.kind not in "biu":

@@ -46,13 +46,13 @@ committed keys with ``np.isin`` and order first occurrences with
 ``np.unique``; from 2^62 on, keys do not fit int64 and tuples are looked up
 in the index.
 
-``is_closed`` decides whether a given relation is closed with the same
-pieces: one round over all combinations of the relation's rows that commits
-nothing, block by block, stopping at the first block with an image outside
-the relation.
+``is_closed`` decides whether a given relation is closed: a small one in a
+few array operations on the algebra's lifted tables, any other with one
+round of the enumerator that commits nothing.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -221,12 +221,16 @@ def _block_indices(rows, n, m, prefix, ranges):
     return flat.reshape(-1, w)
 
 
+@functools.lru_cache(maxsize=256)
 def _key_powers(n, width):
     """Weights of the base-n ranking key of a width-w row, or None when the
-    keys do not fit int64 (n^width >= 2^62)."""
+    keys do not fit int64 (n^width >= 2^62).  Cached and read-only: a small
+    relation's check would otherwise spend a tenth of its time here."""
     if n**width >= 1 << 62:
         return None
-    return n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    powers = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    powers.flags.writeable = False
+    return powers
 
 
 def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
@@ -509,34 +513,65 @@ def generate_until(
     return state.relation(gens), state.hit
 
 
+def _enumerated_closed(alg, op, rows, powers, member) -> bool:
+    """Is every image of the operation on the rows a row?  Checked block by
+    block, up to the first block with an image outside."""
+    if member is not None:
+        contains = lambda block: member[block @ powers].all()
+    elif powers is not None:
+        members = set((rows @ powers).tolist())
+        contains = lambda block: members.issuperset((block @ powers).tolist())
+    else:
+        members = set(map(tuple, rows.tolist()))
+        contains = lambda block: members.issuperset(map(tuple, block.tolist()))
+    k, w = rows.shape
+    m = op.arity
+    table = alg.table_arrays[op.symbol]
+    if m == 0:
+        return contains(np.full((1, w), table[0]))
+    return all(
+        contains(table[_block_indices(rows, alg.size, m, prefix, ranges)])
+        for prefix, ranges in _blocks(m, 0, k)
+    )
+
+
 def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     """Is the set of rows of a (k, width) array closed under every basic
     operation, coordinate-wise?
 
-    One round of the closure enumerator over all k^m combinations of each
-    m-ary operation, in declaration order, that commits nothing: each
-    block's images must all be rows already, and the first block holding
-    one that is not ends the check.  Memory is bounded by ``_CHUNK``.
+    Operations are checked in declaration order.  When the key space
+    n^width is at most ``_CHUNK``, the rows' keys are marked in a dense
+    member table, and an m-ary operation with (n^width)^m and k^m at most
+    ``_CHUNK`` is checked on all k^m combinations at once: the algebra's
+    cached lifted table for this width is gathered at the keys along each
+    of its m axes, and the images are looked up in the member table.  That
+    check and the table's build hold O(``_CHUNK``) entries.  Any other
+    operation gets one round of the closure enumerator over the k^m
+    combinations that commits nothing; each block's images are looked up
+    in the member table, or in a set of keys above ``_CHUNK``, or of tuples
+    from 2^62 on.  Its memory is bounded by ``_CHUNK``.
     """
     k, w = rows.shape
     n = alg.size
     powers = _key_powers(n, w)
-    if powers is None:
-        keys = lambda block: map(tuple, block.tolist())
-    else:
-        keys = lambda block: (block @ powers).tolist()
-    members = set(keys(rows))
+    member = None
+    if powers is not None and n**w <= _CHUNK:
+        keys = rows.dot(powers)
+        member = np.zeros(n**w, dtype=bool)
+        member[keys] = True
     for op in alg.ops:
-        table = alg.table_arrays[op.symbol]
         m = op.arity
-        if m == 0:
-            if not members.issuperset(keys(np.full((1, w), table[0]))):
+        # m <= 32 keeps the table within numpy 1's limit on dimensions,
+        # and a huge arity's power from being taken
+        if member is not None and m <= 32 and max(n**w, k) ** m <= _CHUNK:
+            images = alg.lifted_table(op.symbol, w)
+            for axis in range(m):
+                images = images.take(keys, axis)
+            # not .all(): its reduction costs a tenth of a small check
+            if np.count_nonzero(member[images]) != images.size:
                 return False
-            continue
-        for prefix, ranges in _blocks(m, 0, k):
-            block = table[_block_indices(rows, n, m, prefix, ranges)]
-            if not members.issuperset(keys(block)):
-                return False
+        elif not _enumerated_closed(alg, op, rows, powers, member):
+            return False
     return True
 
 

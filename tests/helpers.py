@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from maltsev_lab import Apply, FiniteAlgebra, Operation, Variable, subpower
+from maltsev_lab import Apply, FiniteAlgebra, Operation, Variable, digraph, subpower
 from maltsev_lab.algebra import flat_index
 
 
@@ -187,6 +187,65 @@ def record_closure_paths(monkeypatch):
             assert state.seen[keys].tolist() == list(range(state.count))
 
     monkeypatch.setattr(subpower._Closure, "run", recorded)
+    return paths
+
+
+def record_admissibility_paths(monkeypatch):
+    """Count the closedness checks run from now on by the paths their
+    operations take.
+
+    A check of k rows of width w over n elements marks the rows' keys in a
+    dense member table when n^w is at most ``_CHUNK``.  Then an m-ary
+    operation with (n^w)^m and k^m at most ``_CHUNK`` takes the "gather"
+    path: it reads the algebra's lifted table.  Any other operation takes
+    the "enumerator" path, one commit-free round of blocks; a nullary one
+    above the dense limit checks its constant row and is not recorded.
+    Each operation a check reaches must take the path its sizes select, in
+    declaration order, and every operation is reached when the answer is
+    yes.  A check counts once toward each path it took.
+    """
+    paths = collections.Counter()
+    events = None
+    lifted_table = FiniteAlgebra.lifted_table
+    blocks = subpower._blocks
+    check = digraph.is_closed
+
+    def recorded_lifted_table(alg, symbol, width):
+        if events is not None:
+            events.append(("gather", symbol))
+        return lifted_table(alg, symbol, width)
+
+    def recorded_blocks(m, lo, k):
+        if events is not None:
+            assert lo == 0
+            events.append(("enumerator", m))
+        return blocks(m, lo, k)
+
+    def recorded_check(alg, rows):
+        nonlocal events
+        k, w = rows.shape
+        n = alg.size
+        chunk = subpower._CHUNK
+        dense = n**w <= chunk
+        want = []
+        for op in alg.ops:
+            if dense and max(n**w, k) ** op.arity <= chunk:
+                want.append(("gather", op.symbol))
+            elif op.arity:
+                want.append(("enumerator", op.arity))
+        events = []
+        try:
+            answer = check(alg, rows)
+            got = events
+        finally:
+            events = None
+        assert got == (want if answer else want[:len(got)]), (got, want, answer)
+        paths.update({path for path, _ in got})
+        return answer
+
+    monkeypatch.setattr(FiniteAlgebra, "lifted_table", recorded_lifted_table)
+    monkeypatch.setattr(subpower, "_blocks", recorded_blocks)
+    monkeypatch.setattr(digraph, "is_closed", recorded_check)
     return paths
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +55,68 @@ def test_algebra_validation():
         make_algebra("range", 2, ("f", 1, (0, 2)))
     with pytest.raises(ValueError):
         make_algebra("dup", 2, ("f", 1, (0, 1)), ("f", 1, (1, 0)))
+
+
+def test_huge_arity_table_is_refused_promptly():
+    # the one-entry table cannot hold 3^(10^8) entries: refused before the
+    # power is taken, which would run for minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"table has 1 entries, expected 3\^100000000"):
+        FiniteAlgebra("a", 3, (Operation("f", 10**8, (0,)),))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match=r"table has 3 entries, expected 2\^2"):
+        make_algebra("short", 2, ("f", 2, (0, 0, 0)))
+    # on one element every arity has a one-entry table
+    alg = FiniteAlgebra("one", 1, (Operation("f", 10**8, (0,)),))
+    assert alg.operation("f").arity == 10**8
+
+
+def test_lifted_table_is_the_operation_on_row_keys():
+    for seed, size, signature, width in [
+        (1, 2, [0, 1, 2, 3], 3),
+        (2, 3, [2, 1, 0], 2),
+        (3, 4, [3], 1),
+        (4, 1, [2, 0], 4),
+        (5, 3, [1], 4),
+    ]:
+        alg = random_algebra(seed, size, signature)
+        rows = list(itertools.product(range(size), repeat=width))
+        for op in alg.ops:
+            table = alg.lifted_table(op.symbol, width)
+            assert table.shape == (size**width,) * op.arity
+            assert not table.flags.writeable
+            assert alg.lifted_table(op.symbol, width) is table
+            for keys in itertools.product(range(size**width), repeat=op.arity):
+                image = tuple(
+                    op.table[flat_index([rows[r][c] for r in keys], size)]
+                    for c in range(width)
+                )
+                assert rows[table[keys]] == image, (seed, op.symbol, keys)
+
+
+def test_lifted_table_build_memory_is_bounded_by_its_size():
+    # the largest table a check builds: 2^16 keys of width 16, unary.  It is
+    # built one coordinate at a time, in about five arrays of its size; the
+    # digits of all 16 coordinates at once would take more than 16
+    import tracemalloc
+
+    from maltsev_lab import is_admissible, subpower
+
+    alg = random_algebra(9, 2, [1])
+    width = 16
+    assert (2**width) ** 1 == subpower._CHUNK
+    is_admissible(alg, [(0, 1)])  # numpy imports some helpers lazily
+    rel = [(0,) * width, (1,) * width]
+    tracemalloc.start()
+    try:
+        is_admissible(alg, rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the check built it
+    assert alg._lifted[("f0", width)].size == subpower._CHUNK
+    bound = 6 * subpower._CHUNK * 8
+    assert peak <= bound, (peak, bound)
 
 
 def test_total_table_size():

@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from helpers import MIN2, Z2_MINORITY, scalar_is_admissible, walk_net_lengths
+from helpers import (
+    MIN2,
+    NOT2,
+    Z2_MINORITY,
+    Z3_MALTSEV,
+    make_algebra,
+    record_admissibility_paths,
+    relabel,
+    scalar_is_admissible,
+    walk_net_lengths,
+)
 from maltsev_lab import (
     Digraph,
     build_G,
@@ -97,9 +107,11 @@ def test_is_admissible_examples():
 
 
 def _admissibility_cases(seed, count):
-    """Seeded (algebra, relation) pairs: operations of arity 0-3, widths 1-4,
-    relations that are random (some with duplicates), empty, generated
-    closures, or such closures without their last tuple."""
+    """Seeded (algebra, generators, relation) triples: operations of arity
+    0-3, widths 1-4, relations that are random (some with duplicates),
+    empty, generated closures, or such closures without their last tuple.
+    Their key spaces are small, so at the default chunk their operations
+    take the gather path."""
     rng = random.Random(seed)
     for case in range(count):
         size = rng.randint(1, 3)
@@ -126,7 +138,75 @@ def _admissibility_cases(seed, count):
                 tuple(rng.randrange(size) for _ in range(width))
                 for _ in range(rng.randint(1, size**width))
             ]
-        yield alg, rel
+        yield alg, gens, rel
+
+
+def _wide_admissibility_cases(seed, count):
+    """Seeded (algebra, generators, relation) triples whose key space n^width
+    (2^9 to 2^18) or lifted tables are too large for one gather at the
+    default chunk: binary and ternary operations take the enumerator, and so
+    do unary ones past 2^16 keys.  Every generator's coordinates are copies
+    of one or two base coordinates, and so are those of every tuple it
+    generates, so a closure has at most n^2 tuples.  Relations are closures,
+    closures without their last tuple, generators with a duplicate, or
+    random tuples."""
+    rng = random.Random(seed)
+    for case in range(count):
+        size = rng.randint(2, 4)
+        width = rng.randint({2: 9, 3: 6, 4: 5}[size], {2: 18, 3: 12, 4: 9}[size])
+        signature = [rng.choice([0, 1, 2, 2, 3]) for _ in range(rng.randint(1, 3))]
+        alg = random_algebra(seed + case, size, signature)
+        # one base coordinate when ternary, so closed checks stay cheap
+        base = rng.randint(1, 1 if 3 in signature else 2)
+        copies = [rng.randrange(base) for _ in range(width)]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            b = [rng.randrange(size) for _ in range(base)]
+            gens.append(tuple(b[c] for c in copies))
+        kind = case % 4
+        if kind == 0:
+            rel = gens + [gens[-1]]
+        elif kind == 1:
+            rel = list(generate_subpower(alg, gens).tuples)
+        elif kind == 2:
+            rel = list(generate_subpower(alg, gens).tuples)[:-1]
+        else:
+            rel = [
+                tuple(rng.randrange(size) for _ in range(width))
+                for _ in range(rng.randint(1, 12))
+            ]
+        yield alg, gens, rel
+
+
+_CONST1 = make_algebra("const1", 2, ("c", 0, (1,)))
+
+# small cases named by what they cover, each with its answer
+_EDGE_CASES = [
+    # nullary operations only, and mixed with others
+    (_CONST1, [(1, 1)], True),
+    (_CONST1, [(0, 0), (0, 1)], False),
+    (_CONST1, [(1,)], True),
+    (random_algebra(5, 3, [0, 1]), [(0,), (1,), (2,)], True),
+    # unary operations at width 1 and 2
+    (NOT2, [(0,), (1,)], True),
+    (NOT2, [(0,)], False),
+    (NOT2, [(0, 1), (1, 0)], True),
+    (NOT2, [(0, 1), (1, 1)], False),
+    # ternary operations: the graph of x -> x + 1 is closed under x - y + z
+    (Z3_MALTSEV, [(0,), (1,), (2,)], True),
+    (Z3_MALTSEV, [(0,), (1,)], False),
+    (Z3_MALTSEV, [(0, 1), (1, 2), (2, 0)], True),
+    (Z3_MALTSEV, [(0, 1), (1, 2), (2, 2)], False),
+    (Z2_MINORITY, [(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)], True),
+    # duplicate tuples: more rows than keys, on the gather path and, past
+    # 256 rows of a binary operation, on the enumerator
+    (MIN2, [(0, 1), (0, 1), (0, 0), (0, 0), (0, 1)], True),
+    (MIN2, [(1, 0)] * 3 + [(0, 1)] * 3, False),
+    (MIN2, [(0,)] * 257 + [(1,)], True),
+    (make_algebra("join2", 2, ("j", 2, (0, 1, 1, 1))), [(0,)] * 257 + [(1,)], True),
+    (MIN2, [(0, 1)] + [(1, 0)] * 300, False),
+]
+
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -135,12 +215,63 @@ def test_is_admissible_matches_scalar_check(monkeypatch, chunk):
     # boundary, so the early exit has to cross blocks
     if chunk is not None:
         monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    paths = record_admissibility_paths(monkeypatch)
+    for alg, rel, want in _EDGE_CASES:
+        assert scalar_is_admissible(alg, rel) == want, (alg.name, rel)
+        assert is_admissible(alg, rel) == want, (alg.name, rel)
     answers = []
-    for alg, rel in _admissibility_cases(8000, 320):
+    cases = itertools.chain(
+        _admissibility_cases(8000, 320), _wide_admissibility_cases(8100, 160)
+    )
+    for alg, _, rel in cases:
         want = scalar_is_admissible(alg, rel)
         assert is_admissible(alg, rel) == want, (alg.name, rel)
         answers.append(want)
-    assert answers.count(True) >= 80 and answers.count(False) >= 80
+    assert answers.count(True) >= 120 and answers.count(False) >= 120
+    if chunk is None:
+        assert paths["gather"] >= 50 and paths["enumerator"] >= 50, paths
+    else:
+        assert paths["enumerator"] >= 50, paths
+
+
+def test_a_second_check_at_the_same_width_builds_no_table():
+    alg = random_algebra(11, 3, [2, 1, 0])
+    full = list(itertools.product(range(3), repeat=3))
+    assert is_admissible(alg, full)
+    built = dict(alg._lifted)
+    assert sorted(built) == [("f0", 3), ("f1", 3), ("f2", 3)]
+    for rel in (full[:5], full[::2], full):
+        is_admissible(alg, rel)
+        assert alg._lifted.keys() == built.keys()
+        assert all(alg._lifted[key] is table for key, table in built.items())
+    # another width gets tables of its own
+    assert is_admissible(alg, list(itertools.product(range(3), repeat=2)))
+    assert len(alg._lifted) == 6
+
+
+def test_admissibility_is_invariant_under_relabelling(monkeypatch):
+    # (A, R) and its isomorphic copy (perm(A), perm(R)) are both admissible or
+    # neither, whichever path checks them; a closure is always admissible,
+    # and so is the copy's closure of the mapped generators
+    paths = record_admissibility_paths(monkeypatch)
+    rng = random.Random(2024)
+    cases = itertools.chain(
+        _admissibility_cases(9000, 120), _wide_admissibility_cases(9200, 100)
+    )
+    answers = []
+    for alg, gens, rel in cases:
+        n = alg.size
+        perm = rng.sample(range(n), n)
+        copy = relabel(alg, perm)
+        image = lambda tuples: [tuple(perm[v] for v in t) for t in tuples]
+        answer = is_admissible(alg, rel)
+        assert is_admissible(copy, image(rel)) == answer, (alg.name, perm, rel)
+        answers.append(answer)
+        assert is_admissible(alg, generate_subpower(alg, gens).tuples)
+        assert is_admissible(copy, generate_subpower(copy, image(gens)).tuples)
+    assert len(answers) >= 200
+    assert answers.count(True) >= 50 and answers.count(False) >= 50
+    assert paths["gather"] >= 50 and paths["enumerator"] >= 50, paths
 
 
 def test_is_admissible_wide_tuples_match_scalar_check():
