@@ -107,26 +107,24 @@ class FiniteAlgebra:
         A row's key is its base-n rank, first coordinate most significant.
         An m-ary operation's table has shape (n^width,) * m; its entry at
         (r1, ..., rm) is the key of the image of the rows with keys r1, ...,
-        rm.  Built on first use one coordinate at a time, in a few arrays
-        of (n^width)^m entries (the caller keeps that small), then cached
+        rm.  Built on first use one coordinate at a time, in arrays of at
+        most (n^width)^m entries (the caller keeps that small), then cached
         read-only.
         """
         table = self._lifted.get((symbol, width))
         if table is None:
             n, m = self.size, self.operation(symbol).arity
-            base = self.table_arrays[symbol]
-            rows = np.arange(n**width)
-            table = np.zeros((n**width,) * m, dtype=np.int64)
-            for c in range(width):
-                digit = rows // n ** (width - 1 - c)
-                digit %= n
-                # the base table's index at every m-tuple of coordinate-c
-                # digits, one argument per axis
-                flat = 0
-                for j in range(m):
-                    flat = flat * n + digit.reshape((-1,) + (1,) * (m - 1 - j))
-                table *= n
-                table += base[flat]
+            base = self.table_arrays[symbol].reshape((n,) * m)
+            table = base
+            # one more coordinate splits each axis into the narrower key and
+            # the new digit, and an image's key into the narrower image's
+            # key times n plus the new digit's image; on one element every
+            # width has the base table
+            for _ in range(width - 1 if n > 1 else 0):
+                split = sum(((k, 1) for k in table.shape), ())
+                wide = table.reshape(split) * n + base.reshape((1, n) * m)
+                # asarray: a nullary operation's sum is a scalar
+                table = np.asarray(wide).reshape(tuple(k * n for k in table.shape))
             table.flags.writeable = False
             self._lifted[(symbol, width)] = table
         return table

@@ -8,6 +8,7 @@ length is the number of forward steps minus the number of backward steps.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
@@ -19,6 +20,8 @@ from .errors import AlgebraFormatError, ConsistencyError
 from .subpower import is_closed
 
 WalkStep = tuple  # ((u, v), +1 | -1)
+
+_BYTES = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -202,16 +205,30 @@ def is_admissible(alg: FiniteAlgebra, rel) -> bool:
     and checked by ``subpower.is_closed``: an m-ary operation on k tuples
     with n^width, (n^width)^m and k^m at most 2^16 in one gather per
     argument of the algebra's lifted table (built on first use, cached on
-    the algebra), any other with one round of the closure enumerator that
+    the algebra), any other with one round of the closure's kernel that
     stops at the first block with an image outside the relation.  Memory is
-    bounded by the enumerator's block size, not by the number of
-    combinations.
+    bounded by the kernel's block size, not by the number of combinations.
     """
     tuples = [tuple(t) for t in rel]
     if not tuples:
         return True
     width = len(tuples[0])
     n = alg.size
+    # bytes() takes integers in 0..255 only (bools too), so the entries it
+    # takes are valid when they lie below n in nonempty tuples of one
+    # width: that case needs no per-entry loop and no nested-sequence
+    # conversion
+    try:
+        data = bytes(chain.from_iterable(tuples))
+    except (TypeError, ValueError):
+        data = None
+    if (
+        width
+        and data is not None
+        and not data.translate(None, _BYTES[:n])
+        and all(len(t) == width for t in tuples)
+    ):
+        return is_closed(alg, np.ndarray((len(tuples), width), np.uint8, data))
     for t in tuples:
         if len(t) != width:
             raise ValueError("relation tuples must have equal width")

@@ -1,6 +1,6 @@
 """Generated subpowers: worklist saturation with derivations and witness replay.
 
-Width-m tuples over the universe are closed under every basic operation
+Width-w tuples over the universe are closed under every basic operation
 applied coordinate-wise.  Insertion order is the canonical breadth-first
 order: rounds of applying each operation (declaration order) to all argument
 combinations of previously known tuples, combinations enumerated in
@@ -11,44 +11,44 @@ and parent indices that first produced it, so membership certificates are
 replayable terms over the generators.
 
 One engine, ``_Closure``, runs every closure, the unary term monoid
-included, and one enumerator serves every arity.  Per (m-2)-prefix of an
-m-ary operation, a round is the rectangles of the last two indices: old x
-new then new x full, or full x full once the prefix holds a new index.  The
-rectangles are cut into blocks of at most ``_CHUNK`` combinations.  A
-block's table indices are one broadcast sum of row arrays, and only the
-committed rows get their parent indices, decoded from their flat position
-in the block, so a round's memory is bounded by ``_CHUNK`` whatever its
-size.  Once the relation holds all n^width tuples no later combination can
-add one, so enumeration stops there; ``rounds`` still counts the one empty
-round that the plain loop runs after its last commit.
+included.  A round of an m-ary operation is, per (m-2)-prefix, rectangles
+of the last two indices cut into blocks of at most ``_CHUNK`` combinations.
+Once the relation holds all n^w tuples, enumeration stops; ``rounds`` still
+counts the empty round that the plain loop runs after its last commit.
 
-The state is arrays: the committed rows in one int64 array whose capacity
-doubles when it fills, and per row the index of the operation that first
-produced it (-1 for a generator) and its parent rows.  Each block is
-committed in bulk: its rows not known yet, in first-occurrence order, are
-copied in at once.  The stop test is a mask over those fresh rows; its
-first hit within the budget's room ends the closure there, and a fresh row
-at or before the hit that exceeds the budget raises.  A plain per-tuple
-predicate is called on the fresh rows in order, up to its hit.  So on the
-dense and keyed paths a commit runs no Python per tuple.  A
-``TupleRelation`` reads the arrays and builds its ``tuples`` and
-``derivations`` only when they are asked for.
+A subpower of A^w is one of (A^s)^c, c = ceil(w/s), whose operations are
+the algebra's cached lifted tables of width s: s is the largest width with
+(n^s)^M at most ``_CHUNK`` for the largest arity M, and at least 1, and the
+coordinates are cut into c balanced chunks (a width-1 chunk reads the
+operation's own table).  A tuple is its base-n key, whose digits in base
+n^s are its chunk keys.  The closure keeps the committed keys and, per
+key, its operation (-1 for a generator) and parents, in arrays whose
+capacity doubles.  A round reads the known keys' chunk keys once; per
+block and chunk, the lifted table at the prefix's chunk keys is gathered
+at the last two ranges' chunk keys over the block's grid, one take per
+axis, and Horner's rule combines the chunks into the images' keys in
+place.  A block thus holds a few arrays of ``_CHUNK`` keys, never its
+rows, and a lifted table at most ``_CHUNK`` entries.  From 2^62 on, keys
+are Python ints in object arrays.  Rows are decoded once, for the
+``TupleRelation``, which builds its ``tuples`` and ``derivations`` only
+when asked for.
 
-Rows are compared by their base-n keys.  When the key space n^width is at
-most ``_CHUNK``, a closure keeps two tables indexed by the key: the
-position of each committed tuple (-1 for the others), which answers both
-membership and ``index_of``, and an index slot per possible tuple that
-``np.minimum.at`` fills with the first position of each fresh key in a
-block.  A block's commit then needs no sort and no search of a growing
-array.  Tying the limit to ``_CHUNK`` keeps the tables within the
-working set a block already has.  Larger key spaces search an array of the
+A block's keys not known yet are committed at once, in first-occurrence
+order, and only they get parents, decoded from their flat position in the
+block.  When n^w is at most ``_CHUNK``, a table indexed by key holds each
+committed tuple's position (-1 for the others) and another takes a block's
+first positions by ``np.minimum.at``; larger key spaces search the
 committed keys with ``np.isin`` and order first occurrences with
-``np.unique``; from 2^62 on, keys do not fit int64 and tuples are looked up
-in the index.
+``np.unique``.  The stop test's first hit among a block's fresh keys within
+the budget's room ends the closure, and a fresh key at or before the hit
+past the budget raises.  ``BlockRepeat`` is tested on keys: a key repeats
+its first b coordinates when key // n^(w-b) * (1 + n^b + n^2b + ...)
+equals it.  Another predicate gets the decoded fresh rows: as one array
+if it has ``mask(rows)``, else one tuple at a time up to its hit.
 
 ``is_closed`` decides whether a given relation is closed: a small one in a
-few array operations on the algebra's lifted tables, any other with one
-round of the enumerator that commits nothing.
+few array operations on the lifted tables, any other with one round of the
+same kernel that commits nothing.
 """
 from __future__ import annotations
 
@@ -78,15 +78,14 @@ Derivation = tuple
 class TupleRelation:
     """A generated set of fixed-width tuples with per-tuple derivations.
 
-    The closure's arrays are the state: ``rows`` holds the tuples in
-    committed order, ``op_ids[i]`` is the position in ``algebra.ops`` of the
-    operation that first produced row i (-1 for a generator), and
-    ``parents[i, :arity]`` are the rows it was applied to (a generator's
-    position in column 0; -1 past the arity).  ``tuples`` and
-    ``derivations`` are built from them when first asked for.  A tuple's row
-    is read from the dense path's key table, else found by a scan of
-    ``rows``.  Equality and hashing are by algebra, width, generators,
-    tuples, derivations, rounds and complete.
+    ``rows`` holds the tuples in committed order, ``op_ids[i]`` is the
+    position in ``algebra.ops`` of the operation that first produced row i
+    (-1 for a generator), and ``parents[i, :arity]`` are the rows it was
+    applied to (a generator's position in column 0; -1 past the arity).
+    ``tuples`` and ``derivations`` are built from them when first asked
+    for.  A tuple's row is read from the dense path's key table, else found
+    by a scan of ``rows``.  Equality and hashing are by algebra, width,
+    generators, tuples, derivations, rounds and complete.
     """
 
     algebra: FiniteAlgebra
@@ -168,11 +167,9 @@ class WitnessTerm:
 def _rectangles(m, lo, k):
     """One round of an m-ary operation (m >= 1) in lexicographic order.
 
-    The round is every index combination over [0, k) holding an index >= lo.
-    Yields (prefix, ranges): the combinations prefix + the row-major product
-    of the ranges, which hold the last index (m = 1) or the last two.  Per
-    (m-2)-prefix that is old x new then new x full, or full x full once the
-    prefix holds a new index.
+    The round is every index combination over [0, k) holding an index >= lo,
+    as (prefix, ranges): prefix + the row-major product of the ranges, which
+    hold the last index (m = 1) or the last two.
     """
     if m == 1:
         yield (), (range(lo, k),)
@@ -202,35 +199,91 @@ def _blocks(m, lo, k):
                     yield prefix, (range(i, i + 1), cols[start:start + _CHUNK])
 
 
-def _block_indices(rows, n, m, prefix, ranges):
-    """Table indices of a block's combinations of an m-ary operation.
-
-    One row per combination, in the block's row-major order: the prefix's
-    part plus the last indices' parts, broadcast over the block's grid.
-    """
-    w = rows.shape[1]
-    flat = 0
-    for q, i in enumerate(prefix):
-        flat = flat + rows[i] * n ** (m - 1 - q)
-    last = len(ranges) - 1
-    for d, r in enumerate(ranges):
-        part = rows[r.start:r.stop]
-        if d < last:
-            part = part * n ** (last - d)
-        flat = flat + part.reshape((1,) * d + (len(r),) + (1,) * (last - d) + (w,))
-    return flat.reshape(-1, w)
-
-
 @functools.lru_cache(maxsize=256)
 def _key_powers(n, width):
-    """Weights of the base-n ranking key of a width-w row, or None when the
-    keys do not fit int64 (n^width >= 2^62).  Cached and read-only: a small
-    relation's check would otherwise spend a tenth of its time here."""
-    if n**width >= 1 << 62:
-        return None
+    """Weights of the base-n key of a width-w row below 2^62; cached, as a
+    small relation's check would spend a tenth of its time here."""
     powers = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
     powers.flags.writeable = False
     return powers
+
+
+class _Layout:
+    """Width-w rows cut into consecutive chunks of the given widths.  A
+    row's key is its base-n rank: an int64 below 2^62, a Python int in an
+    object array from there on."""
+
+    def __init__(self, n, widths):
+        self.n, self.widths, self.width = n, widths, sum(widths)
+        self.keyed = n**self.width < 1 << 62
+        # the weights of a row's coordinates in its key
+        self.powers = _key_powers(n, self.width) if self.keyed else np.array(
+            [n ** (self.width - 1 - c) for c in range(self.width)], dtype=object
+        )
+        self.scales = [n**s for s in widths]
+        # chunk j of a key is key // shifts[j] % scales[j]
+        self.shifts = [n ** sum(widths[j + 1:]) for j in range(len(widths))]
+
+    def encode(self, rows):
+        """The keys of the rows of a (P, width) array."""
+        return rows @ self.powers
+
+    def decode(self, keys):
+        """The rows with these keys, a (P, width) array."""
+        return (keys[:, None] // self.powers % self.n).astype(np.int64, copy=False)
+
+    def digits(self, keys):
+        """Per chunk, the chunk keys of the rows with these keys."""
+        out = []
+        for j, (d, scale) in enumerate(zip(self.shifts, self.scales)):
+            c = keys // d if d > 1 else keys
+            # the first chunk's quotient is below its scale already
+            out.append((c % scale if j else c).astype(np.int64, copy=False))
+        return out
+
+    def tables(self, alg, op):
+        """Per chunk, the operation on chunk keys: the algebra's cached lifted
+        table of the chunk's width (for width 1, its own table reshaped)."""
+        return [alg.lifted_table(op.symbol, s) for s in self.widths]
+
+    def images(self, tables, digits, prefix, ranges):
+        """The keys of the images of a block's combinations, in its row-major
+        order.  Per chunk, the table at the prefix's chunk keys is gathered
+        at the ranges' chunk keys by one take per axis, the shorter range
+        first, so the step between holds at most sqrt(_CHUNK) of its rows;
+        the chunks are combined by Horner's rule in place."""
+        keys = None
+        for table, d, scale in zip(tables, digits, self.scales):
+            for i in prefix:
+                table = table[d[i]]
+            if len(ranges) == 1:
+                (a,) = ranges
+                g = table.take(d[a.start:a.stop])
+            else:
+                a, b = (d[r.start:r.stop] for r in ranges)
+                if len(a) <= len(b):
+                    g = table.take(a, axis=0).take(b, axis=1).ravel()
+                else:
+                    g = table.take(b, axis=1).take(a, axis=0).ravel()
+            if keys is None:
+                keys = g if self.keyed else g.astype(object)
+            else:
+                keys *= scale
+                keys += g
+        return keys
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(n, width, arity, chunk):
+    """Chunks of width s, the largest with (n^s)^m at most ``chunk`` for the
+    largest arity m (and at least 1), cut balanced, the wider first."""
+    arity = max(arity, 1)
+    s = 1
+    while s < width and n ** ((s + 1) * arity) <= chunk:
+        s += 1
+    count = -(-width // s)
+    q, r = divmod(width, count)
+    return _Layout(n, (q + 1,) * r + (q,) * (count - r))
 
 
 def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
@@ -243,7 +296,8 @@ class BlockRepeat:
     """Stop predicate: the tuple is copies of its first ``block`` entries.
 
     Callable on one tuple like any predicate; ``mask(rows)`` tests every row
-    of a (P, width) array at once, which is how a closure applies it.
+    of a (P, width) array at once, and ``key_mask`` every row given by its
+    key, which is how a closure applies it.
     """
 
     def __init__(self, block: int):
@@ -255,34 +309,41 @@ class BlockRepeat:
     def mask(self, rows: np.ndarray) -> np.ndarray:
         return _is_repeat(rows, self.block)
 
+    def key_mask(self, keys: np.ndarray, n: int, width: int) -> np.ndarray:
+        """``mask`` of the rows of A^width with these base-n keys: the first
+        block's key times 1 + n^b + n^2b + ... is the key of its repeat."""
+        b = self.block
+        if width % b:
+            return np.zeros(len(keys), dtype=bool)
+        repeat = sum(n ** (b * i) for i in range(width // b))
+        return keys // n ** (width - b) * repeat == keys
 
-def _hit_finder(predicate):
-    """The closure's stop test: first(rows) is the position of the first row
-    of a (P, width) array that satisfies the predicate, or None.
 
-    A predicate with a ``mask(rows)`` method is evaluated on the whole array
-    at once; a plain one is called on the rows as tuples, in order, and
-    never past the first hit.
-    """
-    mask = getattr(predicate, "mask", None)
-    if mask is not None:
-        def first(rows):
-            hits = np.flatnonzero(mask(rows))
-            return int(hits[0]) if hits.size else None
+def _hit_finder(predicate, layout):
+    """The closure's stop test: first(keys) is the position of the first of
+    a block's fresh keys whose row satisfies the predicate, or None."""
+    if getattr(predicate, "key_mask", None):
+        mask = lambda keys: predicate.key_mask(keys, layout.n, layout.width)
+    elif getattr(predicate, "mask", None):
+        mask = lambda keys: predicate.mask(layout.decode(keys))
     else:
-        def first(rows):
-            for i, t in enumerate(map(tuple, rows.tolist())):
-                if predicate(t):
-                    return i
-            return None
+        # called on the rows in order, never past the first hit
+        def first(keys):
+            rows = map(tuple, layout.decode(keys).tolist())
+            return next((i for i, t in enumerate(rows) if predicate(t)), None)
+        return first
+
+    def first(keys):
+        hits = np.flatnonzero(mask(keys))
+        return int(hits[0]) if hits.size else None
     return first
 
 
 class _Closure:
     """Mutable saturation state; committed order is the canonical one.
 
-    The committed rows and their derivations live in arrays whose capacity
-    doubles when they fill; ``count`` rows of them are committed.
+    The committed keys and their derivations live in arrays whose capacity
+    doubles when they fill; ``count`` of them are committed.
     """
 
     def __init__(self, alg, generators, budget, stop):
@@ -291,94 +352,67 @@ class _Closure:
         self.width = len(generators[0])
         self.full_size = self.n**self.width
         self.budget = budget
-        self.find_hit = None if stop is None else _hit_finder(stop)
+        arity = max(op.arity for op in alg.ops)
+        self.layout = _layout(self.n, self.width, arity, _CHUNK)
+        self.find_hit = None if stop is None else _hit_finder(stop, self.layout)
         self.hit: Optional[int] = None
         self.rounds = 0
         self.count = 0
+        self.keys = np.empty(0, dtype=np.int64 if self.layout.keyed else object)
+        self.op_ids = np.empty(0, dtype=np.intp)
         # one parent column per argument of the largest arity; with one
         # possible tuple no row is derived, whatever the arities
-        arity = max(op.arity for op in alg.ops) if self.full_size > 1 else 1
-        self.rows = np.empty((0, self.width), dtype=np.int64)
-        self.op_ids = np.empty(0, dtype=np.intp)
-        self.parents = np.empty((0, max(arity, 1)), dtype=np.intp)
-        # without int64 ranking keys, fall back to a slower per-candidate
-        # dict check
-        self.key_powers = _key_powers(self.n, self.width)
-        self.use_keys = self.key_powers is not None
-        # key-indexed tables for key spaces of at most _CHUNK tuples: seen
-        # holds each committed tuple's position (-1 for the others), first
-        # holds a block's positions and so takes their dtype (a cast makes
-        # np.minimum.at many times slower); larger key spaces keep an array
-        # of the committed keys
+        columns = max(arity, 1) if self.full_size > 1 else 1
+        self.parents = np.empty((0, columns), dtype=np.intp)
+        # key-indexed tables for key spaces of at most _CHUNK: seen holds
+        # each committed tuple's position (-1 for the others), first a
+        # block's positions, in their dtype (a cast slows np.minimum.at)
         self.dense = self.full_size <= _CHUNK
         if self.dense:
             self.seen = np.full(self.full_size, -1, dtype=np.intp)
             self.first = np.zeros(self.full_size, dtype=np.intp)
-        elif self.use_keys:
-            self.known_keys = np.empty(0, dtype=np.int64)
-        else:
-            self.index: dict[tuple[int, ...], int] = {}
 
         def generator_positions(positions, out):
             out[:, 0] = positions
 
-        self._commit_block(
-            np.array(generators, dtype=np.int64), -1, generator_positions
-        )
+        rows = np.array(generators, dtype=np.int64)
+        self._commit_block(self.layout.encode(rows), -1, generator_positions)
 
     def _reserve(self, end):
         """Room for ``end`` rows, the capacity at least doubling."""
-        if end <= len(self.rows):
+        if end <= len(self.keys):
             return
-        capacity = max(end, 2 * len(self.rows), 16)
-        names = ["rows", "op_ids", "parents"]
-        if not self.dense and self.use_keys:
-            names.append("known_keys")
-        for name in names:
+        capacity = max(end, 2 * len(self.keys), 16)
+        for name in ("keys", "op_ids", "parents"):
             old = getattr(self, name)
             new = np.full((capacity,) + old.shape[1:], -1, dtype=old.dtype)
             new[:self.count] = old[:self.count]
             setattr(self, name, new)
 
-    def _commit_block(self, res, op_id, parents_of):
-        """Commit the new rows of a result block in first-occurrence order.
-
-        ``parents_of(positions, out)`` writes the parent indices of the rows
-        at those positions into the columns of ``out`` (for generators:
-        their generator positions).
-        """
+    def _commit_block(self, keys, op_id, parents_of):
+        """Commit the new keys of a result block in first-occurrence order;
+        ``parents_of(positions, out)`` writes the parents of the keys at
+        those positions (a generator's position) into ``out``."""
         if self.dense:
-            keys = res @ self.key_powers
             fresh = np.flatnonzero(self.seen[keys] < 0)
             fk = keys[fresh]
             # the least position of each fresh key, its slot reset first;
-            # rows past a stop hit or a budget cut leave stale slots, never
+            # keys past a stop hit or a budget cut leave stale slots, never
             # read again because the closure ends there
             self.first[fk] = len(keys)
             np.minimum.at(self.first, fk, fresh)
             positions = fresh[self.first[fk] == fresh]
-        elif self.use_keys:
-            keys = res @ self.key_powers
-            known = self.known_keys[:self.count]
+        else:
+            known = self.keys[:self.count]
             fresh = np.flatnonzero(np.isin(keys, known, invert=True))
             _, first = np.unique(keys[fresh], return_index=True)
             positions = fresh[np.sort(first)]
-        else:
-            flat = np.ascontiguousarray(res)
-            view = flat.view(
-                np.dtype((np.void, flat.dtype.itemsize * self.width))
-            ).ravel()
-            _, first = np.unique(view, return_index=True)
-            positions = np.sort(first)
-            # without keys, known tuples are looked up in the index
-            known = [tuple(t) in self.index for t in res[positions].tolist()]
-            positions = positions[~np.array(known, dtype=bool)]
         if not positions.size:
             return
         start = self.count
         room = max(self.budget - start, 0)
         cut = positions.size
-        new = res[positions]
+        new = keys[positions]
         if self.find_hit is not None:
             i = self.find_hit(new[:room])
             if i is not None:
@@ -389,37 +423,34 @@ class _Closure:
                 f"subpower generation exceeds budget of {self.budget} tuples"
             )
         end = start + cut
-        positions = positions[:cut]
+        new = new[:cut]
         self._reserve(end)
-        self.rows[start:end] = new[:cut]
+        self.keys[start:end] = new
         self.op_ids[start:end] = op_id
-        parents_of(positions, self.parents[start:end])
+        parents_of(positions[:cut], self.parents[start:end])
         if self.dense:
-            self.seen[keys[positions]] = np.arange(start, end)
-        elif self.use_keys:
-            self.known_keys[start:end] = keys[positions]
-        else:
-            self.index.update(
-                zip(map(tuple, new[:cut].tolist()), range(start, end))
-            )
+            self.seen[new] = np.arange(start, end)
         self.count = end
 
     def _done(self):
         return self.hit is not None or self.count == self.full_size
 
-    def _round(self, op_id, table, rows, lo, k):
+    def _round(self, op_id, digits, lo, k):
         """Apply one operation to the round's combinations, block by block."""
         op = self.alg.ops[op_id]
-        n, w, m = self.n, self.width, op.arity
+        m = op.arity
         if m == 0:
             # the constant tuple can only appear once; round 1 suffices
             if lo == 0:
-                res = np.full((1, w), int(op.table[0]), dtype=np.int64)
-                self._commit_block(res, op_id, lambda positions, out: None)
+                row = np.full((1, self.width), op.table[0], dtype=np.int64)
+                self._commit_block(
+                    self.layout.encode(row), op_id, lambda positions, out: None
+                )
             return
+        tables = self.layout.tables(self.alg, op)
         for prefix, ranges in _blocks(m, lo, k):
             shape = tuple(len(r) for r in ranges)
-            res = table[_block_indices(rows, n, m, prefix, ranges)]
+            keys = self.layout.images(tables, digits, prefix, ranges)
 
             def parents_of(positions, out):
                 out[:, :len(prefix)] = prefix
@@ -427,12 +458,11 @@ class _Closure:
                 for d, (g, r) in enumerate(zip(grid, ranges), len(prefix)):
                     out[:, d] = g + r.start
 
-            self._commit_block(res, op_id, parents_of)
+            self._commit_block(keys, op_id, parents_of)
             if self._done():
                 return
 
     def run(self):
-        tables = [self.alg.table_arrays[op.symbol] for op in self.alg.ops]
         lo = 0
         while self.hit is None and lo < self.count:
             k = self.count
@@ -440,11 +470,10 @@ class _Closure:
             if k == self.full_size:
                 # the round after the last commit, which finds nothing new
                 return
-            # a view of the rows known at the round's start: commits only
-            # write past them, and a growth leaves this buffer intact
-            rows = self.rows[:k]
-            for op_id, table in enumerate(tables):
-                self._round(op_id, table, rows, lo, k)
+            # the chunk keys of the round's known rows; commits write past them
+            digits = self.layout.digits(self.keys[:k])
+            for op_id in range(len(self.alg.ops)):
+                self._round(op_id, digits, lo, k)
                 if self._done():
                     break
             lo = k
@@ -455,7 +484,7 @@ class _Closure:
             algebra=self.alg,
             width=self.width,
             generators=tuple(generators),
-            rows=self.rows[:c],
+            rows=self.layout.decode(self.keys[:c]),
             op_ids=self.op_ids[:c],
             parents=self.parents[:c],
             rounds=self.rounds,
@@ -502,10 +531,9 @@ def generate_until(
 
     Returns (relation, hit_index).  On a hit the relation is a prefix of the
     full closure (complete=False); a None hit means the closure saturated
-    without a match and the relation is complete.  A predicate with a
-    ``mask(rows)`` method, such as ``BlockRepeat``, is tested on each
-    block's fresh rows at once; a plain one is called once per committed
-    tuple, in order, up to the hit.
+    without a match and the relation is complete.  A predicate with
+    ``key_mask`` or ``mask(rows)`` is tested on a block's fresh tuples at
+    once; a plain one is called per committed tuple, in order, up to the hit.
     """
     gens = _validate_generators(alg, generators)
     state = _Closure(alg, gens, budget, predicate)
@@ -513,25 +541,23 @@ def generate_until(
     return state.relation(gens), state.hit
 
 
-def _enumerated_closed(alg, op, rows, powers, member) -> bool:
+def _enumerated_closed(alg, op, rows, member) -> bool:
     """Is every image of the operation on the rows a row?  Checked block by
     block, up to the first block with an image outside."""
-    if member is not None:
-        contains = lambda block: member[block @ powers].all()
-    elif powers is not None:
-        members = set((rows @ powers).tolist())
-        contains = lambda block: members.issuperset((block @ powers).tolist())
-    else:
-        members = set(map(tuple, rows.tolist()))
-        contains = lambda block: members.issuperset(map(tuple, block.tolist()))
     k, w = rows.shape
-    m = op.arity
-    table = alg.table_arrays[op.symbol]
-    if m == 0:
-        return contains(np.full((1, w), table[0]))
+    layout = _layout(alg.size, w, op.arity, _CHUNK)
+    keys = layout.encode(rows)
+    if member is not None:
+        contains = lambda images: member[images].all()
+    else:
+        contains = lambda images: np.isin(images, keys).all()
+    if op.arity == 0:
+        return contains(layout.encode(np.full((1, w), op.table[0])))
+    tables = layout.tables(alg, op)
+    digits = layout.digits(keys)
     return all(
-        contains(table[_block_indices(rows, alg.size, m, prefix, ranges)])
-        for prefix, ranges in _blocks(m, 0, k)
+        contains(layout.images(tables, digits, prefix, ranges))
+        for prefix, ranges in _blocks(op.arity, 0, k)
     )
 
 
@@ -539,24 +565,19 @@ def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     """Is the set of rows of a (k, width) array closed under every basic
     operation, coordinate-wise?
 
-    Operations are checked in declaration order.  When the key space
-    n^width is at most ``_CHUNK``, the rows' keys are marked in a dense
-    member table, and an m-ary operation with (n^width)^m and k^m at most
-    ``_CHUNK`` is checked on all k^m combinations at once: the algebra's
-    cached lifted table for this width is gathered at the keys along each
-    of its m axes, and the images are looked up in the member table.  That
-    check and the table's build hold O(``_CHUNK``) entries.  Any other
-    operation gets one round of the closure enumerator over the k^m
-    combinations that commits nothing; each block's images are looked up
-    in the member table, or in a set of keys above ``_CHUNK``, or of tuples
-    from 2^62 on.  Its memory is bounded by ``_CHUNK``.
+    Operations are checked in declaration order.  When n^width is at most
+    ``_CHUNK``, the rows' keys are marked in a member table, and an m-ary
+    operation with (n^width)^m and k^m at most ``_CHUNK`` is checked by
+    gathering its lifted table of this width at the keys along each axis.
+    Any other gets one commit-free round of the closure's kernel, its
+    images looked up in the member table or by ``np.isin``.  Memory is
+    bounded by ``_CHUNK``.
     """
     k, w = rows.shape
     n = alg.size
-    powers = _key_powers(n, w)
     member = None
-    if powers is not None and n**w <= _CHUNK:
-        keys = rows.dot(powers)
+    if n**w <= _CHUNK:
+        keys = rows.dot(_key_powers(n, w))
         member = np.zeros(n**w, dtype=bool)
         member[keys] = True
     for op in alg.ops:
@@ -570,7 +591,7 @@ def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
             # not .all(): its reduction costs a tenth of a small check
             if np.count_nonzero(member[images]) != images.size:
                 return False
-        elif not _enumerated_closed(alg, op, rows, powers, member):
+        elif not _enumerated_closed(alg, op, rows, member):
             return False
     return True
 

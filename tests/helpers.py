@@ -152,10 +152,10 @@ def record_closure_paths(monkeypatch):
     A closure whose key space n^width is at most ``_CHUNK`` is "dense": it
     keeps tables indexed by the key.  A larger one is "keyed": it searches
     an array of committed keys.  From 2^62 on, keys do not fit int64 and the
-    closure looks up "tuple"s.  Each closure must take the path its size
-    selects, and when it ends, a dense table must mark exactly the tuples
-    it committed, each with its position, also after a stop that cut a
-    block short.
+    closure searches Python ints ("tuple").  Each closure must take the path
+    its size selects, and when it ends, a dense table must mark exactly the
+    tuples it committed, each with its position, also after a stop that cut
+    a block short.
     """
     paths = collections.Counter()
     run = subpower._Closure.run
@@ -169,22 +169,18 @@ def record_closure_paths(monkeypatch):
         )
         got = (
             "dense" if state.dense
-            else "keyed" if state.use_keys
+            else "keyed" if state.layout.keyed
             else "tuple"
         )
         assert got == want, (state.n, state.width, got)
         paths[got] += 1
         run(state)
         if state.dense:
-            committed = state.rows[:state.count]
-            marked = {
-                tuple(int(d) for d in np.unravel_index(key, (state.n,) * state.width))
-                for key in np.flatnonzero(state.seen >= 0)
-            }
-            assert marked == set(map(tuple, committed.tolist()))
+            committed = state.keys[:state.count]
+            marked = np.flatnonzero(state.seen >= 0)
+            assert set(marked.tolist()) == set(committed.tolist())
             # and each marked slot holds its tuple's position
-            keys = np.ravel_multi_index(committed.T, (state.n,) * state.width)
-            assert state.seen[keys].tolist() == list(range(state.count))
+            assert state.seen[committed].tolist() == list(range(state.count))
 
     monkeypatch.setattr(subpower._Closure, "run", recorded)
     return paths
@@ -206,14 +202,25 @@ def record_admissibility_paths(monkeypatch):
     """
     paths = collections.Counter()
     events = None
+    enumerating = False
     lifted_table = FiniteAlgebra.lifted_table
     blocks = subpower._blocks
+    enumerated = subpower._enumerated_closed
     check = digraph.is_closed
 
     def recorded_lifted_table(alg, symbol, width):
-        if events is not None:
+        # the enumerator reads lifted tables of its chunks too
+        if events is not None and not enumerating:
             events.append(("gather", symbol))
         return lifted_table(alg, symbol, width)
+
+    def recorded_enumerated(*args):
+        nonlocal enumerating
+        enumerating = True
+        try:
+            return enumerated(*args)
+        finally:
+            enumerating = False
 
     def recorded_blocks(m, lo, k):
         if events is not None:
@@ -245,6 +252,7 @@ def record_admissibility_paths(monkeypatch):
 
     monkeypatch.setattr(FiniteAlgebra, "lifted_table", recorded_lifted_table)
     monkeypatch.setattr(subpower, "_blocks", recorded_blocks)
+    monkeypatch.setattr(subpower, "_enumerated_closed", recorded_enumerated)
     monkeypatch.setattr(digraph, "is_closed", recorded_check)
     return paths
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -307,6 +308,34 @@ def test_is_admissible_errors():
         with pytest.raises(TypeError):
             check(MIN2, [(0, 1), (1, 0.5)])
     assert is_admissible(MIN2, [(True, False)])
+
+
+def test_is_admissible_input_rules_hold_on_every_path():
+    # entries that bytes() takes (integers in 0..255, bools too) skip the
+    # per-entry loop when they are valid; any other input takes it, so its
+    # errors keep their order, type and message
+    big = make_algebra("id300", 300, ("f", 1, tuple(range(300))))
+    integers = "relation entries must be integers, got float64"
+    for alg, rel, want in [
+        (MIN2, [(True, False), (0, 0)], True),
+        (MIN2, [(np.int64(0), np.uint8(1))], True),
+        (MIN2, [[0, 1], [1, 0]], False),
+        (MIN2, iter([[0, 1]]), True),
+        (big, [(299, 256), (0, 255)], True),
+        (big, [(0, 300)], ValueError("relation entry 300 outside universe")),
+        # six entries, as many as three pairs
+        (MIN2, [(0, 1), (0, 1, 1), (0,)], ValueError("relation tuples must have equal width")),
+        (MIN2, [(0, 255)], ValueError("relation entry 255 outside universe")),
+        (MIN2, [(0, 1), (2**70, 0)], ValueError(f"relation entry {2**70} outside universe")),
+        (MIN2, [(1.0, 0)], TypeError(integers)),
+        (MIN2, [()], TypeError(integers)),
+    ]:
+        if isinstance(want, bool):
+            assert is_admissible(alg, rel) is want, rel
+            continue
+        with pytest.raises(type(want)) as info:
+            is_admissible(alg, rel)
+        assert str(info.value) == str(want), rel
 
 
 def test_is_admissible_memory_is_bounded_by_the_chunk():

@@ -264,22 +264,72 @@ def _as_reference(rel, hit=None):
     return list(rel.tuples), list(rel.derivations), rel.rounds, hit
 
 
+def _assert_arrays_match(rel, alg, want):
+    """The relation's rows, op ids and parents (-1 past each arity) are the
+    reference's tuples and derivations."""
+    tuples, derivations = want[0][:len(rel)], want[1][:len(rel)]
+    symbols = [op.symbol for op in alg.ops]
+    op_ids, parents = [], []
+    for symbol, args in derivations:
+        op_ids.append(-1 if symbol is None else symbols.index(symbol))
+        parents.append(list(args) + [-1] * (rel.parents.shape[1] - len(args)))
+    assert rel.rows.tolist() == [list(t) for t in tuples]
+    assert rel.op_ids.tolist() == op_ids
+    assert rel.parents.tolist() == parents
+
+
+def _force_layout(monkeypatch, layout):
+    """Every closure from now on cuts its rows into width-1 chunks ("ones"),
+    or reads them as one chunk where its lifted tables hold at most 2^16
+    entries ("single"); "selected" keeps the engine's rule."""
+    choose = subpower._layout
+
+    def forced(n, width, arity, chunk):
+        if layout == "ones":
+            return subpower._Layout(n, (1,) * width)
+        if layout == "single" and (n**width) ** max(arity, 1) <= 1 << 16:
+            return subpower._Layout(n, (width,))
+        return choose(n, width, arity, chunk)
+
+    if layout != "selected":
+        monkeypatch.setattr(subpower, "_layout", forced)
+
+
 @pytest.mark.parametrize("chunk", [None, 7, 1])
 def test_engine_matches_reference_closure(monkeypatch, chunk):
     # the engine commits exactly the scalar reference's tuples, derivations
     # and rounds, whatever the chunk size; chunks of 7 or 1 make a round's
     # duplicates and a rectangle's rows cross chunk boundaries, and put most
     # cases above the dense limit n^width <= _CHUNK
+    _check_reference_cases(monkeypatch, chunk, "selected")
+
+
+@pytest.mark.parametrize("layout", ["ones", "single"])
+@pytest.mark.parametrize("chunk", [None, 7, 1])
+def test_forced_layouts_match_reference_closure(monkeypatch, chunk, layout):
+    # however a row is cut into chunks, the closure is the same
+    _check_reference_cases(monkeypatch, chunk, layout)
+
+
+def _check_reference_cases(monkeypatch, chunk, layout):
     if chunk is not None:
         monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    _force_layout(monkeypatch, layout)
     paths = record_closure_paths(monkeypatch)
-    full_power = generators_full = 0
+    full_power = generators_full = grouped = split = 0
     for rng, alg, gens in _reference_cases(4000, 240):
         label = (alg.name, gens)
+        width = len(gens[0])
+        arity = max(op.arity for op in alg.ops)
+        widths = subpower._layout(alg.size, width, arity, subpower._CHUNK).widths
+        assert sum(widths) == width and max(widths) - min(widths) <= 1, label
+        grouped += len(widths) < width
+        split += 1 < len(widths) < width
         want = reference_closure(alg, gens)
         rel = generate_subpower(alg, gens)
         assert _as_reference(rel) == want, label
-        full = alg.size ** len(gens[0])
+        _assert_arrays_match(rel, alg, want)
+        full = alg.size ** width
         full_power += len(rel) == full
         generators_full += len(set(gens)) == full
         if len(set(gens)) == full:
@@ -289,8 +339,15 @@ def test_engine_matches_reference_closure(monkeypatch, chunk):
         until = reference_closure(alg, gens, lambda t: t == target)
         got, hit = generate_until(alg, gens, lambda t: t == target)
         assert _as_reference(got, hit) == until, label
+        _assert_arrays_match(got, alg, until)
         assert got.complete is False
     assert full_power >= 60 and generators_full >= 20
+    if layout == "selected" and chunk is None:
+        # most rows are read a few coordinates per chunk
+        assert grouped >= 50, grouped
+    if layout == "selected" and chunk == 7:
+        # and some through more than one chunk of width 2 or more
+        assert split >= 10, split
     if chunk is None:
         assert paths == {"dense": 480}
     else:
@@ -376,6 +433,36 @@ def _limit_algebra(size):
         ("h", 1, tuple(x // 2 for x in range(size))),
         ("s", 2, tuple((x + y) % 2 for x, y in itertools.product(range(size), repeat=2))),
     )
+
+
+@pytest.mark.parametrize(
+    "n,width",
+    [(2, 1), (2, 6), (3, 4), (5, 6), (7, 22), (3, 39), (2, 61)],
+)
+def test_key_form_block_repeat_matches_the_rows(n, width):
+    # BlockRepeat.key_mask on base-n keys equals _is_repeat on the rows they
+    # decode to, for every block dividing the width (1 and the width
+    # included), up to n^width just below 2^62
+    import random
+
+    assert n**width < 1 << 62
+    rng = random.Random(n * 100 + width)
+    blocks = [b for b in range(1, width + 1) if width % b == 0]
+    rows = [[0] * width, [n - 1] * width]
+    for b in blocks:
+        for _ in range(20):
+            rows.append([rng.randrange(n) for _ in range(b)] * (width // b))
+    rows += [[rng.randrange(n) for _ in range(width)] for _ in range(200)]
+    keys = np.array(
+        [sum(v * n ** (width - 1 - i) for i, v in enumerate(r)) for r in rows],
+        dtype=np.int64,
+    )
+    assert subpower._layout(n, width, 2, subpower._CHUNK).decode(keys).tolist() == rows
+    rows = np.array(rows, dtype=np.int64)
+    for b in blocks:
+        want = subpower._is_repeat(rows, b)
+        assert BlockRepeat(b).key_mask(keys, n, width).tolist() == want.tolist(), b
+        assert want.any() and (b == width or not want.all()), b
 
 
 @pytest.mark.parametrize(
