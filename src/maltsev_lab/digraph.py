@@ -8,7 +8,6 @@ length is the number of forward steps minus the number of backward steps.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
@@ -20,8 +19,6 @@ from .errors import AlgebraFormatError, ConsistencyError
 from .subpower import is_closed
 
 WalkStep = tuple  # ((u, v), +1 | -1)
-
-_BYTES = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -214,21 +211,6 @@ def is_admissible(alg: FiniteAlgebra, rel) -> bool:
         return True
     width = len(tuples[0])
     n = alg.size
-    # bytes() takes integers in 0..255 only (bools too), so the entries it
-    # takes are valid when they lie below n in nonempty tuples of one
-    # width: that case needs no per-entry loop and no nested-sequence
-    # conversion
-    try:
-        data = bytes(chain.from_iterable(tuples))
-    except (TypeError, ValueError):
-        data = None
-    if (
-        width
-        and data is not None
-        and not data.translate(None, _BYTES[:n])
-        and all(len(t) == width for t in tuples)
-    ):
-        return is_closed(alg, np.ndarray((len(tuples), width), np.uint8, data))
     for t in tuples:
         if len(t) != width:
             raise ValueError("relation tuples must have equal width")

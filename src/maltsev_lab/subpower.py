@@ -10,45 +10,14 @@ set or the first discovery of any tuple.  Each tuple carries the operation
 and parent indices that first produced it, so membership certificates are
 replayable terms over the generators.
 
-One engine, ``_Closure``, runs every closure, the unary term monoid
-included.  A round of an m-ary operation is, per (m-2)-prefix, rectangles
-of the last two indices cut into blocks of at most ``_CHUNK`` combinations.
-Once the relation holds all n^w tuples, enumeration stops; ``rounds`` still
-counts the empty round that the plain loop runs after its last commit.
-
-A subpower of A^w is one of (A^s)^c, c = ceil(w/s), whose operations are
-the algebra's cached lifted tables of width s: s is the largest width with
-(n^s)^M at most ``_CHUNK`` for the largest arity M, and at least 1, and the
-coordinates are cut into c balanced chunks (a width-1 chunk reads the
-operation's own table).  A tuple is its base-n key, whose digits in base
-n^s are its chunk keys.  The closure keeps the committed keys and, per
-key, its operation (-1 for a generator) and parents, in arrays whose
-capacity doubles.  A round reads the known keys' chunk keys once; per
-block and chunk, the lifted table at the prefix's chunk keys is gathered
-at the last two ranges' chunk keys over the block's grid, one take per
-axis, and Horner's rule combines the chunks into the images' keys in
-place.  A block thus holds a few arrays of ``_CHUNK`` keys, never its
-rows, and a lifted table at most ``_CHUNK`` entries.  From 2^62 on, keys
-are Python ints in object arrays.  Rows are decoded once, for the
-``TupleRelation``, which builds its ``tuples`` and ``derivations`` only
-when asked for.
-
-A block's keys not known yet are committed at once, in first-occurrence
-order, and only they get parents, decoded from their flat position in the
-block.  When n^w is at most ``_CHUNK``, a table indexed by key holds each
-committed tuple's position (-1 for the others) and another takes a block's
-first positions by ``np.minimum.at``; larger key spaces search the
-committed keys with ``np.isin`` and order first occurrences with
-``np.unique``.  The stop test's first hit among a block's fresh keys within
-the budget's room ends the closure, and a fresh key at or before the hit
-past the budget raises.  ``BlockRepeat`` is tested on keys: a key repeats
-its first b coordinates when key // n^(w-b) * (1 + n^b + n^2b + ...)
-equals it.  Another predicate gets the decoded fresh rows: as one array
-if it has ``mask(rows)``, else one tuple at a time up to its hit.
-
-``is_closed`` decides whether a given relation is closed: a small one in a
-few array operations on the lifted tables, any other with one round of the
-same kernel that commits nothing.
+One engine, ``_Closure``, runs every closure (design: README.md).  A tuple
+is its base-n key, and a subpower of A^w is one of (A^s)^c, s the largest
+width with (n^s)^M at most ``_CHUNK`` for the largest arity M: a block's
+image keys are one gather per chunk from the algebra's cached lifted
+tables, combined by Horner's rule.  The state is the committed keys (Python
+ints from 2^62 on), operations and parents; ``BlockRepeat`` is tested on
+keys, and rows are decoded once.  A block holds a few arrays of ``_CHUNK``
+keys, and a lifted table at most ``_CHUNK`` entries.
 """
 from __future__ import annotations
 
@@ -201,25 +170,21 @@ def _blocks(m, lo, k):
 
 @functools.lru_cache(maxsize=256)
 def _key_powers(n, width):
-    """Weights of the base-n key of a width-w row below 2^62; cached, as a
-    small relation's check would spend a tenth of its time here."""
+    """Weights of a width-w row's base-n key; cached for small checks."""
     powers = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
     powers.flags.writeable = False
     return powers
 
 
 class _Layout:
-    """Width-w rows cut into consecutive chunks of the given widths.  A
-    row's key is its base-n rank: an int64 below 2^62, a Python int in an
-    object array from there on."""
+    """Width-w rows cut into chunks of the given widths; a row's key is its
+    base-n rank, a Python int in an object array from 2^62 on."""
 
     def __init__(self, n, widths):
         self.n, self.widths, self.width = n, widths, sum(widths)
         self.keyed = n**self.width < 1 << 62
-        # the weights of a row's coordinates in its key
-        self.powers = _key_powers(n, self.width) if self.keyed else np.array(
-            [n ** (self.width - 1 - c) for c in range(self.width)], dtype=object
-        )
+        self.powers = np.array([n**c for c in range(self.width)][::-1],
+                               dtype=np.int64 if self.keyed else object)
         self.scales = [n**s for s in widths]
         # chunk j of a key is key // shifts[j] % scales[j]
         self.shifts = [n ** sum(widths[j + 1:]) for j in range(len(widths))]
@@ -230,7 +195,13 @@ class _Layout:
 
     def decode(self, keys):
         """The rows with these keys, a (P, width) array."""
-        return (keys[:, None] // self.powers % self.n).astype(np.int64, copy=False)
+        if self.keyed:
+            return keys[:, None] // self.powers % self.n
+        # Python int keys: split into int64 chunk keys first
+        return np.hstack([
+            d[:, None] // _key_powers(self.n, s) % self.n
+            for d, s in zip(self.digits(keys), self.widths)
+        ])
 
     def digits(self, keys):
         """Per chunk, the chunk keys of the rows with these keys."""
@@ -241,17 +212,10 @@ class _Layout:
             out.append((c % scale if j else c).astype(np.int64, copy=False))
         return out
 
-    def tables(self, alg, op):
-        """Per chunk, the operation on chunk keys: the algebra's cached lifted
-        table of the chunk's width (for width 1, its own table reshaped)."""
-        return [alg.lifted_table(op.symbol, s) for s in self.widths]
-
     def images(self, tables, digits, prefix, ranges):
-        """The keys of the images of a block's combinations, in its row-major
-        order.  Per chunk, the table at the prefix's chunk keys is gathered
-        at the ranges' chunk keys by one take per axis, the shorter range
-        first, so the step between holds at most sqrt(_CHUNK) of its rows;
-        the chunks are combined by Horner's rule in place."""
+        """The keys of a block's images, in row-major order: per chunk, the
+        lifted table at the prefix is taken along each axis, the shorter range
+        first so the step between stays small, and Horner's rule adds it."""
         keys = None
         for table, d, scale in zip(tables, digits, self.scales):
             for i in prefix:
@@ -341,10 +305,8 @@ def _hit_finder(predicate, layout):
 
 class _Closure:
     """Mutable saturation state; committed order is the canonical one.
-
-    The committed keys and their derivations live in arrays whose capacity
-    doubles when they fill; ``count`` of them are committed.
-    """
+    The first ``count`` entries of its arrays, whose capacity doubles, are
+    the committed keys and their derivations."""
 
     def __init__(self, alg, generators, budget, stop):
         self.alg = alg
@@ -371,6 +333,9 @@ class _Closure:
         if self.dense:
             self.seen = np.full(self.full_size, -1, dtype=np.intp)
             self.first = np.zeros(self.full_size, dtype=np.intp)
+        elif not self.layout.keyed:
+            # Python int keys: np.isin would compare them pairwise
+            self.known: set[int] = set()
 
         def generator_positions(positions, out):
             out[:, 0] = positions
@@ -402,11 +367,17 @@ class _Closure:
             self.first[fk] = len(keys)
             np.minimum.at(self.first, fk, fresh)
             positions = fresh[self.first[fk] == fresh]
-        else:
+        elif self.layout.keyed:
             known = self.keys[:self.count]
             fresh = np.flatnonzero(np.isin(keys, known, invert=True))
             _, first = np.unique(keys[fresh], return_index=True)
             positions = fresh[np.sort(first)]
+        else:
+            first = {}
+            for i, key in enumerate(keys.tolist()):
+                if key not in self.known:
+                    first.setdefault(key, i)
+            positions = np.fromiter(first.values(), np.intp, len(first))
         if not positions.size:
             return
         start = self.count
@@ -430,6 +401,8 @@ class _Closure:
         parents_of(positions[:cut], self.parents[start:end])
         if self.dense:
             self.seen[new] = np.arange(start, end)
+        elif not self.layout.keyed:
+            self.known.update(new.tolist())
         self.count = end
 
     def _done(self):
@@ -447,7 +420,7 @@ class _Closure:
                     self.layout.encode(row), op_id, lambda positions, out: None
                 )
             return
-        tables = self.layout.tables(self.alg, op)
+        tables = [self.alg.lifted_table(op.symbol, s) for s in self.layout.widths]
         for prefix, ranges in _blocks(m, lo, k):
             shape = tuple(len(r) for r in ranges)
             keys = self.layout.images(tables, digits, prefix, ranges)
@@ -470,8 +443,13 @@ class _Closure:
             if k == self.full_size:
                 # the round after the last commit, which finds nothing new
                 return
-            # the chunk keys of the round's known rows; commits write past them
-            digits = self.layout.digits(self.keys[:k])
+            # the chunk keys of the round's known rows (commits write past
+            # them); Python int keys are split once, the last round's added
+            if self.layout.keyed or not lo:
+                digits = self.layout.digits(self.keys[:k])
+            else:
+                new = self.layout.digits(self.keys[lo:k])
+                digits = [np.concatenate(p) for p in zip(digits, new)]
             for op_id in range(len(self.alg.ops)):
                 self._round(op_id, digits, lo, k)
                 if self._done():
@@ -545,15 +523,20 @@ def _enumerated_closed(alg, op, rows, member) -> bool:
     """Is every image of the operation on the rows a row?  Checked block by
     block, up to the first block with an image outside."""
     k, w = rows.shape
+    if alg.size == 1 and op.arity > 32:  # one image; no table of 33 axes
+        return True
     layout = _layout(alg.size, w, op.arity, _CHUNK)
     keys = layout.encode(rows)
     if member is not None:
         contains = lambda images: member[images].all()
-    else:
+    elif layout.keyed:
         contains = lambda images: np.isin(images, keys).all()
+    else:
+        members = set(keys.tolist())
+        contains = lambda images: members.issuperset(images.tolist())
     if op.arity == 0:
         return contains(layout.encode(np.full((1, w), op.table[0])))
-    tables = layout.tables(alg, op)
+    tables = [alg.lifted_table(op.symbol, s) for s in layout.widths]
     digits = layout.digits(keys)
     return all(
         contains(layout.images(tables, digits, prefix, ranges))
@@ -563,15 +546,11 @@ def _enumerated_closed(alg, op, rows, member) -> bool:
 
 def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     """Is the set of rows of a (k, width) array closed under every basic
-    operation, coordinate-wise?
-
-    Operations are checked in declaration order.  When n^width is at most
-    ``_CHUNK``, the rows' keys are marked in a member table, and an m-ary
-    operation with (n^width)^m and k^m at most ``_CHUNK`` is checked by
-    gathering its lifted table of this width at the keys along each axis.
-    Any other gets one commit-free round of the closure's kernel, its
-    images looked up in the member table or by ``np.isin``.  Memory is
-    bounded by ``_CHUNK``.
+    operation, coordinate-wise?  Operations are checked in declaration
+    order: an m-ary one with n^width, (n^width)^m and k^m at most ``_CHUNK``
+    by taking its lifted table at the rows' keys along each axis, any other
+    by one commit-free round of the closure's kernel.  Memory is bounded by
+    ``_CHUNK``.
     """
     k, w = rows.shape
     n = alg.size

@@ -310,10 +310,9 @@ def test_is_admissible_errors():
     assert is_admissible(MIN2, [(True, False)])
 
 
-def test_is_admissible_input_rules_hold_on_every_path():
-    # entries that bytes() takes (integers in 0..255, bools too) skip the
-    # per-entry loop when they are valid; any other input takes it, so its
-    # errors keep their order, type and message
+def test_is_admissible_input_rules():
+    # bools and numpy integers are entries; the first bad entry or tuple
+    # decides the error, its type and its message
     big = make_algebra("id300", 300, ("f", 1, tuple(range(300))))
     integers = "relation entries must be integers, got float64"
     for alg, rel, want in [
@@ -336,6 +335,15 @@ def test_is_admissible_input_rules_hold_on_every_path():
         with pytest.raises(type(want)) as info:
             is_admissible(alg, rel)
         assert str(info.value) == str(want), rel
+
+
+def test_is_admissible_on_one_element_at_any_arity():
+    # every relation of a one-element algebra is closed; an arity past
+    # numpy's limit on dimensions has no lifted table
+    one = make_algebra("one", 1, ("f", 100, (0,)), ("c", 0, (0,)))
+    for rel in ([(0,)], [(0, 0, 0)]):
+        assert is_admissible(one, rel) and scalar_is_admissible(one, rel)
+    assert is_admissible(one, [])
 
 
 def test_is_admissible_memory_is_bounded_by_the_chunk():

@@ -524,6 +524,24 @@ def test_wide_tuples_match_reference_closure():
             ), (alg.name, width)
 
 
+def test_wide_keys_are_looked_up_in_linear_time():
+    # 16^16 = 2^64 maps: Python int keys, looked up in a set; compared
+    # pairwise, this monoid's 32684 maps took seven seconds to generate
+    # and as long to check for closedness
+    import time
+
+    alg = random_algebra(24, 16, [1, 1])
+    identity = [tuple(range(16))]
+    start = time.perf_counter()
+    rel = generate_subpower(alg, identity)
+    assert subpower.is_closed(alg, rel.rows)
+    elapsed = time.perf_counter() - start
+    assert len(rel) == 32684 and elapsed < 3.0, elapsed
+    want = reference_closure(alg, identity)
+    assert _as_reference(rel) == want
+    _assert_arrays_match(rel, alg, want)
+
+
 def test_enumeration_stops_at_the_full_power(monkeypatch):
     # once a closure holds all of A^w, no later combination is enumerated
     commit = subpower._Closure._commit_block
