@@ -82,7 +82,6 @@ from .subpower import (
     WitnessTerm,
     extract_witness,
     find_block_repeat,
-    find_constant,
     generate_subpower,
     generate_until,
 )

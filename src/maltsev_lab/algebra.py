@@ -336,23 +336,18 @@ def minimal_unary_idempotent(
     """An idempotent unary term operation with inclusion-minimal image.
 
     Returns (alpha, B) where B = image(alpha) is sorted and alpha restricted
-    to B is the identity, hence alpha . alpha = alpha.  Ties: among
-    inclusion-minimal images pick the lexicographically least image set, then
-    the first map with that image in generation order; that map is raised to
-    the power making it idempotent.
+    to B is the identity, hence alpha . alpha = alpha.  The inclusion-minimal
+    images of a monoid of maps are exactly its images of least size: for f
+    with a minimal image and any g, f . g . f has image im f, so |im f| <=
+    |im g|.  Ties: among them pick the lexicographically least image set,
+    then the first map with that image in generation order; that map is
+    raised to the power making it idempotent.
     """
     monoid = unary_term_monoid(alg, budget=budget)
-    images = [frozenset(u.images) for u in monoid]
-    minimal_idx = [
-        i
-        for i, img in enumerate(images)
-        if not any(other < img for other in images)
-    ]
-    best_image = min(tuple(sorted(images[i])) for i in minimal_idx)
-    base = next(
-        monoid[i] for i in minimal_idx if tuple(sorted(images[i])) == best_image
-    )
-    b_sorted = best_image
+    images = [tuple(sorted(set(u.images))) for u in monoid]
+    least = min(map(len, images))
+    b_sorted = min(image for image in images if len(image) == least)
+    base = monoid[images.index(b_sorted)]
     # base restricted to its image is a permutation (else a power of base
     # would have a strictly smaller image); raise base to that permutation's
     # order d so the restriction becomes the identity: base^d = sigma^(d-1) . base.

@@ -202,9 +202,10 @@ def is_admissible(alg: FiniteAlgebra, rel) -> bool:
     and checked by ``subpower.is_closed``: an m-ary operation on k tuples
     with n^width, (n^width)^m and k^m at most 2^16 in one gather per
     argument of the algebra's lifted table (built on first use, cached on
-    the algebra), any other with one round of the closure's kernel that
-    stops at the first block with an image outside the relation.  Memory is
-    bounded by the kernel's block size, not by the number of combinations.
+    the algebra).  From the first operation that does not fit, the
+    relation is saturated with a budget of its own size, which its first
+    image outside it exceeds.  Memory is the closure's arrays of the
+    relation plus one block, not the number of combinations.
     """
     tuples = [tuple(t) for t in rel]
     if not tuples:

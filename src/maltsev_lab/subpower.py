@@ -17,7 +17,9 @@ image keys are one gather per chunk from the algebra's cached lifted
 tables, combined by Horner's rule.  The state is the committed keys (Python
 ints from 2^62 on), operations and parents; ``BlockRepeat`` is tested on
 keys, and rows are decoded once.  A block holds a few arrays of ``_CHUNK``
-keys, and a lifted table at most ``_CHUNK`` entries.
+keys, and a lifted table at most ``_CHUNK`` entries.  ``is_closed`` gathers
+lifted tables at a small relation's keys, and saturates any other relation
+with a budget of its own size.
 """
 from __future__ import annotations
 
@@ -259,9 +261,8 @@ def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
 class BlockRepeat:
     """Stop predicate: the tuple is copies of its first ``block`` entries.
 
-    Callable on one tuple like any predicate; ``mask(rows)`` tests every row
-    of a (P, width) array at once, and ``key_mask`` every row given by its
-    key, which is how a closure applies it.
+    Callable on one tuple like any predicate; ``key_mask`` tests every row
+    given by its key at once, which is how a closure applies it.
     """
 
     def __init__(self, block: int):
@@ -270,12 +271,10 @@ class BlockRepeat:
     def __call__(self, t) -> bool:
         return t == t[:self.block] * (len(t) // self.block)
 
-    def mask(self, rows: np.ndarray) -> np.ndarray:
-        return _is_repeat(rows, self.block)
-
     def key_mask(self, keys: np.ndarray, n: int, width: int) -> np.ndarray:
-        """``mask`` of the rows of A^width with these base-n keys: the first
-        block's key times 1 + n^b + n^2b + ... is the key of its repeat."""
+        """Which rows of A^width with these base-n keys repeat their first
+        block: that block's key times 1 + n^b + n^2b + ... is the key of its
+        repeat."""
         b = self.block
         if width % b:
             return np.zeros(len(keys), dtype=bool)
@@ -287,19 +286,15 @@ def _hit_finder(predicate, layout):
     """The closure's stop test: first(keys) is the position of the first of
     a block's fresh keys whose row satisfies the predicate, or None."""
     if getattr(predicate, "key_mask", None):
-        mask = lambda keys: predicate.key_mask(keys, layout.n, layout.width)
-    elif getattr(predicate, "mask", None):
-        mask = lambda keys: predicate.mask(layout.decode(keys))
-    else:
-        # called on the rows in order, never past the first hit
         def first(keys):
-            rows = map(tuple, layout.decode(keys).tolist())
-            return next((i for i, t in enumerate(rows) if predicate(t)), None)
+            hits = np.flatnonzero(predicate.key_mask(keys, layout.n, layout.width))
+            return int(hits[0]) if hits.size else None
         return first
 
+    # called on the rows in order, never past the first hit
     def first(keys):
-        hits = np.flatnonzero(mask(keys))
-        return int(hits[0]) if hits.size else None
+        rows = map(tuple, layout.decode(keys).tolist())
+        return next((i for i, t in enumerate(rows) if predicate(t)), None)
     return first
 
 
@@ -484,6 +479,10 @@ def _validate_generators(alg, generators):
         for v in g:
             if not 0 <= v < alg.size:
                 raise ValueError(f"generator entry {v} outside universe")
+    dtype = np.array(gens).dtype
+    if dtype.kind not in "biu":
+        # an int64 cast would truncate 1.5 to a valid entry
+        raise TypeError(f"generator entries must be integers, got {dtype}")
     return gens
 
 
@@ -510,8 +509,8 @@ def generate_until(
     Returns (relation, hit_index).  On a hit the relation is a prefix of the
     full closure (complete=False); a None hit means the closure saturated
     without a match and the relation is complete.  A predicate with
-    ``key_mask`` or ``mask(rows)`` is tested on a block's fresh tuples at
-    once; a plain one is called per committed tuple, in order, up to the hit.
+    ``key_mask(keys, n, width)`` is tested on a block's fresh keys at once; a
+    plain one is called per committed tuple, in order, up to the hit.
     """
     gens = _validate_generators(alg, generators)
     state = _Closure(alg, gens, budget, predicate)
@@ -519,59 +518,43 @@ def generate_until(
     return state.relation(gens), state.hit
 
 
-def _enumerated_closed(alg, op, rows, member) -> bool:
-    """Is every image of the operation on the rows a row?  Checked block by
-    block, up to the first block with an image outside."""
-    k, w = rows.shape
-    if alg.size == 1 and op.arity > 32:  # one image; no table of 33 axes
-        return True
-    layout = _layout(alg.size, w, op.arity, _CHUNK)
-    keys = layout.encode(rows)
-    if member is not None:
-        contains = lambda images: member[images].all()
-    elif layout.keyed:
-        contains = lambda images: np.isin(images, keys).all()
-    else:
-        members = set(keys.tolist())
-        contains = lambda images: members.issuperset(images.tolist())
-    if op.arity == 0:
-        return contains(layout.encode(np.full((1, w), op.table[0])))
-    tables = [alg.lifted_table(op.symbol, s) for s in layout.widths]
-    digits = layout.digits(keys)
-    return all(
-        contains(layout.images(tables, digits, prefix, ranges))
-        for prefix, ranges in _blocks(op.arity, 0, k)
-    )
-
-
 def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
-    """Is the set of rows of a (k, width) array closed under every basic
-    operation, coordinate-wise?  Operations are checked in declaration
-    order: an m-ary one with n^width, (n^width)^m and k^m at most ``_CHUNK``
-    by taking its lifted table at the rows' keys along each axis, any other
-    by one commit-free round of the closure's kernel.  Memory is bounded by
-    ``_CHUNK``.
+    """Is the set of rows of a (k, width) array, k >= 1, closed under every
+    basic operation, coordinate-wise?  While n^width, (n^width)^m and k^m
+    fit ``_CHUNK``, an m-ary operation is checked in declaration order by
+    taking its lifted table at the rows' keys along each axis.  From the
+    first operation that does not fit, the rows are saturated with a budget
+    of their own number: a closure of them that commits a tuple is not
+    closed, and one that holds all of A^width stops at once.  Memory is the
+    closure's arrays of the rows plus one block.
     """
     k, w = rows.shape
     n = alg.size
-    member = None
     if n**w <= _CHUNK:
         keys = rows.dot(_key_powers(n, w))
         member = np.zeros(n**w, dtype=bool)
         member[keys] = True
-    for op in alg.ops:
-        m = op.arity
-        # m <= 32 keeps the table within numpy 1's limit on dimensions,
-        # and a huge arity's power from being taken
-        if member is not None and m <= 32 and max(n**w, k) ** m <= _CHUNK:
+        for op in alg.ops:
+            m = op.arity
+            # m <= 32 keeps the table within numpy 1's limit on dimensions,
+            # and a huge arity's power from being taken
+            if m > 32 or max(n**w, k) ** m > _CHUNK:
+                break
             images = alg.lifted_table(op.symbol, w)
             for axis in range(m):
                 images = images.take(keys, axis)
             # not .all(): its reduction costs a tenth of a small check
             if np.count_nonzero(member[images]) != images.size:
                 return False
-        elif not _enumerated_closed(alg, op, rows, member):
-            return False
+        else:
+            return True
+    state = _Closure(alg, rows, k, None)
+    # the first image outside the rows exceeds the budget
+    state.budget = state.count
+    try:
+        state.run()
+    except BudgetExceededError:
+        return False
     return True
 
 
@@ -590,12 +573,6 @@ def find_block_repeat(
         return None
     # lexsort's last key is the primary one
     return tuple(blocks[np.lexsort(blocks.T[::-1])[0]].tolist())
-
-
-def find_constant(rel: TupleRelation) -> Optional[int]:
-    """Least element c with the constant tuple (c, ..., c) in rel."""
-    u = find_block_repeat(rel, 1, rel.width)
-    return None if u is None else u[0]
 
 
 def extract_witness(rel: TupleRelation, target) -> WitnessTerm:

@@ -187,59 +187,53 @@ def record_closure_paths(monkeypatch):
 
 
 def record_admissibility_paths(monkeypatch):
-    """Count the closedness checks run from now on by the paths their
-    operations take.
+    """Count the closedness checks run from now on by the paths they take.
 
-    A check of k rows of width w over n elements marks the rows' keys in a
-    dense member table when n^w is at most ``_CHUNK``.  Then an m-ary
-    operation with (n^w)^m and k^m at most ``_CHUNK`` takes the "gather"
-    path: it reads the algebra's lifted table.  Any other operation takes
-    the "enumerator" path, one commit-free round of blocks; a nullary one
-    above the dense limit checks its constant row and is not recorded.
-    Each operation a check reaches must take the path its sizes select, in
-    declaration order, and every operation is reached when the answer is
-    yes.  A check counts once toward each path it took.
+    A check of k rows of width w over n elements takes the "gather" path
+    for each m-ary operation, in declaration order, while n^w, (n^w)^m and
+    k^m are at most ``_CHUNK`` and m is at most 32: it reads the algebra's
+    lifted table at the rows' keys.  At the first operation that does not
+    fit, or at once when n^w is above ``_CHUNK``, it takes the "saturate"
+    path: one closure of the rows, which reads lifted tables of its own.
+    Each check must take the paths its sizes select, in that order, and
+    take all of them when the answer is yes.  A check counts once toward
+    each path it took.
     """
     paths = collections.Counter()
     events = None
-    enumerating = False
+    saturating = False
     lifted_table = FiniteAlgebra.lifted_table
-    blocks = subpower._blocks
-    enumerated = subpower._enumerated_closed
+    run = subpower._Closure.run
     check = digraph.is_closed
 
     def recorded_lifted_table(alg, symbol, width):
-        # the enumerator reads lifted tables of its chunks too
-        if events is not None and not enumerating:
+        if events is not None and not saturating:
             events.append(("gather", symbol))
         return lifted_table(alg, symbol, width)
 
-    def recorded_enumerated(*args):
-        nonlocal enumerating
-        enumerating = True
-        try:
-            return enumerated(*args)
-        finally:
-            enumerating = False
-
-    def recorded_blocks(m, lo, k):
+    def recorded_run(state):
+        nonlocal saturating
         if events is not None:
-            assert lo == 0
-            events.append(("enumerator", m))
-        return blocks(m, lo, k)
+            events.append(("saturate", None))
+        saturating = True
+        try:
+            return run(state)
+        finally:
+            saturating = False
 
     def recorded_check(alg, rows):
         nonlocal events
         k, w = rows.shape
         n = alg.size
         chunk = subpower._CHUNK
-        dense = n**w <= chunk
+        fits = n**w <= chunk
         want = []
         for op in alg.ops:
-            if dense and max(n**w, k) ** op.arity <= chunk:
-                want.append(("gather", op.symbol))
-            elif op.arity:
-                want.append(("enumerator", op.arity))
+            fits = fits and op.arity <= 32 and max(n**w, k) ** op.arity <= chunk
+            if not fits:
+                want.append(("saturate", None))
+                break
+            want.append(("gather", op.symbol))
         events = []
         try:
             answer = check(alg, rows)
@@ -251,8 +245,7 @@ def record_admissibility_paths(monkeypatch):
         return answer
 
     monkeypatch.setattr(FiniteAlgebra, "lifted_table", recorded_lifted_table)
-    monkeypatch.setattr(subpower, "_blocks", recorded_blocks)
-    monkeypatch.setattr(subpower, "_enumerated_closed", recorded_enumerated)
+    monkeypatch.setattr(subpower._Closure, "run", recorded_run)
     monkeypatch.setattr(digraph, "is_closed", recorded_check)
     return paths
 

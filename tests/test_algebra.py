@@ -280,6 +280,25 @@ def test_minimal_unary_idempotent_invariants():
             assert not set(u.images) < set(b)
 
 
+def test_minimal_image_is_the_least_inclusion_minimal_image():
+    # in a monoid of maps the inclusion-minimal images are those of least
+    # size, so selecting by size picks what the pairwise scan picks
+    from maltsev_lab import random_algebra
+
+    shrinking = ties = 0
+    for seed in range(400):
+        size = 2 + seed % 3
+        alg = random_algebra(seed, size, [[1], [2], [1, 1], [1, 2]][seed // 3 % 4])
+        images = {frozenset(u.images) for u in unary_term_monoid(alg)}
+        minimal = [img for img in images if not any(other < img for other in images)]
+        _, b = minimal_unary_idempotent(alg)
+        assert b == min(tuple(sorted(img)) for img in minimal), seed
+        assert {len(img) for img in minimal} == {len(b)}, seed
+        shrinking += len(b) < size
+        ties += len(minimal) > 1
+    assert shrinking >= 100 and ties >= 50, (shrinking, ties)
+
+
 def test_restrict_to_image_examples():
     # idempotent term on an idempotent algebra: the table of the term itself
     alpha = UnaryMap((0, 1))

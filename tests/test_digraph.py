@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from helpers import (
 )
 from maltsev_lab import (
     Digraph,
+    SplitMix64,
     build_G,
     build_S,
     format_digraph,
@@ -145,12 +147,12 @@ def _admissibility_cases(seed, count):
 def _wide_admissibility_cases(seed, count):
     """Seeded (algebra, generators, relation) triples whose key space n^width
     (2^9 to 2^18) or lifted tables are too large for one gather at the
-    default chunk: binary and ternary operations take the enumerator, and so
-    do unary ones past 2^16 keys.  Every generator's coordinates are copies
-    of one or two base coordinates, and so are those of every tuple it
-    generates, so a closure has at most n^2 tuples.  Relations are closures,
-    closures without their last tuple, generators with a duplicate, or
-    random tuples."""
+    default chunk: the check saturates the relation from the first binary
+    or ternary operation on, and from the start past 2^16 keys.  Every
+    generator's coordinates are copies of one or two base coordinates, and
+    so are those of every tuple it generates, so a closure has at most n^2
+    tuples.  Relations are closures, closures without their last tuple,
+    generators with a duplicate, or random tuples."""
     rng = random.Random(seed)
     for case in range(count):
         size = rng.randint(2, 4)
@@ -200,7 +202,7 @@ _EDGE_CASES = [
     (Z3_MALTSEV, [(0, 1), (1, 2), (2, 2)], False),
     (Z2_MINORITY, [(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)], True),
     # duplicate tuples: more rows than keys, on the gather path and, past
-    # 256 rows of a binary operation, on the enumerator
+    # 256 rows of a binary operation, in a saturation
     (MIN2, [(0, 1), (0, 1), (0, 0), (0, 0), (0, 1)], True),
     (MIN2, [(1, 0)] * 3 + [(0, 1)] * 3, False),
     (MIN2, [(0,)] * 257 + [(1,)], True),
@@ -230,9 +232,9 @@ def test_is_admissible_matches_scalar_check(monkeypatch, chunk):
         answers.append(want)
     assert answers.count(True) >= 120 and answers.count(False) >= 120
     if chunk is None:
-        assert paths["gather"] >= 50 and paths["enumerator"] >= 50, paths
+        assert paths["gather"] >= 50 and paths["saturate"] >= 50, paths
     else:
-        assert paths["enumerator"] >= 50, paths
+        assert paths["saturate"] >= 50, paths
 
 
 def test_a_second_check_at_the_same_width_builds_no_table():
@@ -272,7 +274,7 @@ def test_admissibility_is_invariant_under_relabelling(monkeypatch):
         assert is_admissible(copy, generate_subpower(copy, image(gens)).tuples)
     assert len(answers) >= 200
     assert answers.count(True) >= 50 and answers.count(False) >= 50
-    assert paths["gather"] >= 50 and paths["enumerator"] >= 50, paths
+    assert paths["gather"] >= 50 and paths["saturate"] >= 50, paths
 
 
 def test_is_admissible_wide_tuples_match_scalar_check():
@@ -346,22 +348,39 @@ def test_is_admissible_on_one_element_at_any_arity():
     assert is_admissible(one, [])
 
 
-def test_is_admissible_memory_is_bounded_by_the_chunk():
-    # all of A^5 for n = 4 is closed, so every one of its 2^20 combinations
-    # is checked; one broadcast over them all needs about 80 MB
+def test_is_admissible_memory_is_bounded_by_the_chunk(monkeypatch):
+    # the subpower of A^6 generated by four tuples under x - y + z mod 7 is
+    # closed and not all of A^6, so every one of its 343^3 combinations is
+    # checked; one broadcast over them all needs about 1.9 GB
     import tracemalloc
 
-    alg = random_algebra(3, 4, [2])
-    width = 5
-    rel = list(itertools.product(range(4), repeat=width))
+    alg = make_algebra(
+        "z7maltsev", 7,
+        ("m", 3, tuple((x - y + z) % 7 for x, y, z in itertools.product(range(7), repeat=3))),
+    )
+    width = 6
+    rng = SplitMix64(11)
+    gens = [tuple(rng.below(7) for _ in range(width)) for _ in range(4)]
+    rel = generate_subpower(alg, gens).tuples
+    assert len(rel) == 343
     is_admissible(alg, rel[:2])  # numpy imports some helpers lazily
+    combinations = 0
+    blocks = subpower._blocks
+
+    def counted(m, lo, k):
+        nonlocal combinations
+        for prefix, ranges in blocks(m, lo, k):
+            combinations += math.prod(map(len, ranges))
+            yield prefix, ranges
+
+    monkeypatch.setattr(subpower, "_blocks", counted)
     tracemalloc.start()
     try:
         assert is_admissible(alg, rel)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rel) ** 2 >= 1 << 20
+    assert combinations == len(rel) ** 3 >= 1 << 20
     bound = 6 * subpower._CHUNK * width * 8 + 4 * len(rel) * (width + 1) * 8
     assert peak <= bound, (peak, bound)
 

@@ -21,7 +21,6 @@ from maltsev_lab import (
     evaluate_term,
     extract_witness,
     find_block_repeat,
-    find_constant,
     generate_subpower,
     generate_until,
     random_algebra,
@@ -59,6 +58,18 @@ def test_generator_validation():
         generate_subpower(MIN2, [(0, 1), (0,)])
     with pytest.raises(ValueError):
         generate_subpower(MIN2, [(0, 2)])
+    # entries that are not integers are refused, not truncated to a row
+    # that the generators would not show; the range is checked first
+    floats = "generator entries must be integers, got float64"
+    for run in (generate_subpower, lambda alg, gens: generate_until(alg, gens, bool)):
+        with pytest.raises(TypeError, match=floats):
+            run(MIN2, [(0, 1.5), (1, 0)])
+        with pytest.raises(TypeError, match=floats):
+            run(MIN2, [(0, 1.0)])
+        with pytest.raises(ValueError, match="generator entry 2 outside universe"):
+            run(MIN2, [(0, 1.5), (2, 0)])
+    rel = generate_subpower(MIN2, [(True, False), (np.int64(0), np.uint8(1))])
+    assert rel.as_set() == {(1, 0), (0, 1), (0, 0)}
 
 
 def test_budget_error():
@@ -67,12 +78,13 @@ def test_budget_error():
 
 
 def test_find_constant():
+    # a constant tuple is the repeat of a block of width 1
     rel = generate_subpower(PROJ2, [(0, 1), (1, 0)])
-    assert find_constant(rel) is None
+    assert find_block_repeat(rel, 1, rel.width) is None
     rel = generate_subpower(MIN2, GENS3)
-    assert find_constant(rel) == 0
+    assert find_block_repeat(rel, 1, rel.width) == (0,)
     rel = generate_subpower(PROJ2, [(0, 0), (1, 1)])
-    assert find_constant(rel) == 0  # least of {0, 1}
+    assert find_block_repeat(rel, 1, rel.width) == (0,)  # least of {0, 1}
 
 
 def test_find_block_repeat():
@@ -355,7 +367,7 @@ def _check_reference_cases(monkeypatch, chunk, layout):
 
 
 class _Counted:
-    """A mask-form stop that counts its per-tuple calls and masked rows."""
+    """A key-form stop that counts its per-tuple calls and masked keys."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -366,27 +378,27 @@ class _Counted:
         self.calls += 1
         return self.inner(t)
 
-    def mask(self, rows):
-        self.masked += len(rows)
-        return self.inner.mask(rows)
+    def key_mask(self, keys, n, width):
+        self.masked += len(keys)
+        return self.inner.key_mask(keys, n, width)
 
 
 class _Never:
-    """A mask-form stop that never fires."""
+    """A key-form stop that never fires."""
 
     def __call__(self, t):
         return False
 
-    def mask(self, rows):
-        return np.zeros(len(rows), dtype=bool)
+    def key_mask(self, keys, n, width):
+        return np.zeros(len(keys), dtype=bool)
 
 
 @pytest.mark.parametrize("chunk", [None, 7, 1])
 def test_mask_stop_matches_the_per_tuple_stop(monkeypatch, chunk):
-    # a stop with a mask tests a block's fresh rows at once and must end
+    # a stop with a key mask tests a block's fresh keys at once and must end
     # where the same predicate, called tuple by tuple, ends; the per-tuple
     # form is called on the committed tuples in order and never past the
-    # hit, and the mask form is never called per tuple
+    # hit, and the key form is never called per tuple
     if chunk is not None:
         monkeypatch.setattr(subpower, "_CHUNK", chunk)
     paths = record_closure_paths(monkeypatch)
@@ -575,7 +587,8 @@ def test_budget_counts_commits_up_to_the_hit():
 
 def test_stop_is_not_tested_past_the_budget_room():
     # a stop that never fires sees exactly the tuples the budget admits, in
-    # committed order, and the closure then raises; a mask sees as many rows
+    # committed order, and the closure then raises; a key mask sees as many
+    # keys
     for rng, alg, gens in _reference_cases(5000, 80):
         tuples = reference_closure(alg, gens)[0]
         if len(tuples) < 2:
