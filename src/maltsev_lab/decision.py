@@ -25,11 +25,11 @@ saturated; the term read off its derivation is evaluated on the uncovered
 pairs after it, and so on.  So every pair gets the earliest-discovered term
 that works for it, and the first pair whose saturation holds no block repeat
 refutes.  A saturation stops at its first block repeat, a ``BlockRepeat``
-mask over each block of fresh rows.  A refutation is saturated again from
-scratch, its row set compared with the first one's, and checked by the
-standalone pattern finder.  Before a report is built, every witness is
-evaluated again on its pair, one call per distinct term, and checked against
-the equalities it claims.
+mask over each block of fresh keys, and only the hit's row is decoded.  A
+refutation is saturated again from scratch, its keys compared with the
+first one's, and checked by the standalone pattern finder.  Before a report
+is built, every witness is evaluated again on its pair, one call per
+distinct term, and checked against the equalities it claims.
 """
 from __future__ import annotations
 
@@ -123,11 +123,6 @@ class DecisionReport:
     witnesses: tuple[PairWitness, ...]
     refutation: Optional[tuple]
     stats: ReportStats
-
-
-def _sorted_rows(rel) -> np.ndarray:
-    """A relation's rows in lexicographic order: equal for equal row sets."""
-    return rel.rows[np.lexsort(rel.rows.T[::-1])]
 
 
 def _columns(problem: Problem, pairs) -> np.ndarray:
@@ -236,17 +231,21 @@ def decide(
             rounds_max = max(rounds_max, rel.rounds)
             if hit is None:
                 # refutation: replay the pair from scratch and require the
-                # standalone pattern finder to agree before reporting "no"
+                # standalone pattern finder to agree before reporting "no";
+                # base-n keys are one to one, so equal sorted keys are equal
+                # row sets
                 again = generate_subpower(alg, gens, budget)
                 if (
-                    not np.array_equal(_sorted_rows(again), _sorted_rows(rel))
+                    not np.array_equal(np.sort(again.keys), np.sort(rel.keys))
                     or find_block_repeat(again, block, reps) is not None
                 ):
                     raise ConsistencyError(
                         f"refutation at pair {pair} did not reproduce"
                     )
                 return report(pair)
-            term = extract_witness(rel, rel.rows[hit].tolist()).term
+            # the witness needs the hit's row alone
+            target = rel.layout.decode(rel.keys[hit:hit + 1])[0].tolist()
+            term = extract_witness(rel, target).term
             # free the closure's arrays before the term is evaluated on the
             # block, which would otherwise hold both at the sweep's peak
             del rel

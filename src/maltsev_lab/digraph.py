@@ -234,11 +234,8 @@ def build_S(rel, n: int) -> frozenset:
     """
     if n < 1:
         raise ValueError("block prefix width n must be at least 1")
-    tuples = getattr(rel, "tuples", None)
-    if tuples is None:
-        tuples = [tuple(t) for t in rel]
     out = set()
-    for t in tuples:
+    for t in map(tuple, rel):
         if len(t) % (n + 1) != 0:
             raise ValueError(
                 f"tuple width {len(t)} is not divisible by block width {n + 1}"

@@ -16,8 +16,9 @@ width with (n^s)^M at most ``_CHUNK`` for the largest arity M: a block's
 image keys are one gather per chunk from the algebra's cached lifted
 tables, combined by Horner's rule.  The state is the committed keys (Python
 ints from 2^62 on), operations and parents; ``BlockRepeat`` is tested on
-keys, and rows are decoded once.  A block holds a few arrays of ``_CHUNK``
-keys, and a lifted table at most ``_CHUNK`` entries.  ``is_closed`` gathers
+keys.  A relation is those keys, looked up by key, and its rows are decoded
+only when asked for.  A block holds a few arrays of ``_CHUNK`` keys, and a
+lifted table at most ``_CHUNK`` entries.  ``is_closed`` gathers
 lifted tables at a small relation's keys, and saturates any other relation
 with a budget of its own size.
 """
@@ -49,26 +50,28 @@ Derivation = tuple
 class TupleRelation:
     """A generated set of fixed-width tuples with per-tuple derivations.
 
-    ``rows`` holds the tuples in committed order, ``op_ids[i]`` is the
-    position in ``algebra.ops`` of the operation that first produced row i
-    (-1 for a generator), and ``parents[i, :arity]`` are the rows it was
-    applied to (a generator's position in column 0; -1 past the arity).
-    ``tuples`` and ``derivations`` are built from them when first asked
-    for.  A tuple's row is read from the dense path's key table, else found
-    by a scan of ``rows``.  Equality and hashing are by algebra, width,
-    generators, tuples, derivations, rounds and complete.
+    ``keys`` holds the tuples' base-n keys in committed order, ``op_ids[i]``
+    is the position in ``algebra.ops`` of the operation that first produced
+    tuple i (-1 for a generator), and ``parents[i, :arity]`` are the tuples
+    it was applied to (a generator's position in column 0; -1 past the
+    arity).  ``rows``, ``tuples`` and ``derivations`` are decoded from them
+    when first asked for.  A tuple is looked up by its key.  Relations are
+    compared by identity.
     """
 
     algebra: FiniteAlgebra
     width: int
     generators: tuple[tuple[int, ...], ...]
-    rows: np.ndarray
+    keys: np.ndarray
     op_ids: np.ndarray
     parents: np.ndarray
     rounds: int
     complete: bool
-    # on the dense path, each tuple's position by its key (-1 for absent)
-    _table: Optional[np.ndarray] = field(default=None, repr=False)
+    layout: _Layout = field(repr=False)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.layout.decode(self.keys)
 
     @cached_property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -82,46 +85,27 @@ class TupleRelation:
             for o, row in zip(self.op_ids.tolist(), self.parents.tolist())
         )
 
-    def _value(self) -> tuple:
-        return (
-            self.algebra, self.width, self.generators, self.tuples,
-            self.derivations, self.rounds, self.complete,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.keys)
+
+    def __iter__(self):
+        return iter(self.tuples)
 
     def _position(self, t) -> int:
-        """The row holding the tuple, or -1."""
+        """The position of the tuple, or -1."""
         t = tuple(t)
         if len(t) != self.width:
             return -1
-        if self._table is None:
-            found = np.flatnonzero((self.rows == t).all(axis=1))
-            return int(found[0]) if found.size else -1
         n, key = self.algebra.size, 0
         for v in t:
             if v not in range(n):
                 return -1
             key = key * n + int(v)
-        return int(self._table[key])
+        found = np.flatnonzero(self.keys == key)
+        return int(found[0]) if found.size else -1
 
     def __contains__(self, t) -> bool:
         return self._position(t) >= 0
-
-    def index_of(self, t) -> int:
-        i = self._position(t)
-        if i < 0:
-            raise KeyError(tuple(t))
-        return i
 
     def as_set(self) -> frozenset:
         return frozenset(self.tuples)
@@ -349,34 +333,44 @@ class _Closure:
             new[:self.count] = old[:self.count]
             setattr(self, name, new)
 
-    def _commit_block(self, keys, op_id, parents_of):
-        """Commit the new keys of a result block in first-occurrence order;
-        ``parents_of(positions, out)`` writes the parents of the keys at
-        those positions (a generator's position) into ``out``."""
+    def _fresh(self, keys):
+        """The positions in a block of the keys not committed yet."""
         if self.dense:
-            fresh = np.flatnonzero(self.seen[keys] < 0)
-            fk = keys[fresh]
+            return np.flatnonzero(self.seen[keys] < 0)
+        if self.layout.keyed:
+            return np.flatnonzero(np.isin(keys, self.keys[:self.count], invert=True))
+        known = self.known
+        fresh = [i for i, key in enumerate(keys.tolist()) if key not in known]
+        return np.array(fresh, dtype=np.intp)
+
+    def _first_positions(self, keys, fresh):
+        """The fresh positions that hold their key's first occurrence."""
+        fk = keys[fresh]
+        if self.dense:
             # the least position of each fresh key, its slot reset first;
             # keys past a stop hit or a budget cut leave stale slots, never
             # read again because the closure ends there
             self.first[fk] = len(keys)
             np.minimum.at(self.first, fk, fresh)
-            positions = fresh[self.first[fk] == fresh]
-        elif self.layout.keyed:
-            known = self.keys[:self.count]
-            fresh = np.flatnonzero(np.isin(keys, known, invert=True))
-            _, first = np.unique(keys[fresh], return_index=True)
-            positions = fresh[np.sort(first)]
-        else:
-            first = {}
-            for i, key in enumerate(keys.tolist()):
-                if key not in self.known:
-                    first.setdefault(key, i)
-            positions = np.fromiter(first.values(), np.intp, len(first))
-        if not positions.size:
+            return fresh[self.first[fk] == fresh]
+        if self.layout.keyed:
+            _, first = np.unique(fk, return_index=True)
+            return fresh[np.sort(first)]
+        # read backwards, each key's last write is its first occurrence
+        first = dict(zip(fk.tolist()[::-1], fresh.tolist()[::-1]))
+        return np.sort(np.fromiter(first.values(), np.intp, len(first)))
+
+    def _commit_block(self, keys, op_id, parents_of):
+        """Commit the new keys of a result block in first-occurrence order;
+        ``parents_of(positions, out)`` writes the parents of the keys at
+        those positions (a generator's position) into ``out``."""
+        fresh = self._fresh(keys)
+        if not fresh.size:
             return
         start = self.count
         room = max(self.budget - start, 0)
+        # with no room left, the first fresh key exceeds the budget
+        positions = self._first_positions(keys, fresh) if room else fresh[:1]
         cut = positions.size
         new = keys[positions]
         if self.find_hit is not None:
@@ -457,12 +451,12 @@ class _Closure:
             algebra=self.alg,
             width=self.width,
             generators=tuple(generators),
-            rows=self.layout.decode(self.keys[:c]),
+            keys=self.keys[:c],
             op_ids=self.op_ids[:c],
             parents=self.parents[:c],
             rounds=self.rounds,
             complete=self.hit is None,
-            _table=self.seen if self.dense else None,
+            layout=self.layout,
         )
 
 

@@ -241,6 +241,29 @@ def test_refutation_is_first_failing_pair():
     assert report.stats.pairs_checked == 2  # (0,0) succeeded, (0,1) refuted
 
 
+def test_a_yes_sweep_decodes_only_its_hit_rows(monkeypatch):
+    # a saturation that hits needs only the hit's row to read its witness
+    # off; no closure of a "yes" sweep is decoded whole
+    from maltsev_lab import decision, subpower
+
+    decoded, saturations = [], []
+    decode, until = subpower._Layout.decode, decision.generate_until
+
+    def counted_decode(layout, keys):
+        decoded.append(len(keys))
+        return decode(layout, keys)
+
+    def counted_until(*args):
+        saturations.append(args)
+        return until(*args)
+
+    monkeypatch.setattr(subpower._Layout, "decode", counted_decode)
+    monkeypatch.setattr(decision, "generate_until", counted_until)
+    report = has_quasi_taylor(random_algebra(7, 12, [2]))
+    assert report.answer and len(saturations) == 30
+    assert sum(decoded) == len(saturations)
+
+
 def test_witness_tables_live_in_complete_clone_slices():
     for alg in ALL_BINARY2:
         report = has_k_qwnu(alg, 2)

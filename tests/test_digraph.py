@@ -394,9 +394,11 @@ def test_build_S_examples():
 
 
 def test_build_S_accepts_relations():
-    # closure of (0,1,0,0) under meet is itself, so S is {(1,0)}
+    # closure of (0,1,0,0) under meet is itself, so S is {(1,0)}; a relation
+    # iterates over its tuples, so it is also an admissible relation
     rel = generate_subpower(MIN2, [(0, 1, 0, 0)])
     assert build_S(rel, 1) == frozenset({(1, 0)})
+    assert list(rel) == [(0, 1, 0, 0)] and is_admissible(MIN2, rel)
 
 
 def test_build_G_examples():

@@ -554,6 +554,91 @@ def test_wide_keys_are_looked_up_in_linear_time():
     _assert_arrays_match(rel, alg, want)
 
 
+def _affine(p):
+    """x - y + z mod p: a subpower is a coset, so most tuples are outside."""
+    return make_algebra(
+        f"z{p}", p,
+        ("m", 3, tuple((x - y + z) % p for x, y, z in itertools.product(range(p), repeat=3))),
+    )
+
+
+@pytest.mark.parametrize(
+    "path,alg,width,gens",
+    [
+        ("dense", _affine(3), 8, 4),
+        ("keyed", _affine(7), 6, 4),
+        # the 16^16 unary monoid from the identity map
+        ("tuple", random_algebra(24, 16, [1, 1]), 16, None),
+    ],
+    ids=["dense", "keyed", "tuple"],
+)
+def test_lookup_by_key_on_every_commit_path(monkeypatch, path, alg, width, gens):
+    # a tuple is in the relation exactly when its key is committed, whatever
+    # the keys' dtype; a sample of the committed tuples is looked up, each
+    # with one coordinate changed, the wrong width, and an entry n or -1
+    import random
+
+    paths = record_closure_paths(monkeypatch)
+    n = alg.size
+    rng = random.Random(width)
+    if gens is None:
+        gens = [tuple(range(n))]
+    else:
+        gens = [tuple(rng.randrange(n) for _ in range(width)) for _ in range(gens)]
+    rel = generate_subpower(alg, gens)
+    assert paths == {path: 1}
+    members = rel.as_set()
+    outside = 0
+    for t in rng.sample(rel.tuples, min(len(rel), 40)):
+        assert t in rel and extract_witness(rel, t).target == t
+        c = rng.randrange(width)
+        changed = t[:c] + (rng.choice([v for v in range(n) if v != t[c]]),) + t[c + 1:]
+        assert (changed in rel) == (changed in members), changed
+        outside += changed not in members
+        assert t[:-1] not in rel and t + t[:1] not in rel
+        for c in range(width):
+            for v in (n, -1):
+                assert t[:c] + (v,) + t[c + 1:] not in rel, (t, c, v)
+    assert outside > 0
+
+
+def _two_fresh_algebra(size):
+    """From 0 and 1, b gives 0, 2, 2, 3 in round 1 and 0 from then on: the
+    block has three fresh images, two of them distinct."""
+    table = {(0, 1): 2, (1, 0): 2, (1, 1): 3}
+    return make_algebra(
+        "twofresh", size,
+        ("b", 2, tuple(table.get(xy, 0) for xy in itertools.product(range(size), repeat=2))),
+    )
+
+
+@pytest.mark.parametrize("path,width", [("dense", 1), ("keyed", 9), ("tuple", 32)])
+def test_no_budget_room_raises_before_the_block_is_deduped(monkeypatch, path, width):
+    # the round-1 block holds constant tuples 2, 2, 3: a budget of 4 commits
+    # both, one of 3 has room for one and raises, and one of 2 has no room,
+    # so it raises at the first fresh key without ordering first occurrences
+    paths = record_closure_paths(monkeypatch)
+    rooms = []
+    first_positions = subpower._Closure._first_positions
+
+    def recorded(state, keys, fresh):
+        rooms.append(state.budget - state.count)
+        return first_positions(state, keys, fresh)
+
+    monkeypatch.setattr(subpower._Closure, "_first_positions", recorded)
+    alg = _two_fresh_algebra(4)
+    gens = [(0,) * width, (1,) * width]
+    rel = generate_subpower(alg, gens, budget=4)
+    assert rel.tuples == tuple((v,) * width for v in range(4))
+    assert rooms == [4, 2]
+    for budget, want in ((3, [3, 1]), (2, [2])):
+        rooms.clear()
+        with pytest.raises(BudgetExceededError, match=f"budget of {budget} tuples"):
+            generate_subpower(alg, gens, budget=budget)
+        assert rooms == want
+    assert paths == {path: 3}
+
+
 def test_enumeration_stops_at_the_full_power(monkeypatch):
     # once a closure holds all of A^w, no later combination is enumerated
     commit = subpower._Closure._commit_block
