@@ -26,8 +26,6 @@ from .decision import (
     PairWitness,
     Problem,
     ReportStats,
-    check_quasi_siggers_identity,
-    check_qwnu_identities,
     decide,
     has_k_qwnu,
     has_k_wnu_idemp,

@@ -92,6 +92,11 @@ class FiniteAlgebra:
         return op
 
     @cached_property
+    def max_arity(self) -> int:
+        """The largest arity of a basic operation."""
+        return max(op.arity for op in self.ops)
+
+    @cached_property
     def table_arrays(self) -> dict:
         """Read-only int64 copies of the tables by symbol, built on first use."""
         arrays = {}

@@ -1,15 +1,17 @@
 """Decision procedures for quasi weak near-unanimity and quasi Taylor terms.
 
-Each condition is a ``Problem`` record that quantifies over pairs of
-elements (or element tuples).  A pair fixes W argument tuples of length k,
-one per output coordinate, and a k-ary term is a local witness at the pair
-when its W values repeat their first block:
+Each condition is a ``Problem`` record, data only: a pattern of term
+applications, a point shape, a block and a symbol.  A pair of points
+(elements, or element tuples) fills each application, one of its two points
+per argument, and a k-ary term is a local witness at the pair when its
+values on the applications, coordinate by coordinate, repeat their first
+block:
 
-  qwnu(k)          the k displaced tuples; block 1, a constant
-  nlocal(n, k)     k blocks of n tuples, block i displaced in argument i;
-                   block n
+  qwnu(k)          the k displacements: the second point in argument i of
+                   application i, the first elsewhere; block 1, a constant
+  nlocal(n, k)     the same displacements of n-tuples; block n
   qtaylor()        both sides of two quasi Siggers instances at the pair,
-                   left values first; block 2
+                   left sides first; block 2
 
 ``decide(alg, problem, budget)`` sweeps the pairs, and
 ``verify_local(alg, problem, pair, term)`` checks one witness the same way.
@@ -18,9 +20,10 @@ Read the other way, the k argument positions are the generator columns of a
 subpower, and a witness exists iff that subpower holds a block repeat.
 
 The sweep is term first.  Pairs are taken in lexicographic order, in blocks
-of _PAIR_BLOCK.  Each term found so far is evaluated, in discovery order, on
-every pair of the block that no earlier term covers, one batched
-``evaluate_columns`` call per term.  The first pair left uncovered is
+of _PAIR_BLOCK, whose argument columns are one fancy index of the pattern
+into an array of the pairs.  Each term found so far is evaluated, in
+discovery order, on every pair of the block that no earlier term covers, one
+batched ``evaluate_columns`` call per term.  The first pair left uncovered is
 saturated; the term read off its derivation is evaluated on the uncovered
 pairs after it, and so on.  So every pair gets the earliest-discovered term
 that works for it, and the first pair whose saturation holds no block repeat
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,21 +67,24 @@ _PAIR_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class Problem:
-    """One condition, decided pair by pair.
+    """One condition, decided pair by pair, as data.
 
     Pairs are of elements when ``point`` is None, else of ``point``-tuples.
-    ``args_of(pair)`` lists the W argument tuples at a pair, and
-    ``identities_of(pair, result)`` states the equalities of a witness whose
-    values repeat ``result``, their first ``block`` values.  Reports name
-    the pair's two fields ``pair_names``.
+    ``pattern`` has one row per term application the condition displays;
+    entry j of a row is 0 or 1: argument j is the pair's first or second
+    point.  Application i fills output coordinates i*p to i*p + p - 1, p
+    the point's length (1 for an element), so a pair fixes W = p *
+    len(pattern) argument tuples.  A witness's W values repeat ``result``,
+    their first ``block`` values, and its identities call the term
+    ``symbol``.  Reports name the pair's two fields ``pair_names``.
     """
 
     name: str
     parameters: tuple[tuple[str, int], ...]
     point: Optional[int]
-    args_of: Callable[[tuple], list[tuple[int, ...]]]
+    pattern: tuple[tuple[int, ...], ...]
     block: int
-    identities_of: Callable[[tuple, tuple], tuple[str, ...]]
+    symbol: str
     pair_names: tuple[str, str]
 
     def points(self, alg: FiniteAlgebra) -> Sequence:
@@ -90,6 +96,23 @@ class Problem:
     def pairs(self, alg: FiniteAlgebra) -> Iterable[tuple]:
         """The pairs the sweep visits on the algebra, in its order."""
         return itertools.product(self.points(alg), repeat=2)
+
+    def identities(self, pair: tuple, result: tuple) -> tuple[str, ...]:
+        """The equality chains of a witness whose values at the pair repeat
+        ``result``: with elements, chain j holds the applications j, j +
+        block, ... and ends in result[j]; with tuples, one chain holds all
+        applications, each of which is ``result`` in every coordinate."""
+        if self.point is None:
+            points = [str(x) for x in pair]
+        else:
+            points = [_call("", p) for p in pair]
+        # each point rendered once, then selected per argument
+        calls = [f"{self.symbol}({','.join([points[b] for b in row])})" for row in self.pattern]
+        if self.point is not None:
+            return (f"{' = '.join(calls)} = {_call('', result)} in every block",)
+        return tuple(
+            f"{' = '.join(calls[j::self.block])} = {result[j]}" for j in range(self.block)
+        )
 
 
 @dataclass(frozen=True)
@@ -126,9 +149,12 @@ class DecisionReport:
 
 
 def _columns(problem: Problem, pairs) -> np.ndarray:
-    """cols[j, p, c]: argument j of pair p at output coordinate c."""
-    args = [problem.args_of(pair) for pair in pairs]
-    return np.array(args, dtype=np.int64).transpose(2, 0, 1)
+    """cols[j, p, c]: argument j of pair p at output coordinate c, which is
+    coordinate c % p' of application c // p' (p' the point's length)."""
+    points = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, -1)
+    # (P, k, applications, p'): the point that each argument selects
+    args = points[:, np.array(problem.pattern).T]
+    return args.transpose(1, 0, 2, 3).reshape(args.shape[1], len(pairs), -1)
 
 
 def _values(alg, term, cols, idx) -> np.ndarray:
@@ -160,7 +186,7 @@ def _claimed_witnesses(alg, problem, chunk, cols, term_of):
                 raise ConsistencyError(
                     f"witness violates its claimed equalities at pair {chunk[p]}"
                 )
-            identities = problem.identities_of(chunk[p], result)
+            identities = problem.identities(chunk[p], result)
             witnesses[p] = PairWitness(chunk[p], term, result, identities)
     return witnesses
 
@@ -280,10 +306,10 @@ def _call(name, args):
     return name + "(" + ",".join(map(str, args)) + ")"
 
 
-def _displaced(rbar, sbar, k):
-    """The k displaced argument tuples at (rbar, sbar), block by block:
-    block i, coordinate c holds sbar[c] in argument i and rbar[c] elsewhere."""
-    return [(r,) * i + (s,) + (r,) * (k - 1 - i) for i in range(k) for r, s in zip(rbar, sbar)]
+def _displacements(k):
+    """The k displaced applications: the second point in argument i of
+    application i, the first elsewhere."""
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def qwnu(k: int) -> Problem:
@@ -294,16 +320,7 @@ def qwnu(k: int) -> Problem:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-
-    def args_of(pair):
-        r, s = pair
-        return _displaced((r,), (s,), k)
-
-    def identities(pair, result):
-        chain = " = ".join(_call("t", args) for args in args_of(pair))
-        return (f"{chain} = {result[0]}",)
-
-    return Problem("qwnu", (("k", k),), None, args_of, 1, identities, ("r", "s"))
+    return Problem("qwnu", (("k", k),), None, _displacements(k), 1, "t", ("r", "s"))
 
 
 def nlocal(n: int, k: int) -> Problem:
@@ -316,20 +333,9 @@ def nlocal(n: int, k: int) -> Problem:
         raise ValueError("locality n must be at least 1")
     if k < 2:
         raise ValueError("k must be at least 2")
-
-    def args_of(pair):
-        return _displaced(*pair, k)
-
-    def identities(pair, result):
-        rbar, sbar = pair
-
-        def fmt(i):
-            return _call("t", (_call("", sbar if i == j else rbar) for j in range(k)))
-
-        chain = " = ".join(fmt(i) for i in range(k))
-        return (f"{chain} = {_call('', result)} in every block",)
-
-    return Problem("nlocal-qwnu", (("n", n), ("k", k)), n, args_of, n, identities, ("r", "s"))
+    return Problem(
+        "nlocal-qwnu", (("n", n), ("k", k)), n, _displacements(k), n, "t", ("r", "s")
+    )
 
 
 def qtaylor() -> Problem:
@@ -339,21 +345,9 @@ def qtaylor() -> Problem:
     term flips a against b in every position, so it is a local quasi Taylor
     term at (a, b); one for every pair is equivalent to a global one.
     """
-
-    def args_of(pair):
-        a, b = pair
-        # left sides, then right sides; (r, x, e) = (a, b, b), then (b, b, a)
-        return [(a, b, a, b), (b, b, b, a), (b, a, b, b), (b, b, a, b)]
-
-    def identities(pair, result):
-        left1, left2, right1, right2 = args_of(pair)
-        u, v = result
-        return (
-            f"{_call('s', left1)} = {_call('s', right1)} = {u}",
-            f"{_call('s', left2)} = {_call('s', right2)} = {v}",
-        )
-
-    return Problem("qtaylor", (), None, args_of, 2, identities, ("a", "b"))
+    # left sides, then right sides, with (r, x, e) = (a, b, b), then (b, b, a)
+    pattern = ((0, 1, 0, 1), (1, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1))
+    return Problem("qtaylor", (), None, pattern, 2, "s", ("a", "b"))
 
 
 def has_k_qwnu(
@@ -404,24 +398,3 @@ def has_quasi_taylor(
 ) -> DecisionReport:
     """Decide whether the algebra has a quasi Taylor term."""
     return decide(alg, qtaylor(), budget)
-
-
-def check_qwnu_identities(alg: FiniteAlgebra, t: Term, k: int) -> bool:
-    """Global check: do all k displaced evaluations coincide for ALL x, y."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    args = [
-        a
-        for x, y in itertools.product(range(alg.size), repeat=2)
-        for a in _displaced((x,), (y,), k)
-    ]
-    values = evaluate_columns(alg, t, np.array(args, dtype=np.int64).T)
-    return bool(_is_repeat(values.reshape(-1, k), 1).all())
-
-
-def check_quasi_siggers_identity(alg: FiniteAlgebra, s: Term) -> bool:
-    """Global check of s(r,a,r,e) = s(a,r,e,a) over the whole universe."""
-    r, a, e = np.indices((alg.size,) * 3).reshape(3, -1)
-    left = evaluate_columns(alg, s, np.stack([r, a, r, e]))
-    right = evaluate_columns(alg, s, np.stack([a, r, e, a]))
-    return bool((left == right).all())

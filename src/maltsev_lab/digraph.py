@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra
 from .errors import AlgebraFormatError, ConsistencyError
-from .subpower import is_closed
+from .subpower import is_closed, _validate_tuples
 
 WalkStep = tuple  # ((u, v), +1 | -1)
 
@@ -199,29 +199,18 @@ def is_admissible(alg: FiniteAlgebra, rel) -> bool:
     """Is the relation closed under every basic operation, coordinate-wise.
 
     The empty relation is.  Otherwise the tuples are validated in order
-    and checked by ``subpower.is_closed``: an m-ary operation on k tuples
-    with n^width, (n^width)^m and k^m at most 2^16 in one gather per
-    argument of the algebra's lifted table (built on first use, cached on
-    the algebra).  From the first operation that does not fit, the
-    relation is saturated with a budget of its own size, which its first
-    image outside it exceeds.  Memory is the closure's arrays of the
-    relation plus one block, not the number of combinations.
+    and checked by ``subpower.is_closed``: when n^width, (n^width)^M and
+    k^M are at most 2^16 for k tuples and the largest arity M, each
+    operation in one gather per argument of the algebra's lifted table
+    (built on first use, cached on the algebra).  Otherwise the relation is
+    saturated with a budget of its own size, which its first image outside
+    it exceeds.  Memory is the closure's arrays of the relation plus one
+    block, not the number of combinations.
     """
     tuples = [tuple(t) for t in rel]
     if not tuples:
         return True
-    width = len(tuples[0])
-    n = alg.size
-    for t in tuples:
-        if len(t) != width:
-            raise ValueError("relation tuples must have equal width")
-        for v in t:
-            if not 0 <= v < n:
-                raise ValueError(f"relation entry {v} outside universe")
-    rows = np.array(tuples)
-    if rows.dtype.kind not in "biu":
-        # an int64 cast would truncate 1.5 to a valid entry
-        raise TypeError(f"relation entries must be integers, got {rows.dtype}")
+    rows = _validate_tuples(tuples, alg.size, "relation")
     return is_closed(alg, rows.astype(np.int64, copy=False))
 
 

@@ -293,7 +293,7 @@ class _Closure:
         self.width = len(generators[0])
         self.full_size = self.n**self.width
         self.budget = budget
-        arity = max(op.arity for op in alg.ops)
+        arity = alg.max_arity
         self.layout = _layout(self.n, self.width, arity, _CHUNK)
         self.find_hit = None if stop is None else _hit_finder(stop, self.layout)
         self.hit: Optional[int] = None
@@ -353,12 +353,8 @@ class _Closure:
             self.first[fk] = len(keys)
             np.minimum.at(self.first, fk, fresh)
             return fresh[self.first[fk] == fresh]
-        if self.layout.keyed:
-            _, first = np.unique(fk, return_index=True)
-            return fresh[np.sort(first)]
-        # read backwards, each key's last write is its first occurrence
-        first = dict(zip(fk.tolist()[::-1], fresh.tolist()[::-1]))
-        return np.sort(np.fromiter(first.values(), np.intp, len(first)))
+        _, first = np.unique(fk, return_index=True)
+        return fresh[np.sort(first)]
 
     def _commit_block(self, keys, op_id, parents_of):
         """Commit the new keys of a result block in first-occurrence order;
@@ -460,23 +456,31 @@ class _Closure:
         )
 
 
+def _validate_tuples(tuples, n, noun):
+    """The rows of equal-width tuples of elements of 0..n-1, as an array;
+    checked tuple by tuple (width, then entries), then for integer entries.
+    Messages name the tuples by ``noun``."""
+    width = len(tuples[0])
+    for t in tuples:
+        if len(t) != width:
+            raise ValueError(f"{noun} tuples must have equal width")
+        for v in t:
+            if not 0 <= v < n:
+                raise ValueError(f"{noun} entry {v} outside universe")
+    rows = np.array(tuples)
+    if rows.dtype.kind not in "biu":
+        # an int64 cast would truncate 1.5 to a valid entry
+        raise TypeError(f"{noun} entries must be integers, got {rows.dtype}")
+    return rows
+
+
 def _validate_generators(alg, generators):
     gens = [tuple(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator tuple is required")
-    width = len(gens[0])
-    if width == 0:
+    if not gens[0]:
         raise ValueError("generator width must be positive")
-    for g in gens:
-        if len(g) != width:
-            raise ValueError("all generator tuples must have equal width")
-        for v in g:
-            if not 0 <= v < alg.size:
-                raise ValueError(f"generator entry {v} outside universe")
-    dtype = np.array(gens).dtype
-    if dtype.kind not in "biu":
-        # an int64 cast would truncate 1.5 to a valid entry
-        raise TypeError(f"generator entries must be integers, got {dtype}")
+    _validate_tuples(gens, alg.size, "generator")
     return gens
 
 
@@ -514,34 +518,30 @@ def generate_until(
 
 def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     """Is the set of rows of a (k, width) array, k >= 1, closed under every
-    basic operation, coordinate-wise?  While n^width, (n^width)^m and k^m
-    fit ``_CHUNK``, an m-ary operation is checked in declaration order by
-    taking its lifted table at the rows' keys along each axis.  From the
-    first operation that does not fit, the rows are saturated with a budget
-    of their own number: a closure of them that commits a tuple is not
-    closed, and one that holds all of A^width stops at once.  Memory is the
-    closure's arrays of the rows plus one block.
+    basic operation, coordinate-wise?  When n^width, (n^width)^M and k^M
+    fit ``_CHUNK`` for the largest arity M, each m-ary operation is checked
+    by taking its lifted table at the rows' keys along each axis; these
+    sizes grow with m, so then every operation fits.  Otherwise the rows are
+    saturated with a budget of their own number: a closure of them that
+    commits a tuple is not closed, and one that holds all of A^width stops
+    at once.  Memory is the closure's arrays of the rows plus one block.
     """
     k, w = rows.shape
-    n = alg.size
-    if n**w <= _CHUNK:
+    n, m = alg.size, alg.max_arity
+    # m <= 32 keeps the table within numpy 1's limit on dimensions, and a
+    # huge arity's power from being taken
+    if n**w <= _CHUNK and m <= 32 and max(n**w, k) ** m <= _CHUNK:
         keys = rows.dot(_key_powers(n, w))
         member = np.zeros(n**w, dtype=bool)
         member[keys] = True
         for op in alg.ops:
-            m = op.arity
-            # m <= 32 keeps the table within numpy 1's limit on dimensions,
-            # and a huge arity's power from being taken
-            if m > 32 or max(n**w, k) ** m > _CHUNK:
-                break
             images = alg.lifted_table(op.symbol, w)
-            for axis in range(m):
+            for axis in range(op.arity):
                 images = images.take(keys, axis)
             # not .all(): its reduction costs a tenth of a small check
             if np.count_nonzero(member[images]) != images.size:
                 return False
-        else:
-            return True
+        return True
     state = _Closure(alg, rows, k, None)
     # the first image outside the rows exceeds the budget
     state.budget = state.count

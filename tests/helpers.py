@@ -189,15 +189,13 @@ def record_closure_paths(monkeypatch):
 def record_admissibility_paths(monkeypatch):
     """Count the closedness checks run from now on by the paths they take.
 
-    A check of k rows of width w over n elements takes the "gather" path
-    for each m-ary operation, in declaration order, while n^w, (n^w)^m and
-    k^m are at most ``_CHUNK`` and m is at most 32: it reads the algebra's
-    lifted table at the rows' keys.  At the first operation that does not
-    fit, or at once when n^w is above ``_CHUNK``, it takes the "saturate"
-    path: one closure of the rows, which reads lifted tables of its own.
-    Each check must take the paths its sizes select, in that order, and
-    take all of them when the answer is yes.  A check counts once toward
-    each path it took.
+    A check of k rows of width w over n elements takes one path, chosen by
+    the largest arity M.  It takes the "gather" path for each operation, in
+    declaration order, when n^w, (n^w)^M and k^M are at most ``_CHUNK`` and
+    M is at most 32: it reads the algebra's lifted table at the rows' keys.
+    Otherwise it takes the "saturate" path: one closure of the rows, which
+    reads lifted tables of its own.  Each check must take the path its sizes
+    select, through every operation when the answer is yes.
     """
     paths = collections.Counter()
     events = None
@@ -226,14 +224,11 @@ def record_admissibility_paths(monkeypatch):
         k, w = rows.shape
         n = alg.size
         chunk = subpower._CHUNK
-        fits = n**w <= chunk
-        want = []
-        for op in alg.ops:
-            fits = fits and op.arity <= 32 and max(n**w, k) ** op.arity <= chunk
-            if not fits:
-                want.append(("saturate", None))
-                break
-            want.append(("gather", op.symbol))
+        m = max(op.arity for op in alg.ops)
+        if n**w <= chunk and m <= 32 and max(n**w, k) ** m <= chunk:
+            want = [("gather", op.symbol) for op in alg.ops]
+        else:
+            want = [("saturate", None)]
         events = []
         try:
             answer = check(alg, rows)

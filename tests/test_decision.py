@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from helpers import (
@@ -17,8 +20,6 @@ from helpers import (
 from maltsev_lab import (
     Apply,
     Variable,
-    check_quasi_siggers_identity,
-    check_qwnu_identities,
     decide,
     enumerate_clone_slice,
     find_block_repeat,
@@ -32,11 +33,14 @@ from maltsev_lab import (
     oracle_find_quasi_siggers,
     oracle_find_qwnu,
     qtaylor,
+    quasi_siggers_table_check,
     qwnu,
+    qwnu_table_check,
     random_algebra,
     term_table,
     verify_local,
 )
+from maltsev_lab.decision import _columns
 from maltsev_lab.errors import BudgetExceededError
 
 MIN_CHAIN3 = Apply("meet", (Variable(0), Apply("meet", (Variable(1), Variable(2)))))
@@ -83,9 +87,102 @@ def test_nlocal_named_verdicts():
 
 
 def test_nlocal_one_matches_qwnu():
-    for alg in [MIN2, PROJ2, NOT2, Z3_MALTSEV] + ALL_BINARY2[:8]:
+    # 1-local qWNU is qWNU read on 1-tuples: the same sweep, pair by pair,
+    # with the same refutation, pair count, terms and results
+    signatures = [[2], [1, 2], [3], [0, 2], [1], [2, 2]]
+    corpus = [MIN2, PROJ2, NOT2, Z3_MALTSEV] + ALL_BINARY2[:8]
+    rng = random.Random(11)
+    for seed in range(200):
+        size = seed % 4 + 1
+        if seed % 2:
+            # a permutation refutes at distinct elements; a unary map beside
+            # it may not
+            ops = [("p", 1, tuple(rng.sample(range(size), size)))]
+            ops += [("u", 1, tuple(rng.randrange(size) for _ in range(size)))] * rng.randint(0, 1)
+            corpus.append(make_algebra(f"unary{seed}", size, *ops))
+        else:
+            signature = signatures[seed // 2 % len(signatures)]
+            corpus.append(random_algebra(seed, size, signature))
+    counts = {True: 0, False: 0}
+    for alg in corpus:
         for k in (2, 3):
-            assert has_n_local_k_qwnu(alg, 1, k).answer == has_k_qwnu(alg, k).answer
+            local, plain = has_n_local_k_qwnu(alg, 1, k), has_k_qwnu(alg, k)
+            label = (alg.name, k)
+            assert local.answer == plain.answer, label
+            counts[plain.answer] += 1
+            assert local.stats.pairs_checked == plain.stats.pairs_checked, label
+            if not plain.answer:
+                r, s = plain.refutation
+                assert local.refutation == ((r,), (s,)), label
+                continue
+            assert len(local.witnesses) == len(plain.witnesses) == alg.size**2, label
+            for lw, pw in zip(local.witnesses, plain.witnesses):
+                assert lw.pair == tuple((x,) for x in pw.pair), label
+                assert (lw.term, lw.result) == (pw.term, pw.result), label
+    assert counts[True] >= 100 and counts[False] >= 100, counts
+
+
+def _paper_arguments(problem, pair):
+    """The argument tuples at a pair, output coordinate by coordinate, from
+    the condition's identities: the displaced tuples of (n-local) qWNU, and
+    the left sides, then the right sides, of s(r,x,r,e) = s(x,r,e,x) at
+    (r, x, e) = (a, b, b) and (b, b, a) for quasi Taylor."""
+    if problem.name == "qtaylor":
+        a, b = pair
+        instances = [(a, b, b), (b, b, a)]
+        left = [(r, x, r, e) for r, x, e in instances]
+        right = [(x, r, e, x) for r, x, e in instances]
+        return left + right
+    k = dict(problem.parameters)["k"]
+    rbar, sbar = pair if problem.point else ((pair[0],), (pair[1],))
+    return [
+        tuple(s if j == i else r for j in range(k))
+        for i in range(k)
+        for r, s in zip(rbar, sbar)
+    ]
+
+
+def test_arguments_and_identities_follow_the_paper():
+    # every pair over 3 elements: the argument columns are the paper's
+    # tuples, and each identity line chains the calls on them
+    problems = [qwnu(2), qwnu(3), nlocal(1, 2), nlocal(2, 2), nlocal(2, 3), nlocal(3, 2), qtaylor()]
+    for problem in problems:
+        points = (
+            list(range(3)) if problem.point is None
+            else list(itertools.product(range(3), repeat=problem.point))
+        )
+        pairs = list(itertools.product(points, repeat=2))
+        cols = _columns(problem, pairs)
+        result = tuple(range(5, 5 + problem.block))
+        for p, pair in enumerate(pairs):
+            args = _paper_arguments(problem, pair)
+            assert cols[:, p].T.tolist() == [list(a) for a in args], (problem.name, pair)
+            lines = problem.identities(pair, result)
+            if problem.point is None:
+                # chain j: the applications whose values are result[j]
+                symbol = "s" if problem.name == "qtaylor" else "t"
+                calls = [f"{symbol}({','.join(map(str, a))})" for a in args]
+                want = [
+                    " = ".join(calls[j::problem.block] + [str(result[j])])
+                    for j in range(problem.block)
+                ]
+            else:
+                # application i: the points in block i of the coordinates
+                n = problem.point
+                calls = [
+                    "t(" + ",".join(
+                        "(" + ",".join(str(args[i * n + c][j]) for c in range(n)) + ")"
+                        for j in range(len(args[0]))
+                    ) + ")"
+                    for i in range(len(args) // n)
+                ]
+                want = [" = ".join(calls) + f" = ({','.join(map(str, result))}) in every block"]
+            assert list(lines) == want, (problem.name, pair)
+
+
+def test_problems_are_data():
+    assert qwnu(3) == qwnu(3) and hash(nlocal(2, 3)) == hash(nlocal(2, 3))
+    assert qwnu(3) != nlocal(1, 3) and qtaylor() == qtaylor()
 
 
 def test_nlocal_validation():
@@ -148,13 +245,21 @@ def test_qtaylor_minority_regression():
 
 
 def test_check_qwnu_identities():
-    assert check_qwnu_identities(MIN2, MIN_CHAIN3, 3)
-    assert not check_qwnu_identities(MIN2, Variable(0), 2)
+    # global qWNU identities of a term, through its table
+    def check(alg, t, k):
+        return qwnu_table_check(term_table(alg, t, k), alg.size, k)
+
+    assert check(MIN2, MIN_CHAIN3, 3)
+    assert not check(MIN2, Variable(0), 2)
     minority = Apply("m", (Variable(0), Variable(1), Variable(2)))
-    assert check_qwnu_identities(Z2_MINORITY, minority, 3)
+    assert check(Z2_MINORITY, minority, 3)
 
 
 def test_check_quasi_siggers_identity():
+    # the global quasi Siggers identity of a term, through its table
+    def check(alg, s):
+        return quasi_siggers_table_check(term_table(alg, s, 4), alg.size)
+
     meet4 = Apply(
         "meet",
         (
@@ -162,9 +267,9 @@ def test_check_quasi_siggers_identity():
             Apply("meet", (Variable(2), Variable(3))),
         ),
     )
-    assert check_quasi_siggers_identity(MIN2, meet4)
-    assert not check_quasi_siggers_identity(MIN2, Variable(0))
-    assert check_quasi_siggers_identity(ONE1, Variable(0))
+    assert check(MIN2, meet4)
+    assert not check(MIN2, Variable(0))
+    assert check(ONE1, Variable(0))
 
 
 def test_oracle_completeness_exhaustive_two_element():
@@ -278,7 +383,7 @@ def test_witness_tables_live_in_complete_clone_slices():
 def _refuted(alg, problem, pair):
     """No block repeat in the subpower generated by the pair's argument
     columns: no term is a local witness there."""
-    gens = list(zip(*problem.args_of(pair)))
+    gens = _columns(problem, [pair])[:, 0].tolist()
     rel = generate_subpower(alg, gens)
     return find_block_repeat(rel, problem.block, rel.width // problem.block) is None
 
@@ -287,8 +392,6 @@ def test_relabelling_and_reordering_operations_change_nothing():
     # an isomorphic copy, its operations reordered, has the same verdicts;
     # a refuted pair maps to a refuted pair both ways, and every witness,
     # its pair and result mapped, is a witness of the copy
-    import random
-
     rng = random.Random(7)
     counts = {"yes": 0, "no": 0}
     for case in range(200):
