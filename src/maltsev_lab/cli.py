@@ -118,10 +118,8 @@ def _load_algebra(path):
 
 
 def _emit_report(report, args) -> int:
-    if args.json:
-        sys.stdout.write(report_to_json(report, include_witnesses=args.witness))
-    else:
-        sys.stdout.write(report_to_text(report, include_witnesses=args.witness))
+    render = report_to_json if args.json else report_to_text
+    sys.stdout.write(render(report, include_witnesses=args.witness))
     return 0 if report.answer else 1
 
 

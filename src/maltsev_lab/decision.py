@@ -20,15 +20,13 @@ Read the other way, the k argument positions are the generator columns of a
 subpower, and a witness exists iff that subpower holds a block repeat.
 
 The sweep is term first.  Pairs are taken in lexicographic order, in blocks
-of _PAIR_BLOCK, whose argument columns are one fancy index of the pattern
-into an array of the pairs.  Each term found so far is evaluated, in
-discovery order, on every pair of the block that no earlier term covers, one
-batched ``evaluate_columns`` call per term.  The first pair left uncovered is
-saturated; the term read off its derivation is evaluated on the uncovered
-pairs after it, and so on.  So every pair gets the earliest-discovered term
-that works for it, and the first pair whose saturation holds no block repeat
-refutes.  A saturation stops at its first block repeat, a ``BlockRepeat``
-mask over each block of fresh keys, and only the hit's row is decoded.  A
+of _PAIR_BLOCK.  Each term found so far is evaluated, in discovery order, on
+every pair of the block that no earlier term covers, one batched
+``evaluate_columns`` call per term.  The first pair left uncovered is
+saturated until its first block repeat, and the term walked from that hit's
+row, with no lookup, is evaluated on the uncovered pairs after it, and so
+on.  So every pair gets the earliest-discovered term that works for it, and
+the first pair whose saturation holds no block repeat refutes.  A
 refutation is saturated again from scratch, its keys compared with the
 first one's, and checked by the standalone pattern finder.  Before a report
 is built, every witness is evaluated again on its pair, one call per
@@ -237,7 +235,7 @@ def decide(
         uncovered = np.ones(len(chunk), dtype=bool)
 
         def cover(term, lo):
-            idx = lo + np.flatnonzero(uncovered[lo:])
+            idx = lo + uncovered[lo:].nonzero()[0]
             if idx.size == 0:
                 return
             hit = idx[_is_repeat(_values(alg, term, cols, idx), block)]
@@ -269,9 +267,7 @@ def decide(
                         f"refutation at pair {pair} did not reproduce"
                     )
                 return report(pair)
-            # the witness needs the hit's row alone
-            target = rel.layout.decode(rel.keys[hit:hit + 1])[0].tolist()
-            term = extract_witness(rel, target).term
+            term = extract_witness(rel, row=hit).term
             # free the closure's arrays before the term is evaluated on the
             # block, which would otherwise hold both at the sweep's peak
             del rel

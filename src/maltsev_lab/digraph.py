@@ -153,10 +153,7 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
                 disc = potential[u] + 1 - potential[v]
                 if disc != 0:
                     chords.append(((u, v), disc))
-        d = 0
-        for _, disc in chords:
-            d = gcd(d, abs(disc))
-        if d != 1:
+        if gcd(*(disc for _, disc in chords)) != 1:
             continue
 
         def path_from_root(v):
@@ -199,13 +196,7 @@ def is_admissible(alg: FiniteAlgebra, rel) -> bool:
     """Is the relation closed under every basic operation, coordinate-wise.
 
     The empty relation is.  Otherwise the tuples are validated in order
-    and checked by ``subpower.is_closed``: when n^width, (n^width)^M and
-    k^M are at most 2^16 for k tuples and the largest arity M, each
-    operation in one gather per argument of the algebra's lifted table
-    (built on first use, cached on the algebra).  Otherwise the relation is
-    saturated with a budget of its own size, which its first image outside
-    it exceeds.  Memory is the closure's arrays of the relation plus one
-    block, not the number of combinations.
+    and checked by ``subpower.is_closed``.
     """
     tuples = [tuple(t) for t in rel]
     if not tuples:

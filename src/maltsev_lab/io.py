@@ -198,6 +198,12 @@ def _render_value(v) -> str:
     return str(v)
 
 
+def _term_texts(witnesses) -> dict[int, str]:
+    """Each distinct witness term's text, by its id."""
+    terms = {id(w.term): w.term for w in witnesses}
+    return {key: format_term(t) for key, t in terms.items()}
+
+
 def report_to_text(report: DecisionReport, include_witnesses: bool = False) -> str:
     lines = [f"problem: {report.problem}", f"algebra: {report.algebra}"]
     if report.parameters:
@@ -211,11 +217,12 @@ def report_to_text(report: DecisionReport, include_witnesses: bool = False) -> s
         )
         lines.append(f"refuted at: {parts}")
     if include_witnesses:
+        texts = _term_texts(report.witnesses)
         for w in report.witnesses:
             parts = ", ".join(
                 f"{k}={_render_value(v)}" for k, v in zip(report.pair_names, w.pair)
             )
-            lines.append(f"witness ({parts}): {format_term(w.term)}")
+            lines.append(f"witness ({parts}): {texts[id(w.term)]}")
             for identity in w.identities:
                 lines.append(f"  satisfies: {identity}")
     s = report.stats
@@ -240,22 +247,18 @@ def report_to_dict(report: DecisionReport, include_witnesses: bool = False) -> d
         "parameters": {k: v for k, v in report.parameters},
         "answer": "yes" if report.answer else "no",
         "refutation": None,
-        "stats": {
-            "pairs_checked": report.stats.pairs_checked,
-            "tuples_generated": report.stats.tuples_generated,
-            "rounds_max": report.stats.rounds_max,
-            "elapsed_seconds": report.stats.elapsed_seconds,
-        },
+        "stats": dict(vars(report.stats)),
     }
     if report.refutation is not None:
         out["refutation"] = {
             k: _jsonable(v) for k, v in zip(report.pair_names, report.refutation)
         }
     if include_witnesses:
+        texts = _term_texts(report.witnesses)
         out["witnesses"] = [
             {
                 **{k: _jsonable(v) for k, v in zip(report.pair_names, w.pair)},
-                "term": format_term(w.term),
+                "term": texts[id(w.term)],
                 "result": _jsonable(w.result),
                 "identities": list(w.identities),
             }
@@ -265,4 +268,6 @@ def report_to_dict(report: DecisionReport, include_witnesses: bool = False) -> d
 
 
 def report_to_json(report: DecisionReport, include_witnesses: bool = False) -> str:
-    return json.dumps(report_to_dict(report, include_witnesses), indent=2) + "\n"
+    # a report is a fresh tree, so the encoder need not look for cycles
+    out = report_to_dict(report, include_witnesses)
+    return json.dumps(out, indent=2, check_circular=False) + "\n"

@@ -68,11 +68,8 @@ def _projections(size: int, k: int) -> list[tuple[int, ...]]:
 def _iter_clone_tables(
     alg: FiniteAlgebra, k: int, budget: int
 ) -> Iterator[tuple[Optional[tuple[int, ...]], bool]]:
-    """Yield (table, None-marker) pairs... internal driver for the searches.
-
-    Yields each table once in discovery order, then a final (None, complete)
-    sentinel carrying the completeness flag.
-    """
+    """Each table once, in discovery order, as (table, False), then
+    (None, complete)."""
     n = alg.size
     total = n ** k
     tables: list[tuple[int, ...]] = []
@@ -88,20 +85,10 @@ def _iter_clone_tables(
         frontier_start = lo
         count = hi
         for op in alg.ops:
-            m = op.arity
-            if m == 0:
-                if frontier_start == 0:
-                    cand = (op.table[0],) * total
-                    if cand not in seen:
-                        if len(tables) >= budget:
-                            over_budget = True
-                            break
-                        seen.add(cand)
-                        tables.append(cand)
-                        yield cand, False
-                continue
-            for combo in itertools.product(range(count), repeat=m):
-                if max(combo) < frontier_start:
+            # a constant's one empty combination counts as index 0, so it is
+            # tried in the first round only
+            for combo in itertools.product(range(count), repeat=op.arity):
+                if max(combo, default=0) < frontier_start:
                     continue
                 args = [tables[i] for i in combo]
                 new = tuple(

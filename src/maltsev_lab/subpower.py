@@ -14,13 +14,16 @@ One engine, ``_Closure``, runs every closure (design: README.md).  A tuple
 is its base-n key, and a subpower of A^w is one of (A^s)^c, s the largest
 width with (n^s)^M at most ``_CHUNK`` for the largest arity M: a block's
 image keys are one gather per chunk from the algebra's cached lifted
-tables, combined by Horner's rule.  The state is the committed keys (Python
-ints from 2^62 on), operations and parents; ``BlockRepeat`` is tested on
-keys.  A relation is those keys, looked up by key, and its rows are decoded
-only when asked for.  A block holds a few arrays of ``_CHUNK`` keys, and a
-lifted table at most ``_CHUNK`` entries.  ``is_closed`` gathers
-lifted tables at a small relation's keys, and saturates any other relation
-with a budget of its own size.
+tables, combined by Horner's rule.  A relation is the committed keys
+(Python ints from 2^62 on), operations and parents; rows are decoded only
+when asked for.
+
+A closure pays once for its arrays, sized to the least of key space,
+budget and ``_FIRST_ROWS``, and in a key space of at most ``_CHUNK``
+(dense) for key-indexed tables of its commits and, cached, of the keys
+``BlockRepeat`` stops at.  Per block of at most ``_CHUNK`` keys it pays a
+gather per chunk, a lookup of the fresh keys and of the stop (key
+arithmetic when not dense) and the commit.
 """
 from __future__ import annotations
 
@@ -37,6 +40,8 @@ from .algebra import Apply, FiniteAlgebra, Term, Variable, evaluate_columns
 from .errors import BudgetExceededError, ConsistencyError
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
+# a closure's first capacity in rows, if key space and budget are larger
+_FIRST_ROWS = 1 << 12
 # combinations per block: large enough to amortise numpy's per-call cost,
 # small enough that a block's arrays stay in cache
 _CHUNK = 1 << 16
@@ -101,7 +106,7 @@ class TupleRelation:
             if v not in range(n):
                 return -1
             key = key * n + int(v)
-        found = np.flatnonzero(self.keys == key)
+        found = (self.keys == key).nonzero()[0]
         return int(found[0]) if found.size else -1
 
     def __contains__(self, t) -> bool:
@@ -245,8 +250,9 @@ def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
 class BlockRepeat:
     """Stop predicate: the tuple is copies of its first ``block`` entries.
 
-    Callable on one tuple like any predicate; ``key_mask`` tests every row
-    given by its key at once, which is how a closure applies it.
+    Callable on one tuple like any predicate; a closure applies it to rows
+    by key: ``key_mask`` to given keys, ``key_table`` to all of A^width.  A
+    block's key times 1 + n^b + n^2b + ... is the key of its repeat.
     """
 
     def __init__(self, block: int):
@@ -255,23 +261,45 @@ class BlockRepeat:
     def __call__(self, t) -> bool:
         return t == t[:self.block] * (len(t) // self.block)
 
+    def key_table(self, n: int, width: int) -> np.ndarray:
+        """Which rows of A^width repeat their first block, by key; cached."""
+        return _repeat_table(n, width, self.block)
+
     def key_mask(self, keys: np.ndarray, n: int, width: int) -> np.ndarray:
-        """Which rows of A^width with these base-n keys repeat their first
-        block: that block's key times 1 + n^b + n^2b + ... is the key of its
-        repeat."""
+        """Which rows of A^width with these keys repeat their first block."""
         b = self.block
         if width % b:
             return np.zeros(len(keys), dtype=bool)
-        repeat = sum(n ** (b * i) for i in range(width // b))
-        return keys // n ** (width - b) * repeat == keys
+        return keys // n ** (width - b) * _repeat(n, width, b) == keys
 
 
-def _hit_finder(predicate, layout):
+def _repeat(n, width, b):
+    return sum(n ** (b * i) for i in range(width // b))
+
+
+@functools.lru_cache(maxsize=64)
+def _repeat_table(n, width, b):
+    table = np.zeros(n**width, dtype=bool)
+    if width % b == 0:
+        table[np.arange(n**b) * _repeat(n, width, b)] = True
+    table.flags.writeable = False
+    return table
+
+
+def _hit_finder(predicate, layout, dense):
     """The closure's stop test: first(keys) is the position of the first of
-    a block's fresh keys whose row satisfies the predicate, or None."""
+    a block's fresh keys whose row satisfies the predicate, or None.  A
+    dense closure reads a ``key_table`` where the predicate has one."""
     if getattr(predicate, "key_mask", None):
+        n, width = layout.n, layout.width
+        if dense and getattr(predicate, "key_table", None):
+            mask = predicate.key_table(n, width).__getitem__
+        else:
+            def mask(keys):
+                return predicate.key_mask(keys, n, width)
+
         def first(keys):
-            hits = np.flatnonzero(predicate.key_mask(keys, layout.n, layout.width))
+            hits = mask(keys).nonzero()[0]
             return int(hits[0]) if hits.size else None
         return first
 
@@ -287,24 +315,14 @@ class _Closure:
     The first ``count`` entries of its arrays, whose capacity doubles, are
     the committed keys and their derivations."""
 
-    def __init__(self, alg, generators, budget, stop):
+    def __init__(self, alg, rows, budget, stop):
         self.alg = alg
         self.n = alg.size
-        self.width = len(generators[0])
+        self.width = rows.shape[1]
         self.full_size = self.n**self.width
         self.budget = budget
         arity = alg.max_arity
         self.layout = _layout(self.n, self.width, arity, _CHUNK)
-        self.find_hit = None if stop is None else _hit_finder(stop, self.layout)
-        self.hit: Optional[int] = None
-        self.rounds = 0
-        self.count = 0
-        self.keys = np.empty(0, dtype=np.int64 if self.layout.keyed else object)
-        self.op_ids = np.empty(0, dtype=np.intp)
-        # one parent column per argument of the largest arity; with one
-        # possible tuple no row is derived, whatever the arities
-        columns = max(arity, 1) if self.full_size > 1 else 1
-        self.parents = np.empty((0, columns), dtype=np.intp)
         # key-indexed tables for key spaces of at most _CHUNK: seen holds
         # each committed tuple's position (-1 for the others), first a
         # block's positions, in their dtype (a cast slows np.minimum.at)
@@ -315,18 +333,29 @@ class _Closure:
         elif not self.layout.keyed:
             # Python int keys: np.isin would compare them pairwise
             self.known: set[int] = set()
+        self.find_hit = None if stop is None else _hit_finder(stop, self.layout, self.dense)
+        self.hit: Optional[int] = None
+        self.rounds = 0
+        self.count = 0
+        self.keys = np.empty(0, dtype=np.int64 if self.layout.keyed else object)
+        self.op_ids = np.empty(0, dtype=np.intp)
+        # one parent column per argument of the largest arity; with one
+        # possible tuple no row is derived, whatever the arities
+        columns = max(arity, 1) if self.full_size > 1 else 1
+        self.parents = np.empty((0, columns), dtype=np.intp)
+        self._reserve(min(self.full_size, budget, _FIRST_ROWS))
 
         def generator_positions(positions, out):
             out[:, 0] = positions
 
-        rows = np.array(generators, dtype=np.int64)
-        self._commit_block(self.layout.encode(rows), -1, generator_positions)
+        keys = self.layout.encode(rows.astype(np.int64, copy=False))
+        self._commit_block(keys, -1, generator_positions)
 
     def _reserve(self, end):
         """Room for ``end`` rows, the capacity at least doubling."""
         if end <= len(self.keys):
             return
-        capacity = max(end, 2 * len(self.keys), 16)
+        capacity = max(end, 2 * len(self.keys))
         for name in ("keys", "op_ids", "parents"):
             old = getattr(self, name)
             new = np.full((capacity,) + old.shape[1:], -1, dtype=old.dtype)
@@ -336,9 +365,9 @@ class _Closure:
     def _fresh(self, keys):
         """The positions in a block of the keys not committed yet."""
         if self.dense:
-            return np.flatnonzero(self.seen[keys] < 0)
+            return (self.seen[keys] < 0).nonzero()[0]
         if self.layout.keyed:
-            return np.flatnonzero(np.isin(keys, self.keys[:self.count], invert=True))
+            return np.isin(keys, self.keys[:self.count], invert=True).nonzero()[0]
         known = self.known
         fresh = [i for i, key in enumerate(keys.tolist()) if key not in known]
         return np.array(fresh, dtype=np.intp)
@@ -411,7 +440,8 @@ class _Closure:
             keys = self.layout.images(tables, digits, prefix, ranges)
 
             def parents_of(positions, out):
-                out[:, :len(prefix)] = prefix
+                if prefix:
+                    out[:, :len(prefix)] = prefix
                 grid = np.unravel_index(positions, shape)
                 for d, (g, r) in enumerate(zip(grid, ranges), len(prefix)):
                     out[:, d] = g + r.start
@@ -458,30 +488,23 @@ class _Closure:
 
 def _validate_tuples(tuples, n, noun):
     """The rows of equal-width tuples of elements of 0..n-1, as an array;
-    checked tuple by tuple (width, then entries), then for integer entries.
-    Messages name the tuples by ``noun``."""
+    checked tuple by tuple (width, then entries), then converted as one
+    flat list and checked for integer entries.  Messages name the tuples
+    by ``noun``."""
     width = len(tuples[0])
+    flat = []
     for t in tuples:
         if len(t) != width:
             raise ValueError(f"{noun} tuples must have equal width")
         for v in t:
             if not 0 <= v < n:
                 raise ValueError(f"{noun} entry {v} outside universe")
-    rows = np.array(tuples)
+        flat += t
+    rows = np.array(flat).reshape(len(tuples), width)
     if rows.dtype.kind not in "biu":
         # an int64 cast would truncate 1.5 to a valid entry
         raise TypeError(f"{noun} entries must be integers, got {rows.dtype}")
     return rows
-
-
-def _validate_generators(alg, generators):
-    gens = [tuple(g) for g in generators]
-    if not gens:
-        raise ValueError("at least one generator tuple is required")
-    if not gens[0]:
-        raise ValueError("generator width must be positive")
-    _validate_tuples(gens, alg.size, "generator")
-    return gens
 
 
 def generate_subpower(
@@ -490,28 +513,32 @@ def generate_subpower(
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> TupleRelation:
     """The subpower generated by the given tuples, fully saturated."""
-    gens = _validate_generators(alg, generators)
-    state = _Closure(alg, gens, budget, None)
-    state.run()
-    return state.relation(gens)
+    return generate_until(alg, generators, None, budget)[0]
 
 
 def generate_until(
     alg: FiniteAlgebra,
     generators: Sequence[Sequence[int]],
-    predicate: Callable[[tuple[int, ...]], bool],
+    predicate: Optional[Callable[[tuple[int, ...]], bool]],
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> tuple[TupleRelation, Optional[int]]:
     """Saturate until a committed tuple satisfies the predicate.
 
     Returns (relation, hit_index).  On a hit the relation is a prefix of the
     full closure (complete=False); a None hit means the closure saturated
-    without a match and the relation is complete.  A predicate with
-    ``key_mask(keys, n, width)`` is tested on a block's fresh keys at once; a
-    plain one is called per committed tuple, in order, up to the hit.
+    without a match, or with no predicate, and the relation is complete.  A
+    predicate with ``key_mask(keys, n, width)`` is tested on a block's fresh
+    keys at once, in a dense closure through its ``key_table(n, width)`` if
+    it has one; a plain one is called per committed tuple, in order, up to
+    the hit.
     """
-    gens = _validate_generators(alg, generators)
-    state = _Closure(alg, gens, budget, predicate)
+    gens = [tuple(g) for g in generators]
+    if not gens:
+        raise ValueError("at least one generator tuple is required")
+    if not gens[0]:
+        raise ValueError("generator width must be positive")
+    rows = _validate_tuples(gens, alg.size, "generator")
+    state = _Closure(alg, rows, budget, predicate)
     state.run()
     return state.relation(gens), state.hit
 
@@ -519,12 +546,10 @@ def generate_until(
 def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     """Is the set of rows of a (k, width) array, k >= 1, closed under every
     basic operation, coordinate-wise?  When n^width, (n^width)^M and k^M
-    fit ``_CHUNK`` for the largest arity M, each m-ary operation is checked
-    by taking its lifted table at the rows' keys along each axis; these
-    sizes grow with m, so then every operation fits.  Otherwise the rows are
-    saturated with a budget of their own number: a closure of them that
-    commits a tuple is not closed, and one that holds all of A^width stops
-    at once.  Memory is the closure's arrays of the rows plus one block.
+    fit ``_CHUNK`` for the largest arity M, each operation's lifted table
+    is taken at the rows' keys along each axis.  Otherwise the rows are
+    saturated with a budget of their own number, which a closure that
+    commits a tuple exceeds.
     """
     k, w = rows.shape
     n, m = alg.size, alg.max_arity
@@ -569,21 +594,25 @@ def find_block_repeat(
     return tuple(blocks[np.lexsort(blocks.T[::-1])[0]].tolist())
 
 
-def extract_witness(rel: TupleRelation, target) -> WitnessTerm:
-    """A term over generator variables deriving the target tuple.
+def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
+    """A term over generator variables deriving the target tuple, or the
+    tuple at position ``row``, which is not looked up.
 
-    Walks the relation's parent arrays from the target's row: generators map
-    to Variable(position); derived tuples map to Apply over their parents'
-    terms.  The term is replayed coordinate-wise against the generators
-    before it is returned.
+    Walks the relation's parent arrays from that row: generators map to
+    Variable(position); derived tuples map to Apply over their parents'
+    terms.  The term is replayed against the generators before it is
+    returned.
     """
-    target = tuple(target)
-    root = rel._position(target)
-    if root < 0:
-        raise ValueError(f"target tuple {target} is not in the relation")
+    if row is None:
+        row = rel._position(target)
+        if row < 0:
+            raise ValueError(f"target tuple {tuple(target)} is not in the relation")
+    elif not 0 <= row < len(rel):
+        raise ValueError(f"row {row} is not in the relation")
+    target = tuple(rel.layout.decode(rel.keys[row:row + 1])[0].tolist())
     ops = rel.algebra.ops
     terms: dict[int, Term] = {}
-    stack = [root]
+    stack = [row]
     while stack:
         i = stack[-1]
         if i in terms:
@@ -602,7 +631,7 @@ def extract_witness(rel: TupleRelation, target) -> WitnessTerm:
             continue
         terms[i] = Apply(ops[o].symbol, tuple(terms[p] for p in parents))
         stack.pop()
-    term = terms[root]
+    term = terms[row]
     # generator j is row j, so column c holds the arguments at coordinate c
     replay = tuple(evaluate_columns(rel.algebra, term, rel.generators).tolist())
     if replay != target:

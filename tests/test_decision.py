@@ -369,6 +369,50 @@ def test_a_yes_sweep_decodes_only_its_hit_rows(monkeypatch):
     assert sum(decoded) == len(saturations)
 
 
+def test_a_yes_sweep_pays_no_per_witness_lookups(monkeypatch):
+    # each witness is walked from its hit's row, so no tuple is looked up;
+    # rendering formats each distinct witness term once, however many pairs
+    # share it; and a closure's arrays start large enough to grow at most
+    # once past their first allocation
+    from maltsev_lab import io, subpower
+
+    def no_lookup(rel, t):
+        raise AssertionError("the sweep looked a tuple up")
+
+    reserve, format_term = subpower._Closure._reserve, io.format_term
+    closures, growths, formatted, depth = [], [], [], [0]
+
+    def counted_reserve(state, end):
+        if not len(state.keys):
+            closures.append(state)
+        elif end > len(state.keys):
+            growths.append(state)
+        reserve(state, end)
+
+    def counted_format(term):
+        # the formatter calls itself through the module on subterms
+        if not depth[0]:
+            formatted.append(term)
+        depth[0] += 1
+        try:
+            return format_term(term)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(subpower.TupleRelation, "_position", no_lookup)
+    monkeypatch.setattr(subpower._Closure, "_reserve", counted_reserve)
+    monkeypatch.setattr(io, "format_term", counted_format)
+    report = has_quasi_taylor(random_algebra(7, 8, [2]))
+    assert report.answer and len(closures) >= 10
+    assert all(growths.count(state) <= 1 for state in closures)
+    distinct = {id(w.term) for w in report.witnesses}
+    assert len(distinct) == len(closures) < len(report.witnesses)
+    for render in (io.report_to_json, io.report_to_text):
+        formatted.clear()
+        render(report, include_witnesses=True)
+        assert sorted(map(id, formatted)) == sorted(distinct), render
+
+
 def test_witness_tables_live_in_complete_clone_slices():
     for alg in ALL_BINARY2:
         report = has_k_qwnu(alg, 2)

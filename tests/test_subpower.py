@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -72,6 +73,73 @@ def test_generator_validation():
     assert rel.as_set() == {(1, 0), (0, 1), (0, 0)}
 
 
+def _nested_validation(tuples, n, noun):
+    """Validation through one nested-sequence conversion of the tuples: the
+    reference for the flat conversion of ``_validate_tuples``."""
+    width = len(tuples[0])
+    for t in tuples:
+        if len(t) != width:
+            raise ValueError(f"{noun} tuples must have equal width")
+        for v in t:
+            if not 0 <= v < n:
+                raise ValueError(f"{noun} entry {v} outside universe")
+    rows = np.array(tuples)
+    if rows.dtype.kind not in "biu":
+        raise TypeError(f"{noun} entries must be integers, got {rows.dtype}")
+    return rows
+
+
+def _validation_outcome(validate, tuples, n):
+    try:
+        rows = validate(tuples, n, "relation")
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return rows.dtype.kind, rows.shape, rows.tolist()
+
+
+def test_validation_matches_the_nested_conversion():
+    # a seeded corpus of Python ints and bools, numpy scalars of three
+    # dtypes, floats, entries outside the universe, width-0 and ragged
+    # tuples, and np.uint8(255) among wider entries of a 300-element
+    # universe: one flat conversion gives the rows and dtype kind of the
+    # nested one, or the same exception and message
+    import random
+
+    rng = random.Random(29)
+    kinds = {
+        "int": lambda n: rng.randrange(n),
+        "bool": lambda n: rng.random() < 0.5,
+        "uint8": lambda n: np.uint8(rng.randrange(min(n, 256))),
+        "int32": lambda n: np.int32(rng.randrange(n)),
+        "uint64": lambda n: np.uint64(rng.randrange(n)),
+        "float": lambda n: rng.choice([0.0, 1.0, 0.5]),
+        "outside": lambda n: rng.choice([n, -1, 2**70]),
+    }
+    outcomes = collections.Counter()
+    for case in range(2000):
+        n = rng.choice([2, 300])
+        width = rng.choice([0, 1, 2, 3, 4])
+        mix = rng.sample(sorted(kinds), rng.choice([1, 1, 2]))
+        weights = [1 if k in ("float", "outside") else 20 for k in mix]
+
+        def entry():
+            return kinds[rng.choices(mix, weights)[0]](n)
+
+        tuples = [tuple(entry() for _ in range(width)) for _ in range(rng.randint(1, 4))]
+        if n == 300 and width >= 2 and rng.random() < 0.3:
+            t = list(tuples[-1])
+            t[rng.randrange(width)] = np.uint8(255)
+            tuples[-1] = tuple(t)
+        if rng.random() < 0.1:
+            i = rng.randrange(len(tuples))
+            tuples[i] = tuples[i] + (0,) if rng.random() < 0.5 else tuples[i][1:]
+        want = _validation_outcome(_nested_validation, tuples, n)
+        got = _validation_outcome(subpower._validate_tuples, tuples, n)
+        assert got == want, (case, tuples, n)
+        outcomes[want[0] if isinstance(want[0], str) else want[0].__name__] += 1
+    assert all(outcomes[k] >= 50 for k in ("b", "i", "u", "TypeError", "ValueError")), outcomes
+
+
 def test_budget_error():
     with pytest.raises(BudgetExceededError):
         generate_subpower(MIN2, GENS3, budget=3)
@@ -127,6 +195,24 @@ def test_extract_witness_replays():
             assert replay == target
     with pytest.raises(ValueError):
         extract_witness(generate_subpower(MIN2, GENS3), (9, 9, 9))
+
+
+def test_extract_witness_from_a_row_needs_no_lookup(monkeypatch):
+    # a witness walked from a row position is the one of that row's tuple,
+    # found without looking the tuple up; a position outside the relation
+    # is refused
+    rels = [generate_subpower(alg, GENS3) for alg in (MIN2, Z2_MINORITY)]
+    wants = [[extract_witness(rel, t) for t in rel.tuples] for rel in rels]
+
+    def no_lookup(rel, t):
+        raise AssertionError("looked a tuple up")
+
+    monkeypatch.setattr(subpower.TupleRelation, "_position", no_lookup)
+    for rel, want in zip(rels, wants):
+        assert [extract_witness(rel, row=i) for i in range(len(rel))] == want
+        for bad in (-1, len(rel)):
+            with pytest.raises(ValueError, match=f"row {bad} is not in the relation"):
+                extract_witness(rel, row=bad)
 
 
 def test_idempotent_closure():
@@ -383,6 +469,17 @@ class _Counted:
         return self.inner.key_mask(keys, n, width)
 
 
+class _Tabled(_Counted):
+    """A ``_Counted`` stop that also offers the key table a dense closure
+    reads instead of the mask; counts the tables fetched."""
+
+    tables = 0
+
+    def key_table(self, n, width):
+        self.tables += 1
+        return self.inner.key_table(n, width)
+
+
 class _Never:
     """A key-form stop that never fires."""
 
@@ -398,18 +495,28 @@ def test_mask_stop_matches_the_per_tuple_stop(monkeypatch, chunk):
     # a stop with a key mask tests a block's fresh keys at once and must end
     # where the same predicate, called tuple by tuple, ends; the per-tuple
     # form is called on the committed tuples in order and never past the
-    # hit, and the key form is never called per tuple
+    # hit, and the key form is never called per tuple.  Every other case
+    # offers a key table too, which a dense closure reads in place of the
+    # mask, so both forms stop dense closures
     if chunk is not None:
         monkeypatch.setattr(subpower, "_CHUNK", chunk)
     paths = record_closure_paths(monkeypatch)
     later = misses = 0
-    for rng, alg, gens in _reference_cases(4000, 240):
+    forms = collections.Counter()
+    for case, (rng, alg, gens) in enumerate(_reference_cases(4000, 240)):
         width = len(gens[0])
         block = rng.choice([b for b in range(1, width) if width % b == 0] or [width])
         label = (alg.name, gens, block)
-        stop = _Counted(BlockRepeat(block))
+        stop = (_Tabled if case % 2 else _Counted)(BlockRepeat(block))
         rel, hit = generate_until(alg, gens, stop)
-        assert stop.calls == 0 and stop.masked >= len(rel), label
+        dense = alg.size**width <= subpower._CHUNK
+        form = "table" if dense and case % 2 else "mask"
+        forms[form, dense] += 1
+        if form == "table":
+            assert stop.tables == 1 and stop.masked == 0, label
+        else:
+            assert stop.masked >= len(rel) and not getattr(stop, "tables", 0), label
+        assert stop.calls == 0, label
         assert "tuples" not in vars(rel) and "derivations" not in vars(rel), label
         called = []
 
@@ -428,10 +535,12 @@ def test_mask_stop_matches_the_per_tuple_stop(monkeypatch, chunk):
             later += hit >= len(gens)
     # most hits are a generator; some come later, and a few closures miss
     assert later >= 40 and misses >= 2, (later, misses)
+    assert forms["table", True] >= 20 and forms["mask", True] >= 20, forms
     if chunk is None:
         assert paths == {"dense": 480}
     else:
         assert paths["dense"] >= 100 and paths["keyed"] >= 100, paths
+        assert forms["mask", False] >= 20, forms
 
 
 def _limit_algebra(size):
@@ -451,7 +560,7 @@ def _limit_algebra(size):
     "n,width",
     [(2, 1), (2, 6), (3, 4), (5, 6), (7, 22), (3, 39), (2, 61)],
 )
-def test_key_form_block_repeat_matches_the_rows(n, width):
+def test_key_form_block_repeat_matches_the_rows(monkeypatch, n, width):
     # BlockRepeat.key_mask on base-n keys equals _is_repeat on the rows they
     # decode to, for every block dividing the width (1 and the width
     # included), up to n^width just below 2^62
@@ -475,6 +584,29 @@ def test_key_form_block_repeat_matches_the_rows(n, width):
         want = subpower._is_repeat(rows, b)
         assert BlockRepeat(b).key_mask(keys, n, width).tolist() == want.tolist(), b
         assert want.any() and (b == width or not want.all()), b
+    # a closure of A^width whose key space is dense (at most _CHUNK) reads
+    # the stop from BlockRepeat.key_table, once, and never masks keys; any
+    # other closure masks them.  The table equals key_mask and _is_repeat
+    # on every key, also where a smaller _CHUNK makes fewer spaces dense,
+    # and both forms find the same first hit in a block
+    alg = random_algebra(n, n, [1])
+    for chunk in (None, 7, 1):
+        if chunk is not None:
+            monkeypatch.setattr(subpower, "_CHUNK", chunk)
+        dense = n**width <= subpower._CHUNK
+        for b in blocks:
+            label = (chunk, b)
+            stop = _Tabled(BlockRepeat(b))
+            state = subpower._Closure(alg, rows[:1], 1, stop)
+            assert state.dense == dense, label
+            assert (stop.tables, stop.masked) == ((1, 0) if dense else (0, 1)), label
+            want = subpower._is_repeat(rows, b)
+            assert state.find_hit(keys) == want.argmax() and want.any(), label
+            if dense:
+                every = np.arange(n**width)
+                table = BlockRepeat(b).key_table(n, width)
+                assert table.tolist() == BlockRepeat(b).key_mask(every, n, width).tolist()
+                assert table.tolist() == subpower._is_repeat(state.layout.decode(every), b).tolist()
 
 
 @pytest.mark.parametrize(
