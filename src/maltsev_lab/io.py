@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _encode
 
 from .algebra import Apply, FiniteAlgebra, Operation, Term, Variable
 from .decision import DecisionReport
@@ -267,7 +268,35 @@ def report_to_dict(report: DecisionReport, include_witnesses: bool = False) -> d
     return out
 
 
+def _json(v, pad: str) -> str:
+    """v as json.dumps(v, indent=2) writes it on a line indented by pad."""
+    if type(v) is int:
+        return repr(v)
+    if type(v) is not tuple:
+        return _encode(v) if isinstance(v, str) else json.dumps(v)
+    inner = pad + "  "
+    items = ",\n".join(inner + _json(x, inner) for x in v)
+    return f"[\n{items}\n{pad}]" if v else "[]"
+
+
 def report_to_json(report: DecisionReport, include_witnesses: bool = False) -> str:
-    # a report is a fresh tree, so the encoder need not look for cycles
-    out = report_to_dict(report, include_witnesses)
-    return json.dumps(out, indent=2, check_circular=False) + "\n"
+    """json.dumps(report_to_dict(...), indent=2) and a newline; witnesses
+    are written here, since an indent puts json.dumps on its Python path."""
+    head = json.dumps(report_to_dict(report), indent=2)
+    if not include_witnesses:
+        return head + "\n"
+    terms = {key: _encode(text) for key, text in _term_texts(report.witnesses).items()}
+    names = [_encode(k) for k in report.pair_names]
+    pad = "      "
+    entries = ",\n    ".join(
+        "{\n" + ",\n".join(
+            [f"{pad}{k}: {_json(v, pad)}" for k, v in zip(names, w.pair)]
+            + [f'{pad}"term": {terms[id(w.term)]}',
+               f'{pad}"result": {_json(w.result, pad)}',
+               f'{pad}"identities": {_json(w.identities, pad)}']
+        ) + "\n    }"
+        for w in report.witnesses
+    )
+    witnesses = f"[\n    {entries}\n  ]" if entries else "[]"
+    # head ends in "\n}"
+    return f'{head[:-2]},\n  "witnesses": {witnesses}\n}}\n'

@@ -12,18 +12,13 @@ replayable terms over the generators.
 
 One engine, ``_Closure``, runs every closure (design: README.md).  A tuple
 is its base-n key, and a subpower of A^w is one of (A^s)^c, s the largest
-width with (n^s)^M at most ``_CHUNK`` for the largest arity M: a block's
-image keys are one gather per chunk from the algebra's cached lifted
-tables, combined by Horner's rule.  A relation is the committed keys
-(Python ints from 2^62 on), operations and parents; rows are decoded only
-when asked for.
-
-A closure pays once for its arrays, sized to the least of key space,
-budget and ``_FIRST_ROWS``, and in a key space of at most ``_CHUNK``
-(dense) for key-indexed tables of its commits and, cached, of the keys
-``BlockRepeat`` stops at.  Per block of at most ``_CHUNK`` keys it pays a
-gather per chunk, a lookup of the fresh keys and of the stop (key
-arithmetic when not dense) and the commit.
+width with (n^s)^M at most ``_CHUNK`` for the largest arity M.  A closure
+pays once for its arrays, left unfilled, and in a key space whose two
+key-indexed commit tables fit ``_TABLE_BYTES`` (dense) for the table slots
+it commits: it takes the process's spare pair of tables when the key space
+matches, and hands it back with those slots reset.  Per block of at most
+``_CHUNK`` keys it pays a gather per chunk, a lookup of the fresh keys and
+of the stop, and the commit.
 """
 from __future__ import annotations
 
@@ -45,6 +40,11 @@ _FIRST_ROWS = 1 << 12
 # combinations per block: large enough to amortise numpy's per-call cost,
 # small enough that a block's arrays stay in cache
 _CHUNK = 1 << 16
+# a closure keeps key-indexed tables when both fit this many bytes
+_TABLE_BYTES = 1 << 26
+# the spare (seen, first) pair of a dense closure, seen all -1; taken by
+# one pop, so concurrent closures never share a pair
+_spare: dict = {}
 
 # derivations: (None, (generator_position,)) for generators,
 # (op_symbol, parent_indices) for derived tuples
@@ -55,18 +55,16 @@ Derivation = tuple
 class TupleRelation:
     """A generated set of fixed-width tuples with per-tuple derivations.
 
-    ``keys`` holds the tuples' base-n keys in committed order, ``op_ids[i]``
-    is the position in ``algebra.ops`` of the operation that first produced
-    tuple i (-1 for a generator), and ``parents[i, :arity]`` are the tuples
-    it was applied to (a generator's position in column 0; -1 past the
-    arity).  ``rows``, ``tuples`` and ``derivations`` are decoded from them
-    when first asked for.  A tuple is looked up by its key.  Relations are
-    compared by identity.
+    ``keys`` are the tuples' base-n keys in committed order; tuple i was
+    first produced by operation ``op_ids[i]`` (-1 for a generator) from
+    tuples ``parents[i, :arity]`` (a generator's position in column 0; -1
+    past the arity).  The other fields are decoded when first asked for.
+    A tuple is looked up by its key.  Relations compare by identity.
     """
 
     algebra: FiniteAlgebra
     width: int
-    generators: tuple[tuple[int, ...], ...]
+    generator_rows: np.ndarray
     keys: np.ndarray
     op_ids: np.ndarray
     parents: np.ndarray
@@ -81,6 +79,10 @@ class TupleRelation:
     @cached_property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.generator_rows.tolist()))
 
     @cached_property
     def derivations(self) -> tuple[Derivation, ...]:
@@ -204,9 +206,9 @@ class _Layout:
         return out
 
     def images(self, tables, digits, prefix, ranges):
-        """The keys of a block's images, in row-major order: per chunk, the
-        lifted table at the prefix is taken along each axis, the shorter range
-        first so the step between stays small, and Horner's rule adds it."""
+        """The keys of a block's images, row major: per chunk, the lifted
+        table at the prefix taken along each axis, the shorter range first
+        so the step stays small, added by Horner's rule."""
         keys = None
         for table, d, scale in zip(tables, digits, self.scales):
             for i in prefix:
@@ -230,8 +232,8 @@ class _Layout:
 
 @functools.lru_cache(maxsize=256)
 def _layout(n, width, arity, chunk):
-    """Chunks of width s, the largest with (n^s)^m at most ``chunk`` for the
-    largest arity m (and at least 1), cut balanced, the wider first."""
+    """Chunks of width s, the largest (at least 1) with (n^s)^m at most
+    ``chunk`` for the largest arity m, cut balanced, the wider first."""
     arity = max(arity, 1)
     s = 1
     while s < width and n ** ((s + 1) * arity) <= chunk:
@@ -250,9 +252,9 @@ def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
 class BlockRepeat:
     """Stop predicate: the tuple is copies of its first ``block`` entries.
 
-    Callable on one tuple like any predicate; a closure applies it to rows
-    by key: ``key_mask`` to given keys, ``key_table`` to all of A^width.  A
-    block's key times 1 + n^b + n^2b + ... is the key of its repeat.
+    Callable on one tuple; a closure applies it by key, ``key_mask`` to
+    given keys and ``key_table`` to all of A^width.  A block's key times
+    1 + n^b + n^2b + ... is the key of its repeat.
     """
 
     def __init__(self, block: int):
@@ -286,13 +288,14 @@ def _repeat_table(n, width, b):
     return table
 
 
-def _hit_finder(predicate, layout, dense):
+def _hit_finder(predicate, layout):
     """The closure's stop test: first(keys) is the position of the first of
-    a block's fresh keys whose row satisfies the predicate, or None.  A
-    dense closure reads a ``key_table`` where the predicate has one."""
+    a block's fresh keys whose row satisfies the predicate, or None.  In a
+    key space of at most ``_CHUNK`` it reads the predicate's ``key_table``
+    if it has one."""
     if getattr(predicate, "key_mask", None):
         n, width = layout.n, layout.width
-        if dense and getattr(predicate, "key_table", None):
+        if n**width <= _CHUNK and getattr(predicate, "key_table", None):
             mask = predicate.key_table(n, width).__getitem__
         else:
             def mask(keys):
@@ -311,9 +314,8 @@ def _hit_finder(predicate, layout, dense):
 
 
 class _Closure:
-    """Mutable saturation state; committed order is the canonical one.
-    The first ``count`` entries of its arrays, whose capacity doubles, are
-    the committed keys and their derivations."""
+    """Mutable saturation state: the first ``count`` entries of its arrays,
+    whose capacity doubles, are the committed keys and derivations."""
 
     def __init__(self, alg, rows, budget, stop):
         self.alg = alg
@@ -323,17 +325,21 @@ class _Closure:
         self.budget = budget
         arity = alg.max_arity
         self.layout = _layout(self.n, self.width, arity, _CHUNK)
-        # key-indexed tables for key spaces of at most _CHUNK: seen holds
-        # each committed tuple's position (-1 for the others), first a
-        # block's positions, in their dtype (a cast slows np.minimum.at)
-        self.dense = self.full_size <= _CHUNK
+        # key-indexed: seen holds each committed tuple's position (else -1),
+        # int32 below a budget of 2^31; first a block's positions, in their
+        # dtype (a cast slows np.minimum.at)
+        seen = np.dtype(np.int32 if budget < 1 << 31 else np.intp)
+        self.dense = self.full_size * (seen.itemsize + 8) <= _TABLE_BYTES
         if self.dense:
-            self.seen = np.full(self.full_size, -1, dtype=np.intp)
-            self.first = np.zeros(self.full_size, dtype=np.intp)
+            self.seen, self.first = _spare.pop(0, (None, None))
+            if self.seen is None or self.seen.size != self.full_size or self.seen.dtype != seen:
+                self.seen = self.first = None  # free an unfit spare first
+                self.seen = np.full(self.full_size, -1, dtype=seen)
+                self.first = np.empty(self.full_size, dtype=np.intp)
         elif not self.layout.keyed:
             # Python int keys: np.isin would compare them pairwise
             self.known: set[int] = set()
-        self.find_hit = None if stop is None else _hit_finder(stop, self.layout, self.dense)
+        self.find_hit = None if stop is None else _hit_finder(stop, self.layout)
         self.hit: Optional[int] = None
         self.rounds = 0
         self.count = 0
@@ -348,8 +354,17 @@ class _Closure:
         def generator_positions(positions, out):
             out[:, 0] = positions
 
-        keys = self.layout.encode(rows.astype(np.int64, copy=False))
-        self._commit_block(keys, -1, generator_positions)
+        self.rows = rows.astype(np.int64, copy=False)
+        self._commit_block(self.layout.encode(self.rows), -1, 1, generator_positions)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        # another exception may leave seen out of step: the pair is dropped
+        if self.dense and (kind is None or issubclass(kind, BudgetExceededError)):
+            self.seen[self.keys[:self.count]] = -1
+            _spare[0] = self.seen, self.first
 
     def _reserve(self, end):
         """Room for ``end`` rows, the capacity at least doubling."""
@@ -358,7 +373,7 @@ class _Closure:
         capacity = max(end, 2 * len(self.keys))
         for name in ("keys", "op_ids", "parents"):
             old = getattr(self, name)
-            new = np.full((capacity,) + old.shape[1:], -1, dtype=old.dtype)
+            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
             new[:self.count] = old[:self.count]
             setattr(self, name, new)
 
@@ -376,19 +391,22 @@ class _Closure:
         """The fresh positions that hold their key's first occurrence."""
         fk = keys[fresh]
         if self.dense:
-            # the least position of each fresh key, its slot reset first;
-            # keys past a stop hit or a budget cut leave stale slots, never
-            # read again because the closure ends there
+            # each fresh key's least position, its slot set first
             self.first[fk] = len(keys)
             np.minimum.at(self.first, fk, fresh)
             return fresh[self.first[fk] == fresh]
+        if not self.layout.keyed:
+            # Python int keys: a dict built backwards keeps the first
+            first = dict(zip(fk[::-1].tolist(), fresh[::-1].tolist()))
+            return np.sort(np.fromiter(first.values(), np.intp, len(first)))
         _, first = np.unique(fk, return_index=True)
         return fresh[np.sort(first)]
 
-    def _commit_block(self, keys, op_id, parents_of):
+    def _commit_block(self, keys, op_id, arity, parents_of):
         """Commit the new keys of a result block in first-occurrence order;
         ``parents_of(positions, out)`` writes the parents of the keys at
-        those positions (a generator's position) into ``out``."""
+        those positions (a generator's position) into the first ``arity``
+        columns of ``out``, and -1 goes into the others."""
         fresh = self._fresh(keys)
         if not fresh.size:
             return
@@ -412,9 +430,12 @@ class _Closure:
         self._reserve(end)
         self.keys[start:end] = new
         self.op_ids[start:end] = op_id
-        parents_of(positions[:cut], self.parents[start:end])
+        out = self.parents[start:end]
+        parents_of(positions[:cut], out)
+        if arity < out.shape[1]:
+            out[:, arity:] = -1
         if self.dense:
-            self.seen[new] = np.arange(start, end)
+            self.seen[new] = np.arange(start, end, dtype=self.seen.dtype)
         elif not self.layout.keyed:
             self.known.update(new.tolist())
         self.count = end
@@ -431,7 +452,7 @@ class _Closure:
             if lo == 0:
                 row = np.full((1, self.width), op.table[0], dtype=np.int64)
                 self._commit_block(
-                    self.layout.encode(row), op_id, lambda positions, out: None
+                    self.layout.encode(row), op_id, 0, lambda positions, out: None
                 )
             return
         tables = [self.alg.lifted_table(op.symbol, s) for s in self.layout.widths]
@@ -446,7 +467,7 @@ class _Closure:
                 for d, (g, r) in enumerate(zip(grid, ranges), len(prefix)):
                     out[:, d] = g + r.start
 
-            self._commit_block(keys, op_id, parents_of)
+            self._commit_block(keys, op_id, m, parents_of)
             if self._done():
                 return
 
@@ -458,8 +479,8 @@ class _Closure:
             if k == self.full_size:
                 # the round after the last commit, which finds nothing new
                 return
-            # the chunk keys of the round's known rows (commits write past
-            # them); Python int keys are split once, the last round's added
+            # the chunk keys of the round's known rows; Python int keys are
+            # split once, the last round's added
             if self.layout.keyed or not lo:
                 digits = self.layout.digits(self.keys[:k])
             else:
@@ -471,12 +492,12 @@ class _Closure:
                     break
             lo = k
 
-    def relation(self, generators) -> TupleRelation:
+    def relation(self) -> TupleRelation:
         c = self.count
         return TupleRelation(
             algebra=self.alg,
             width=self.width,
-            generators=tuple(generators),
+            generator_rows=self.rows,
             keys=self.keys[:c],
             op_ids=self.op_ids[:c],
             parents=self.parents[:c],
@@ -487,10 +508,9 @@ class _Closure:
 
 
 def _validate_tuples(tuples, n, noun):
-    """The rows of equal-width tuples of elements of 0..n-1, as an array;
-    checked tuple by tuple (width, then entries), then converted as one
-    flat list and checked for integer entries.  Messages name the tuples
-    by ``noun``."""
+    """The rows of equal-width tuples over 0..n-1, as an array: checked
+    tuple by tuple (width, then entries), then converted as one flat list
+    and checked for integers.  Messages name the tuples ``noun``."""
     width = len(tuples[0])
     flat = []
     for t in tuples:
@@ -502,6 +522,9 @@ def _validate_tuples(tuples, n, noun):
         flat += t
     rows = np.array(flat).reshape(len(tuples), width)
     if rows.dtype.kind not in "biu":
+        # numpy promotes uint64 beside a signed integer to float64
+        if flat and all(isinstance(v, (int, np.integer, np.bool_)) for v in flat):
+            return np.array(flat, dtype=np.int64).reshape(rows.shape)
         # an int64 cast would truncate 1.5 to a valid entry
         raise TypeError(f"{noun} entries must be integers, got {rows.dtype}")
     return rows
@@ -525,12 +548,10 @@ def generate_until(
     """Saturate until a committed tuple satisfies the predicate.
 
     Returns (relation, hit_index).  On a hit the relation is a prefix of the
-    full closure (complete=False); a None hit means the closure saturated
-    without a match, or with no predicate, and the relation is complete.  A
-    predicate with ``key_mask(keys, n, width)`` is tested on a block's fresh
-    keys at once, in a dense closure through its ``key_table(n, width)`` if
-    it has one; a plain one is called per committed tuple, in order, up to
-    the hit.
+    closure (complete=False); with a None hit it is complete.  A predicate
+    with ``key_mask(keys, n, width)`` (or ``key_table(n, width)``, read in
+    a key space of at most ``_CHUNK``) is tested on a block's fresh keys at
+    once; a plain one is called per committed tuple, in order, to the hit.
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -538,18 +559,17 @@ def generate_until(
     if not gens[0]:
         raise ValueError("generator width must be positive")
     rows = _validate_tuples(gens, alg.size, "generator")
-    state = _Closure(alg, rows, budget, predicate)
-    state.run()
-    return state.relation(gens), state.hit
+    with _Closure(alg, rows, budget, predicate) as state:
+        state.run()
+    return state.relation(), state.hit
 
 
 def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     """Is the set of rows of a (k, width) array, k >= 1, closed under every
     basic operation, coordinate-wise?  When n^width, (n^width)^M and k^M
-    fit ``_CHUNK`` for the largest arity M, each operation's lifted table
-    is taken at the rows' keys along each axis.  Otherwise the rows are
-    saturated with a budget of their own number, which a closure that
-    commits a tuple exceeds.
+    fit ``_CHUNK`` for the largest arity M, each lifted table is taken at
+    the rows' keys along each axis; otherwise the rows are saturated with a
+    budget of their own number, which any new tuple exceeds.
     """
     k, w = rows.shape
     n, m = alg.size, alg.max_arity
@@ -567,11 +587,11 @@ def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
             if np.count_nonzero(member[images]) != images.size:
                 return False
         return True
-    state = _Closure(alg, rows, k, None)
-    # the first image outside the rows exceeds the budget
-    state.budget = state.count
     try:
-        state.run()
+        with _Closure(alg, rows, k, None) as state:
+            # the first image outside the rows exceeds the budget
+            state.budget = state.count
+            state.run()
     except BudgetExceededError:
         return False
     return True
@@ -598,10 +618,9 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
     """A term over generator variables deriving the target tuple, or the
     tuple at position ``row``, which is not looked up.
 
-    Walks the relation's parent arrays from that row: generators map to
-    Variable(position); derived tuples map to Apply over their parents'
-    terms.  The term is replayed against the generators before it is
-    returned.
+    Walks the parent arrays from that row: a generator is Variable(its
+    position), a derived tuple Apply over its parents' terms.  The term is
+    replayed on the generator rows before it is returned.
     """
     if row is None:
         row = rel._position(target)
@@ -633,7 +652,7 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
         stack.pop()
     term = terms[row]
     # generator j is row j, so column c holds the arguments at coordinate c
-    replay = tuple(evaluate_columns(rel.algebra, term, rel.generators).tolist())
+    replay = tuple(evaluate_columns(rel.algebra, term, rel.generator_rows).tolist())
     if replay != target:
         raise ConsistencyError(
             f"witness replay produced {replay}, expected {target}"

@@ -146,24 +146,47 @@ def reference_closure(alg, generators, stop=None):
     return tuples, derivations, rounds, None
 
 
+def table_bytes(full, budget):
+    """The bytes of a dense closure's two key-indexed tables over ``full``
+    keys: ``seen``, int32 below a budget of 2^31 and int64 from it on, and
+    ``first``, int64."""
+    return full * ((4 if budget < 1 << 31 else 8) + 8)
+
+
+def patch_chunk(monkeypatch, chunk):
+    """Blocks of at most ``chunk`` combinations, and dense tables only for
+    key spaces of at most ``chunk`` keys (budgets below 2^31), so that
+    small closures take the keyed path too."""
+    monkeypatch.setattr(subpower, "_CHUNK", chunk)
+    monkeypatch.setattr(subpower, "_TABLE_BYTES", table_bytes(chunk, 0))
+
+
 def record_closure_paths(monkeypatch):
     """Count the closures run from now on by the path their commits take.
 
-    A closure whose key space n^width is at most ``_CHUNK`` is "dense": it
-    keeps tables indexed by the key.  A larger one is "keyed": it searches
-    an array of committed keys.  From 2^62 on, keys do not fit int64 and the
-    closure searches Python ints ("tuple").  Each closure must take the path
-    its size selects, and when it ends, a dense table must mark exactly the
-    tuples it committed, each with its position, also after a stop that cut
-    a block short.
+    A closure whose two key-indexed tables fit ``_TABLE_BYTES`` is "dense":
+    it keeps tables indexed by the key.  A larger one is "keyed": it
+    searches an array of committed keys.  From 2^62 on, keys do not fit
+    int64 and the closure searches Python ints ("tuple").  Each closure must
+    take the path its size selects.  A dense table must mark exactly the
+    generators when the closure starts, whichever closure used the table
+    before, and exactly the tuples it committed, each with its position,
+    when it ends, also after a stop that cut a block short.
     """
     paths = collections.Counter()
     run = subpower._Closure.run
 
+    def marks_committed(state):
+        committed = state.keys[:state.count]
+        marked = np.flatnonzero(state.seen >= 0)
+        assert set(marked.tolist()) == set(committed.tolist())
+        # and each marked slot holds its tuple's position
+        assert state.seen[committed].tolist() == list(range(state.count))
+
     def recorded(state):
         full = state.n**state.width
         want = (
-            "dense" if full <= subpower._CHUNK
+            "dense" if table_bytes(full, state.budget) <= subpower._TABLE_BYTES
             else "keyed" if full < 1 << 62
             else "tuple"
         )
@@ -174,13 +197,11 @@ def record_closure_paths(monkeypatch):
         )
         assert got == want, (state.n, state.width, got)
         paths[got] += 1
+        if state.dense:
+            marks_committed(state)
         run(state)
         if state.dense:
-            committed = state.keys[:state.count]
-            marked = np.flatnonzero(state.seen >= 0)
-            assert set(marked.tolist()) == set(committed.tolist())
-            # and each marked slot holds its tuple's position
-            assert state.seen[committed].tolist() == list(range(state.count))
+            marks_committed(state)
 
     monkeypatch.setattr(subpower._Closure, "run", recorded)
     return paths

@@ -13,6 +13,7 @@ from helpers import (
     Z2_MINORITY,
     Z3_MALTSEV,
     make_algebra,
+    patch_chunk,
     record_admissibility_paths,
     relabel,
     scalar_is_admissible,
@@ -217,7 +218,7 @@ def test_is_admissible_matches_scalar_check(monkeypatch, chunk):
     # at chunk 7 the first failing combination can lie past a block
     # boundary, so the early exit has to cross blocks
     if chunk is not None:
-        monkeypatch.setattr(subpower, "_CHUNK", chunk)
+        patch_chunk(monkeypatch, chunk)
     paths = record_admissibility_paths(monkeypatch)
     for alg, rel, want in _EDGE_CASES:
         assert scalar_is_admissible(alg, rel) == want, (alg.name, rel)
@@ -320,6 +321,9 @@ def test_is_admissible_input_rules():
     for alg, rel, want in [
         (MIN2, [(True, False), (0, 0)], True),
         (MIN2, [(np.int64(0), np.uint8(1))], True),
+        # numpy promotes uint64 beside a signed integer to float64
+        (MIN2, [(np.uint64(0), 0)], True),
+        (MIN2, [(np.uint64(1), np.int32(0)), (np.int64(0), np.uint64(1))], False),
         (MIN2, [[0, 1], [1, 0]], False),
         (MIN2, iter([[0, 1]]), True),
         (big, [(299, 256), (0, 255)], True),

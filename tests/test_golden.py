@@ -22,6 +22,7 @@ from helpers import (
     Z2_MINORITY,
     Z3_MALTSEV,
     make_algebra,
+    patch_chunk,
     record_closure_paths,
 )
 from maltsev_lab import (
@@ -32,7 +33,6 @@ from maltsev_lab import (
     has_quasi_taylor,
     random_algebra,
     report_to_json,
-    subpower,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -85,7 +85,7 @@ CASES = [
     ("qwnu-k3-z2minority", has_k_qwnu, Z2_MINORITY, (3,)),
     ("qwnu-k2-affine4", has_k_qwnu, _affine(4), (2,)),
     ("qwnu-k3-affine5", has_k_qwnu, _affine(5), (3,)),
-    # 4^9 tuples: above the dense limit of the saturation engine
+    # 4^9 tuples: keyed when the dense limit is 2^16 keys
     ("qwnu-k9-meet4", has_k_qwnu, MEET4, (9,)),
     ("qwnu-k4-quat2", has_k_qwnu, MAJ4ARY2, (4,)),
     ("qwnu-k2-nullary3", has_k_qwnu, NULLARY3, (2,)),
@@ -159,9 +159,10 @@ def test_report_matches_golden(name, procedure, alg, args):
 
 
 def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
-    # blocks of 3 pairs make every known term cross block boundaries; the
-    # corpus has closures on both sides of the dense limit n^width <= _CHUNK
+    # blocks of 3 pairs make every known term cross block boundaries; with
+    # the dense limit at 2^16 keys, the corpus has closures on both sides
     monkeypatch.setattr(decision, "_PAIR_BLOCK", 3)
+    patch_chunk(monkeypatch, 1 << 16)
     paths = record_closure_paths(monkeypatch)
     for name, procedure, alg, args in CASES:
         want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
@@ -172,7 +173,7 @@ def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
 def test_reports_do_not_depend_on_the_saturation_chunk(monkeypatch):
     # chunks of 7 combinations make duplicates within a round cross chunk
     # boundaries, which the bulk commit must resolve in first-occurrence order
-    monkeypatch.setattr(subpower, "_CHUNK", 7)
+    patch_chunk(monkeypatch, 7)
     paths = record_closure_paths(monkeypatch)
     for name, procedure, alg, args in CASES:
         want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from helpers import MIN2, NOT2, PROJ2, Z3_MALTSEV
+from helpers import MIN2, NOT2, PROJ2, Z3_MALTSEV, make_algebra
 from maltsev_lab import (
     Apply,
     Variable,
@@ -104,6 +104,43 @@ def test_report_text_and_json_agree():
         assert ("answer: yes" in text) == report.answer
         if not report.answer:
             assert "refuted at" in text and data["refutation"] is not None
+
+
+def test_json_report_is_its_dict_dumped_with_an_indent():
+    # report_to_json writes the witness entries itself: it must equal
+    # json.dumps of report_to_dict with indent=2, byte for byte, on every
+    # golden case, refutations (an empty witness list) and pairs of tuples
+    # among them, and where the algebra's name and a symbol in its witness
+    # terms hold a quote, a backslash, a control character and non-ASCII
+    from test_golden import CASES
+
+    odd = 'q"\\\x01\u00e9\u2603'
+    meet = make_algebra(odd, 2, (odd + "m", 2, (0, 0, 0, 1)))
+    neg = make_algebra(odd, 2, (odd + "n", 1, (1, 0)))
+    reports = [procedure(alg, *args) for _, procedure, alg, args in CASES]
+    reports += [
+        has_quasi_taylor(meet),
+        has_n_local_k_qwnu(meet, 2, 2),
+        has_quasi_taylor(neg),
+        has_k_qwnu(neg, 2),
+    ]
+    seen = set()
+    for report in reports:
+        for witnesses in (False, True):
+            want = json.dumps(report_to_dict(report, witnesses), indent=2) + "\n"
+            assert report_to_json(report, witnesses) == want, report.algebra
+        seen.add("yes" if report.answer else "no")
+        seen.update(
+            "tuple pairs" if isinstance(w.pair[0], tuple) else "element pairs"
+            for w in report.witnesses
+        )
+        if report.algebra == odd:
+            seen.add(f"odd {'yes' if report.answer else 'no'}")
+            if any(odd in format_term(w.term) for w in report.witnesses):
+                seen.add("odd term")
+    assert seen == {
+        "yes", "no", "tuple pairs", "element pairs", "odd yes", "odd no", "odd term"
+    }, seen
 
 
 def test_serialized_witnesses_reverify():

@@ -13,8 +13,10 @@ from helpers import (
     Z2_MINORITY,
     make_algebra,
     naive_subpower,
+    patch_chunk,
     record_closure_paths,
     reference_closure,
+    table_bytes,
 )
 from maltsev_lab import (
     BlockRepeat,
@@ -71,6 +73,10 @@ def test_generator_validation():
             run(MIN2, [(0, 1.5), (2, 0)])
     rel = generate_subpower(MIN2, [(True, False), (np.int64(0), np.uint8(1))])
     assert rel.as_set() == {(1, 0), (0, 1), (0, 0)}
+    # uint64 beside a signed integer, which numpy promotes to float64
+    for signed in (0, np.int32(0), np.int64(0), np.bool_(False)):
+        rel = generate_subpower(MIN2, [(np.uint64(1), signed), (signed, np.uint64(1))])
+        assert rel.as_set() == {(1, 0), (0, 1), (0, 0)}, type(signed)
 
 
 def _nested_validation(tuples, n, noun):
@@ -84,6 +90,12 @@ def _nested_validation(tuples, n, noun):
             if not 0 <= v < n:
                 raise ValueError(f"{noun} entry {v} outside universe")
     rows = np.array(tuples)
+    integers = (int, np.integer, np.bool_)
+    entries = [v for t in tuples for v in t]
+    if rows.dtype.kind == "f" and entries and all(isinstance(v, integers) for v in entries):
+        # uint64 beside a signed integer promotes to float64: the entries
+        # are integers all the same
+        rows = np.array(tuples, dtype=np.int64)
     if rows.dtype.kind not in "biu":
         raise TypeError(f"{noun} entries must be integers, got {rows.dtype}")
     return rows
@@ -411,7 +423,7 @@ def test_forced_layouts_match_reference_closure(monkeypatch, chunk, layout):
 
 def _check_reference_cases(monkeypatch, chunk, layout):
     if chunk is not None:
-        monkeypatch.setattr(subpower, "_CHUNK", chunk)
+        patch_chunk(monkeypatch, chunk)
     _force_layout(monkeypatch, layout)
     paths = record_closure_paths(monkeypatch)
     full_power = generators_full = grouped = split = 0
@@ -499,7 +511,7 @@ def test_mask_stop_matches_the_per_tuple_stop(monkeypatch, chunk):
     # offers a key table too, which a dense closure reads in place of the
     # mask, so both forms stop dense closures
     if chunk is not None:
-        monkeypatch.setattr(subpower, "_CHUNK", chunk)
+        patch_chunk(monkeypatch, chunk)
     paths = record_closure_paths(monkeypatch)
     later = misses = 0
     forms = collections.Counter()
@@ -558,7 +570,7 @@ def _limit_algebra(size):
 
 @pytest.mark.parametrize(
     "n,width",
-    [(2, 1), (2, 6), (3, 4), (5, 6), (7, 22), (3, 39), (2, 61)],
+    [(2, 1), (2, 6), (3, 4), (5, 6), (5, 7), (7, 22), (3, 39), (2, 61)],
 )
 def test_key_form_block_repeat_matches_the_rows(monkeypatch, n, width):
     # BlockRepeat.key_mask on base-n keys equals _is_repeat on the rows they
@@ -584,25 +596,26 @@ def test_key_form_block_repeat_matches_the_rows(monkeypatch, n, width):
         want = subpower._is_repeat(rows, b)
         assert BlockRepeat(b).key_mask(keys, n, width).tolist() == want.tolist(), b
         assert want.any() and (b == width or not want.all()), b
-    # a closure of A^width whose key space is dense (at most _CHUNK) reads
-    # the stop from BlockRepeat.key_table, once, and never masks keys; any
-    # other closure masks them.  The table equals key_mask and _is_repeat
-    # on every key, also where a smaller _CHUNK makes fewer spaces dense,
-    # and both forms find the same first hit in a block
+    # a closure of A^width whose key space is at most _CHUNK reads the stop
+    # from BlockRepeat.key_table, once, and never masks keys, whether its
+    # commit tables are dense or not; any other closure masks them.  The
+    # table equals key_mask and _is_repeat on every key, also where a
+    # smaller _CHUNK makes fewer spaces tabled, and both forms find the
+    # same first hit in a block
     alg = random_algebra(n, n, [1])
     for chunk in (None, 7, 1):
         if chunk is not None:
-            monkeypatch.setattr(subpower, "_CHUNK", chunk)
-        dense = n**width <= subpower._CHUNK
+            patch_chunk(monkeypatch, chunk)
+        tabled = n**width <= subpower._CHUNK
         for b in blocks:
             label = (chunk, b)
             stop = _Tabled(BlockRepeat(b))
             state = subpower._Closure(alg, rows[:1], 1, stop)
-            assert state.dense == dense, label
-            assert (stop.tables, stop.masked) == ((1, 0) if dense else (0, 1)), label
+            assert state.dense == (table_bytes(n**width, 1) <= subpower._TABLE_BYTES), label
+            assert (stop.tables, stop.masked) == ((1, 0) if tabled else (0, 1)), label
             want = subpower._is_repeat(rows, b)
             assert state.find_hit(keys) == want.argmax() and want.any(), label
-            if dense:
+            if tabled:
                 every = np.arange(n**width)
                 table = BlockRepeat(b).key_table(n, width)
                 assert table.tolist() == BlockRepeat(b).key_mask(every, n, width).tolist()
@@ -610,17 +623,36 @@ def test_key_form_block_repeat_matches_the_rows(monkeypatch, n, width):
 
 
 @pytest.mark.parametrize(
-    "size,width,path",
-    [(256, 2, "dense"), (4, 8, "dense"), (257, 2, "keyed"), (5, 7, "keyed")],
+    "size,width,budget,limit,path",
+    [
+        (256, 2, None, 1 << 16, "dense"),
+        (4, 8, None, 1 << 16, "dense"),
+        (257, 2, None, 1 << 16, "keyed"),
+        (5, 7, None, 1 << 16, "keyed"),
+        (48, 4, None, None, "dense"),
+        (49, 4, None, None, "keyed"),
+        (48, 4, 1 << 31, None, "keyed"),
+    ],
+    ids=[
+        "256-2-dense", "4-8-dense", "257-2-keyed", "5-7-keyed",
+        "cap-48-4-dense", "cap-49-4-keyed", "cap-48-4-wide-positions-keyed",
+    ],
 )
 def test_closures_at_the_dense_limit_match_reference_closure(
-    monkeypatch, size, width, path
+    monkeypatch, size, width, budget, limit, path
 ):
-    # n^width = 2^16 = _CHUNK is the largest key space with dense tables;
-    # 257^2 and 5^7 lie just above it
+    # with the dense limit at 2^16 keys, 2^16 is the largest dense key
+    # space, and 257^2 and 5^7 lie just above it; at the default cap of
+    # 64 MiB, 48^4 keys fit at 12 bytes a key and 49^4 do not, nor 48^4 at
+    # 16 bytes a key, which a budget of 2^31 takes
     import random
 
-    assert (size**width <= subpower._CHUNK) == (path == "dense")
+    if limit is not None:
+        patch_chunk(monkeypatch, limit)
+    if budget is None:
+        budget = subpower.DEFAULT_TUPLE_BUDGET
+    dense = table_bytes(size**width, budget) <= subpower._TABLE_BYTES
+    assert dense == (path == "dense")
     paths = record_closure_paths(monkeypatch)
     alg = _limit_algebra(size)
     rng = random.Random(size * 100 + width)
@@ -630,12 +662,108 @@ def test_closures_at_the_dense_limit_match_reference_closure(
             for _ in range(rng.randint(2, 4))
         ]
         want = reference_closure(alg, gens)
-        assert _as_reference(generate_subpower(alg, gens)) == want, gens
+        assert _as_reference(generate_subpower(alg, gens, budget)) == want, gens
         target = rng.choice(want[0])
         until = reference_closure(alg, gens, lambda t: t == target)
-        got, hit = generate_until(alg, gens, lambda t: t == target)
+        got, hit = generate_until(alg, gens, lambda t: t == target, budget)
         assert _as_reference(got, hit) == until, gens
     assert paths == {path: 6}
+
+
+def _arrays(rel):
+    return rel.keys.tolist(), rel.op_ids.tolist(), rel.parents.tolist()
+
+
+def test_tables_passed_on_after_a_cut_closure_start_clean(monkeypatch):
+    # 4^9 keys: dense, and above _CHUNK, so is_closed saturates.  A closure
+    # hands its tables on after a budget cut, after a stop hit that cut its
+    # block short and after an is_closed refusal; the next closure in the
+    # key space then commits what one does with no spare tables
+    paths = record_closure_paths(monkeypatch)
+    alg = _limit_algebra(4)
+    gens = [(0, 1, 2, 3, 0, 1, 2, 3, 0), (3, 2, 1, 0, 3, 2, 1, 0, 3), (1,) * 9]
+    monkeypatch.setattr(subpower, "_spare", {})
+    want = generate_subpower(alg, gens)
+    assert len(want) >= 8
+    # tuple h is the halving of the first generator, and h + 1 of the
+    # second, in the same block
+    h = want.op_ids.tolist().index(1)
+    assert want.op_ids[h + 1] == 1 and want.parents[h:h + 2, 0].tolist() == [0, 1]
+    stop = want.tuples[h]
+
+    def budget_cut():
+        with pytest.raises(BudgetExceededError):
+            generate_subpower(alg, gens, len(want) - 1)
+
+    def stop_hit():
+        rel, hit = generate_until(alg, gens, lambda t: t == stop)
+        assert hit == h == len(rel) - 1
+
+    def refusal():
+        assert not subpower.is_closed(alg, want.rows[:-1])
+
+    for cut in (budget_cut, stop_hit, refusal):
+        monkeypatch.setattr(subpower, "_spare", {})
+        cut()
+        (pair,) = subpower._spare.values()
+        assert pair[0].size == 4**9, cut.__name__
+        got = generate_subpower(alg, gens)
+        assert subpower._spare[0][0] is pair[0], cut.__name__
+        assert _arrays(got) == _arrays(want), cut.__name__
+    assert paths == {"dense": 7}, paths
+
+
+def test_a_foreign_exception_drops_the_tables(monkeypatch):
+    # a closure ended by any exception but a budget cut may leave its
+    # tables out of step with its keys, so it does not hand them on; one
+    # pair is spare at most, the last handed on
+    alg = _limit_algebra(4)
+    gens = [(0, 1, 2), (3, 2, 1)]
+
+    def stop(t):
+        if t not in gens:
+            raise RuntimeError("stop")
+        return False
+
+    monkeypatch.setattr(subpower, "_spare", {})
+    generate_subpower(alg, [(0,)])
+    generate_subpower(alg, gens)
+    assert [pair[0].size for pair in subpower._spare.values()] == [4**3]
+    with pytest.raises(RuntimeError, match="stop"):
+        generate_until(alg, gens, stop)
+    assert subpower._spare == {}
+
+
+def test_concurrent_closures_never_share_tables():
+    # closures of one key space in several threads at once, with frequent
+    # thread switches, each commit what the closure commits alone
+    import sys
+    import threading
+
+    alg = _limit_algebra(4)
+    cases = [[(a, b, 3 - a, 3 - b, a)] for a in range(4) for b in range(4)]
+    want = [_arrays(generate_subpower(alg, gens)) for gens in cases]
+    errors = []
+
+    def work():
+        try:
+            for _ in range(5):
+                for gens, arrays in zip(cases, want):
+                    assert _arrays(generate_subpower(alg, gens)) == arrays, gens
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
 
 
 @pytest.mark.parametrize("chunk", [None, 4], ids=["dense", "keyed"])
@@ -643,7 +771,7 @@ def test_repeated_fresh_tuples_commit_at_their_first_occurrence(monkeypatch, chu
     # the first round's one block is 9, 4, 9, 4: both are new, 9 comes first
     # though its key is larger, and each is derived from its first position
     if chunk is not None:
-        monkeypatch.setattr(subpower, "_CHUNK", chunk)
+        patch_chunk(monkeypatch, chunk)
     paths = record_closure_paths(monkeypatch)
     alg = make_algebra("repeat10", 10, ("f", 1, (9, 4, 9, 4, 4, 5, 6, 7, 8, 9)))
     gens = [(0,), (1,), (2,), (3,)]
@@ -698,7 +826,8 @@ def _affine(p):
     "path,alg,width,gens",
     [
         ("dense", _affine(3), 8, 4),
-        ("keyed", _affine(7), 6, 4),
+        # 5^11 keys: above the dense tables' cap
+        ("keyed", _affine(5), 11, 4),
         # the 16^16 unary monoid from the identity map
         ("tuple", random_algebra(24, 16, [1, 1]), 16, None),
     ],
@@ -748,7 +877,9 @@ def _two_fresh_algebra(size):
 def test_no_budget_room_raises_before_the_block_is_deduped(monkeypatch, path, width):
     # the round-1 block holds constant tuples 2, 2, 3: a budget of 4 commits
     # both, one of 3 has room for one and raises, and one of 2 has no room,
-    # so it raises at the first fresh key without ordering first occurrences
+    # so it raises at the first fresh key without ordering first occurrences;
+    # with the dense limit at 2^16 keys, 4^9 keys take the keyed path
+    patch_chunk(monkeypatch, 1 << 16)
     paths = record_closure_paths(monkeypatch)
     rooms = []
     first_positions = subpower._Closure._first_positions
