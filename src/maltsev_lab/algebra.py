@@ -1,9 +1,15 @@
 """Finite algebras, terms, and the unary image machinery.
 
-An algebra is a universe {0..n-1} with named operation tables, flat and
-row major, the leftmost argument most significant; arity 0 is a constant.
-Terms are trees of operation symbols over variables x0, x1, ...  The unary
-term operations form a monoid, whose inclusion-minimal images drive
+An algebra is a universe {0..n-1} together with named finitary operation
+tables.  Tables are flat and row major with the leftmost argument most
+significant: the entry for arguments (a0, ..., a_{m-1}) sits at index
+a0*n^(m-1) + a1*n^(m-2) + ... + a_{m-1}.  Arity 0 is allowed and denotes a
+constant (a table with a single entry).
+
+Terms are formal composition trees of operation symbols and variables
+x0, x1, ...  Evaluating a term in an algebra yields a term operation; the
+set of all unary term operations forms a monoid under composition, and its
+inclusion-minimal images drive the idempotent image construction exposed by
 ``minimal_unary_idempotent`` and ``restrict_to_image``.
 """
 from __future__ import annotations
@@ -103,11 +109,12 @@ class FiniteAlgebra:
     def lifted_table(self, symbol: str, width: int) -> np.ndarray:
         """The operation acting coordinate-wise on rows of A^width, by key.
 
-        A row's key is its base-n rank.  An m-ary operation's table has
-        shape (n^width,) * m, and its entry at (r1, ..., rm) is the key of
-        the image of the rows with those keys.  Built on first use, one
-        coordinate at a time in arrays of at most (n^width)^m entries (the
-        caller keeps that small), then cached read-only.
+        A row's key is its base-n rank, first coordinate most significant.
+        An m-ary operation's table has shape (n^width,) * m; its entry at
+        (r1, ..., rm) is the key of the image of the rows with keys r1, ...,
+        rm.  Built on first use one coordinate at a time, in arrays of at
+        most (n^width)^m entries (the caller keeps that small), then cached
+        read-only.
         """
         table = self._lifted.get((symbol, width))
         if table is None:
@@ -279,9 +286,12 @@ def unary_term_monoid(
 ) -> tuple[UnaryMap, ...]:
     """All unary term operations of the algebra, in canonical generation order.
 
-    They are the subpower of A^n generated by the identity map, in the
-    closure's order.  The identity counts toward ``budget``; more than
-    ``budget`` maps raise BudgetExceededError.
+    The unary term operations are the subpower of A^n generated by the
+    identity map (x0 evaluated at every element), so this is that closure:
+    operations in declaration order, argument combinations in lexicographic
+    order over the maps found so far.  The identity counts toward
+    ``budget``; raises BudgetExceededError when more than ``budget`` maps
+    would be created.
     """
     # subpower imports this module
     from .subpower import generate_subpower
@@ -366,9 +376,10 @@ def restrict_to_image(
     """Correct a term operation into an idempotent operation on alpha's image.
 
     With B = image_set and beta(b) = alpha(t(b, ..., b)), finds the least
-    p >= 1 with beta^(p+1) the identity on B and returns the table, row
-    major over sorted(B), of beta^p . alpha . t on B, whose values lie in
-    B.  It satisfies u(b, ..., b) = b for every b in B.
+    p >= 1 with beta^(p+1) the identity on B and returns the table of
+    beta^p . alpha . t on arguments from B.  The table is row major over
+    sorted(B) and its values are universe elements lying in B.  The result
+    satisfies u(b, ..., b) = b for every b in B.
     """
     b_sorted = tuple(sorted(image_set))
     b_set = set(b_sorted)

@@ -1,6 +1,11 @@
 """Decision procedures for quasi weak near-unanimity and quasi Taylor terms.
 
-Each condition is a ``Problem`` record, data only (design: README.md):
+Each condition is a ``Problem`` record, data only: a pattern of term
+applications, a point shape, a block and a symbol.  A pair of points
+(elements, or element tuples) fills each application, one of its two points
+per argument, and a k-ary term is a local witness at the pair when its
+values on the applications, coordinate by coordinate, repeat their first
+block:
 
   qwnu(k)          the k displacements: the second point in argument i of
                    application i, the first elsewhere; block 1, a constant
@@ -10,16 +15,22 @@ Each condition is a ``Problem`` record, data only (design: README.md):
 
 ``decide(alg, problem, budget)`` sweeps the pairs, and
 ``verify_local(alg, problem, pair, term)`` checks one witness the same way.
-The k arguments are the generator columns of a subpower, and a witness
-exists iff that subpower holds a block repeat.
 
-The sweep is term first, over pairs in lexicographic order, in blocks of
-_PAIR_BLOCK: each term found so far covers, in discovery order, the pairs
-no earlier term covers.  The first pair left uncovered is saturated until
-its first block repeat, and the term walked from that hit covers the pairs
-after it.  A pair whose saturation holds no block repeat refutes; it is
-saturated again and checked by the standalone pattern finder.  Every
-witness is evaluated again on its pair before the report is built.
+Read the other way, the k argument positions are the generator columns of a
+subpower, and a witness exists iff that subpower holds a block repeat.
+
+The sweep is term first.  Pairs are taken in lexicographic order, in blocks
+of _PAIR_BLOCK.  Each term found so far is evaluated, in discovery order, on
+every pair of the block that no earlier term covers, one batched
+``evaluate_columns`` call per term.  The first pair left uncovered is
+saturated until its first block repeat, and the term walked from that hit's
+row, with no lookup, is evaluated on the uncovered pairs after it, and so
+on.  So every pair gets the earliest-discovered term that works for it, and
+the first pair whose saturation holds no block repeat refutes.  A
+refutation is saturated again from scratch, its keys compared with the
+first one's, and checked by the standalone pattern finder.  Before a report
+is built, every witness is evaluated again on its pair, one call per
+distinct term, and checked against the equalities it claims.
 """
 from __future__ import annotations
 
@@ -54,12 +65,16 @@ _PAIR_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class Problem:
-    """One condition, decided pair by pair, as data (README.md).
+    """One condition, decided pair by pair, as data.
 
     Pairs are of elements when ``point`` is None, else of ``point``-tuples.
-    Row i of ``pattern`` is application i: entry j is 0 or 1, the pair's
-    point in argument j.  It fills output coordinates i*p to i*p + p - 1, p
-    the point's length, and a witness's values repeat their first ``block``.
+    ``pattern`` has one row per term application the condition displays;
+    entry j of a row is 0 or 1: argument j is the pair's first or second
+    point.  Application i fills output coordinates i*p to i*p + p - 1, p
+    the point's length (1 for an element), so a pair fixes W = p *
+    len(pattern) argument tuples.  A witness's W values repeat ``result``,
+    their first ``block`` values, and its identities call the term
+    ``symbol``.  Reports name the pair's two fields ``pair_names``.
     """
 
     name: str
@@ -193,6 +208,8 @@ def decide(
     tuples_generated = 0
     rounds_max = 0
     pairs_checked = 0
+    # the sweep's closures share one key space and pass its table on
+    tables: dict = {}
 
     def report(refutation):
         stats = ReportStats(
@@ -235,7 +252,7 @@ def decide(
             if term_of[p] is not None:
                 continue
             gens = [tuple(g) for g in cols[:, p].tolist()]
-            rel, hit = generate_until(alg, gens, stop, budget)
+            rel, hit = generate_until(alg, gens, stop, budget, tables)
             tuples_generated += len(rel)
             rounds_max = max(rounds_max, rel.rounds)
             if hit is None:
@@ -343,9 +360,10 @@ def has_k_wnu_idemp(
 ) -> DecisionReport:
     """Decide whether an idempotent algebra has a k-ary weak near-unanimity term.
 
-    There every quasi witness is idempotent: this runs the quasi decision
-    and checks each witness's idempotence.  Non-idempotent input is a
-    ValueError naming the violating operation and element.
+    In an idempotent algebra every quasi witness is itself idempotent, so this
+    delegates to the quasi decision and then asserts idempotence of each
+    witness as a consistency check.  Non-idempotent input is a precondition
+    error naming the violating operation and element.
     """
     violation = idempotence_violation(alg)
     if violation is not None:

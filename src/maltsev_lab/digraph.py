@@ -101,12 +101,13 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
     """Is there a closed walk of net length one; if so, produce one.
 
-    A loop answers at once.  Otherwise each weakly connected component gets
-    potentials along a spanning tree (+1 forward, -1 backward); its closed
-    walks' net lengths are d*Z, d the gcd of the non-tree edges' potential
-    discrepancies, so the answer is "yes" when some component has d = 1.
-    The certificate (start vertex, steps) is assembled from fundamental
-    walks of those discrepancies and replay-verified.
+    A loop answers immediately.  Otherwise each weakly connected component
+    gets integer potentials along a spanning tree (+1 forward, -1 backward);
+    the closed-walk net lengths through the component form d*Z where d is the
+    gcd of the potential discrepancies of the non-tree edges, so the answer
+    is "yes" exactly when some component reaches d = 1.  The certificate is a
+    concrete closed walk (start vertex, steps) assembled from fundamental
+    walks of the witnessing discrepancies and replay-verified.
     """
     loop = has_loop(g)
     if loop is not None:

@@ -1,10 +1,14 @@
 """Brute-force ground truth: exhaustive clone slices and direct identity search.
 
-The k-ary slice of the clone is enumerated as tables, from the k
-projections, composing basic operations with found tables to a fixed point:
-a scalar path apart from the subpower engine, so each checks the other.  A
-found table proves "yes" even from an incomplete slice; "no" needs a
-complete one.
+The k-ary slice of the clone is enumerated as operation tables, starting from
+the k projections and composing basic operations with already-found tables
+until a fixed point.  This is deliberately a separate, scalar code path from
+the subpower engine so the two can check each other.
+
+Table search is exponentially smaller than term search and suffices for
+validating the decision procedures: a found table proves "yes" regardless of
+whether the slice is complete, while "no" is only reported from a complete
+slice.
 """
 from __future__ import annotations
 
@@ -22,8 +26,10 @@ _MASK64 = (1 << 64) - 1
 class SplitMix64:
     """splitmix64: a well-known 64-bit generator with a tiny fixed state.
 
-    The tests pin its stream from seed 0 (README.md), so generated corpora
-    are reproducible across implementations.
+    Reference stream from seed 0 starts
+    0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F; these are
+    asserted in the test suite so generated corpora are reproducible across
+    implementations.
     """
 
     def __init__(self, seed: int):
@@ -193,12 +199,14 @@ def random_algebra(
     signature: Sequence[int],
     idempotent: bool = False,
 ) -> FiniteAlgebra:
-    """A reproducible random algebra (README.md).
+    """A reproducible random algebra.
 
-    Entries are next_u64() mod size of one splitmix64 stream from ``seed``,
-    in index order, operation by operation.  ``idempotent`` then sets the
-    diagonal, which needs every arity >= 1.  A seed outside 0..2^64-1 would
-    alias one inside, as splitmix64 keeps its low 64 bits.
+    Tables are filled from one splitmix64 stream seeded with ``seed``, in
+    index order, operation by operation in signature order, each entry being
+    next_u64() mod size.  With ``idempotent`` the diagonal entries are then
+    forced to the diagonal argument; that requires every arity to be at
+    least 1.  The seed must lie in 0..2^64-1: splitmix64 keeps only its low
+    64 bits, so any other seed would alias one of those under another name.
     """
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in 0..2^64-1, got {seed}")

@@ -12,13 +12,19 @@ replayable terms over the generators.
 
 One engine, ``_Closure``, runs every closure (design: README.md).  A tuple
 is its base-n key, and a subpower of A^w is one of (A^s)^c, s the largest
-width with (n^s)^M at most ``_CHUNK`` for the largest arity M.  A closure
-pays once for its arrays, left unfilled, and in a key space whose two
-key-indexed commit tables fit ``_TABLE_BYTES`` (dense) for the table slots
-it commits: it takes the process's spare pair of tables when the key space
-matches, and hands it back with those slots reset.  Per block of at most
-``_CHUNK`` keys it pays a gather per chunk, a lookup of the fresh keys and
-of the stop, and the commit.
+width with (n^s)^M at most ``_CHUNK`` for the largest arity M: a block's
+image keys are one gather per chunk from the algebra's cached lifted
+tables, combined by Horner's rule.  A relation is the committed keys
+(Python ints from 2^62 on), operations and parents; rows are decoded only
+when asked for.
+
+A closure pays once for its arrays, sized to the least of key space,
+budget and ``_FIRST_ROWS`` and left unfilled; in a key space whose
+key-indexed table of commits fits ``_TABLE_BYTES`` (dense) for that table,
+unless an earlier closure of its sweep passed one on; and in a key space of
+at most ``_CHUNK`` for a cached table of the keys ``BlockRepeat`` stops at.  Per block of at most ``_CHUNK`` keys it pays a
+gather per chunk, a lookup of the fresh keys and of the stop (key
+arithmetic above ``_CHUNK``) and the commit.
 """
 from __future__ import annotations
 
@@ -40,11 +46,9 @@ _FIRST_ROWS = 1 << 12
 # combinations per block: large enough to amortise numpy's per-call cost,
 # small enough that a block's arrays stay in cache
 _CHUNK = 1 << 16
-# a closure keeps key-indexed tables when both fit this many bytes
+# a closure keeps a key-indexed table of its commits when it fits this
+# many bytes
 _TABLE_BYTES = 1 << 26
-# the spare (seen, first) pair of a dense closure, seen all -1; taken by
-# one pop, so concurrent closures never share a pair
-_spare: dict = {}
 
 # derivations: (None, (generator_position,)) for generators,
 # (op_symbol, parent_indices) for derived tuples
@@ -55,11 +59,14 @@ Derivation = tuple
 class TupleRelation:
     """A generated set of fixed-width tuples with per-tuple derivations.
 
-    ``keys`` are the tuples' base-n keys in committed order; tuple i was
-    first produced by operation ``op_ids[i]`` (-1 for a generator) from
-    tuples ``parents[i, :arity]`` (a generator's position in column 0; -1
-    past the arity).  The other fields are decoded when first asked for.
-    A tuple is looked up by its key.  Relations compare by identity.
+    ``keys`` holds the tuples' base-n keys in committed order, ``op_ids[i]``
+    is the position in ``algebra.ops`` of the operation that first produced
+    tuple i (-1 for a generator), and ``parents[i, :arity]`` are the tuples
+    it was applied to (a generator's position in column 0; -1 past the
+    arity).  ``generator_rows`` are the generators, validated, as an int64
+    array.  ``generators``, ``rows``, ``tuples`` and ``derivations`` are
+    decoded from them when first asked for.  A tuple is looked up by its
+    key.  Relations are compared by identity.
     """
 
     algebra: FiniteAlgebra
@@ -206,9 +213,9 @@ class _Layout:
         return out
 
     def images(self, tables, digits, prefix, ranges):
-        """The keys of a block's images, row major: per chunk, the lifted
-        table at the prefix taken along each axis, the shorter range first
-        so the step stays small, added by Horner's rule."""
+        """The keys of a block's images, in row-major order: per chunk, the
+        lifted table at the prefix is taken along each axis, the shorter range
+        first so the step between stays small, and Horner's rule adds it."""
         keys = None
         for table, d, scale in zip(tables, digits, self.scales):
             for i in prefix:
@@ -232,8 +239,8 @@ class _Layout:
 
 @functools.lru_cache(maxsize=256)
 def _layout(n, width, arity, chunk):
-    """Chunks of width s, the largest (at least 1) with (n^s)^m at most
-    ``chunk`` for the largest arity m, cut balanced, the wider first."""
+    """Chunks of width s, the largest with (n^s)^m at most ``chunk`` for the
+    largest arity m (and at least 1), cut balanced, the wider first."""
     arity = max(arity, 1)
     s = 1
     while s < width and n ** ((s + 1) * arity) <= chunk:
@@ -252,9 +259,9 @@ def _is_repeat(values: np.ndarray, block: int) -> np.ndarray:
 class BlockRepeat:
     """Stop predicate: the tuple is copies of its first ``block`` entries.
 
-    Callable on one tuple; a closure applies it by key, ``key_mask`` to
-    given keys and ``key_table`` to all of A^width.  A block's key times
-    1 + n^b + n^2b + ... is the key of its repeat.
+    Callable on one tuple like any predicate; a closure applies it to rows
+    by key: ``key_mask`` to given keys, ``key_table`` to all of A^width.  A
+    block's key times 1 + n^b + n^2b + ... is the key of its repeat.
     """
 
     def __init__(self, block: int):
@@ -314,10 +321,11 @@ def _hit_finder(predicate, layout):
 
 
 class _Closure:
-    """Mutable saturation state: the first ``count`` entries of its arrays,
-    whose capacity doubles, are the committed keys and derivations."""
+    """Mutable saturation state; committed order is the canonical one.
+    The first ``count`` entries of its arrays, whose capacity doubles, are
+    the committed keys and their derivations."""
 
-    def __init__(self, alg, rows, budget, stop):
+    def __init__(self, alg, rows, budget, stop, tables=None):
         self.alg = alg
         self.n = alg.size
         self.width = rows.shape[1]
@@ -325,17 +333,14 @@ class _Closure:
         self.budget = budget
         arity = alg.max_arity
         self.layout = _layout(self.n, self.width, arity, _CHUNK)
-        # key-indexed: seen holds each committed tuple's position (else -1),
-        # int32 below a budget of 2^31; first a block's positions, in their
-        # dtype (a cast slows np.minimum.at)
-        seen = np.dtype(np.int32 if budget < 1 << 31 else np.intp)
-        self.dense = self.full_size * (seen.itemsize + 8) <= _TABLE_BYTES
+        # key-indexed: seen holds each committed tuple's position, -1 for
+        # the others, in the dtype of a block's positions (a cast slows
+        # np.minimum.at, which finds first occurrences in it); one passed
+        # on in ``tables`` saves the fill
+        self.dense = self.full_size * np.dtype(np.intp).itemsize <= _TABLE_BYTES
         if self.dense:
-            self.seen, self.first = _spare.pop(0, (None, None))
-            if self.seen is None or self.seen.size != self.full_size or self.seen.dtype != seen:
-                self.seen = self.first = None  # free an unfit spare first
-                self.seen = np.full(self.full_size, -1, dtype=seen)
-                self.first = np.empty(self.full_size, dtype=np.intp)
+            spare = None if tables is None else tables.pop(self.full_size, None)
+            self.seen = np.full(self.full_size, -1, dtype=np.intp) if spare is None else spare
         elif not self.layout.keyed:
             # Python int keys: np.isin would compare them pairwise
             self.known: set[int] = set()
@@ -357,14 +362,12 @@ class _Closure:
         self.rows = rows.astype(np.int64, copy=False)
         self._commit_block(self.layout.encode(self.rows), -1, 1, generator_positions)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, value, traceback):
-        # another exception may leave seen out of step: the pair is dropped
-        if self.dense and (kind is None or issubclass(kind, BudgetExceededError)):
+    def pass_on(self, tables):
+        """Reset the committed slots of a dense closure's table and leave it
+        in ``tables`` for the next closure of the key space."""
+        if self.dense:
             self.seen[self.keys[:self.count]] = -1
-            _spare[0] = self.seen, self.first
+            tables[self.full_size] = self.seen
 
     def _reserve(self, end):
         """Room for ``end`` rows, the capacity at least doubling."""
@@ -388,13 +391,16 @@ class _Closure:
         return np.array(fresh, dtype=np.intp)
 
     def _first_positions(self, keys, fresh):
-        """The fresh positions that hold their key's first occurrence."""
+        """The fresh positions that hold their key's first occurrence.  A
+        dense closure leaves them in the fresh keys' ``seen`` slots, which
+        the commit overwrites or resets."""
         fk = keys[fresh]
         if self.dense:
-            # each fresh key's least position, its slot set first
-            self.first[fk] = len(keys)
-            np.minimum.at(self.first, fk, fresh)
-            return fresh[self.first[fk] == fresh]
+            # each fresh key's least position, in its slot (-1 till now),
+            # set past every position first
+            self.seen[fk] = len(keys)
+            np.minimum.at(self.seen, fk, fresh)
+            return fresh[self.seen[fk] == fresh]
         if not self.layout.keyed:
             # Python int keys: a dict built backwards keeps the first
             first = dict(zip(fk[::-1].tolist(), fresh[::-1].tolist()))
@@ -421,7 +427,12 @@ class _Closure:
             if i is not None:
                 cut = i + 1
                 self.hit = start + i
+                if self.dense:
+                    # first occurrences past the hit free their slots again
+                    self.seen[new[cut:]] = -1
         if cut > room:
+            if self.dense:
+                self.seen[new] = -1
             raise BudgetExceededError(
                 f"subpower generation exceeds budget of {self.budget} tuples"
             )
@@ -435,7 +446,7 @@ class _Closure:
         if arity < out.shape[1]:
             out[:, arity:] = -1
         if self.dense:
-            self.seen[new] = np.arange(start, end, dtype=self.seen.dtype)
+            self.seen[new] = np.arange(start, end)
         elif not self.layout.keyed:
             self.known.update(new.tolist())
         self.count = end
@@ -508,9 +519,10 @@ class _Closure:
 
 
 def _validate_tuples(tuples, n, noun):
-    """The rows of equal-width tuples over 0..n-1, as an array: checked
-    tuple by tuple (width, then entries), then converted as one flat list
-    and checked for integers.  Messages name the tuples ``noun``."""
+    """The rows of equal-width tuples of elements of 0..n-1, as an array;
+    checked tuple by tuple (width, then entries), then converted as one
+    flat list and checked for integer entries.  Messages name the tuples
+    by ``noun``."""
     width = len(tuples[0])
     flat = []
     for t in tuples:
@@ -544,14 +556,23 @@ def generate_until(
     generators: Sequence[Sequence[int]],
     predicate: Optional[Callable[[tuple[int, ...]], bool]],
     budget: int = DEFAULT_TUPLE_BUDGET,
+    tables: Optional[dict] = None,
 ) -> tuple[TupleRelation, Optional[int]]:
     """Saturate until a committed tuple satisfies the predicate.
 
     Returns (relation, hit_index).  On a hit the relation is a prefix of the
-    closure (complete=False); with a None hit it is complete.  A predicate
-    with ``key_mask(keys, n, width)`` (or ``key_table(n, width)``, read in
-    a key space of at most ``_CHUNK``) is tested on a block's fresh keys at
-    once; a plain one is called per committed tuple, in order, to the hit.
+    full closure (complete=False); a None hit means the closure saturated
+    without a match, or with no predicate, and the relation is complete.  A
+    predicate with ``key_mask(keys, n, width)`` is tested on a block's fresh
+    keys at once, in a key space of at most ``_CHUNK`` through its
+    ``key_table(n, width)`` if it has one; a plain one is called per
+    committed tuple, in order, up to the hit.
+
+    A sweep that runs many closures of one key space shares a ``tables``
+    dict among them: a dense closure that returns leaves its key-indexed
+    table there, reset, and the next one takes it instead of filling its
+    own.  The tables go when the dict does; a closure that raises drops its
+    table.
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -559,17 +580,20 @@ def generate_until(
     if not gens[0]:
         raise ValueError("generator width must be positive")
     rows = _validate_tuples(gens, alg.size, "generator")
-    with _Closure(alg, rows, budget, predicate) as state:
-        state.run()
+    state = _Closure(alg, rows, budget, predicate, tables)
+    state.run()
+    if tables is not None:
+        state.pass_on(tables)
     return state.relation(), state.hit
 
 
 def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     """Is the set of rows of a (k, width) array, k >= 1, closed under every
     basic operation, coordinate-wise?  When n^width, (n^width)^M and k^M
-    fit ``_CHUNK`` for the largest arity M, each lifted table is taken at
-    the rows' keys along each axis; otherwise the rows are saturated with a
-    budget of their own number, which any new tuple exceeds.
+    fit ``_CHUNK`` for the largest arity M, each operation's lifted table
+    is taken at the rows' keys along each axis.  Otherwise the rows are
+    saturated with a budget of their own number, which a closure that
+    commits a tuple exceeds.
     """
     k, w = rows.shape
     n, m = alg.size, alg.max_arity
@@ -587,11 +611,11 @@ def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
             if np.count_nonzero(member[images]) != images.size:
                 return False
         return True
+    state = _Closure(alg, rows, k, None)
+    # the first image outside the rows exceeds the budget
+    state.budget = state.count
     try:
-        with _Closure(alg, rows, k, None) as state:
-            # the first image outside the rows exceeds the budget
-            state.budget = state.count
-            state.run()
+        state.run()
     except BudgetExceededError:
         return False
     return True
@@ -618,9 +642,10 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
     """A term over generator variables deriving the target tuple, or the
     tuple at position ``row``, which is not looked up.
 
-    Walks the parent arrays from that row: a generator is Variable(its
-    position), a derived tuple Apply over its parents' terms.  The term is
-    replayed on the generator rows before it is returned.
+    Walks the relation's parent arrays from that row: generators map to
+    Variable(position); derived tuples map to Apply over their parents'
+    terms.  The term is replayed against the generator rows before it is
+    returned.
     """
     if row is None:
         row = rel._position(target)

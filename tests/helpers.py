@@ -13,7 +13,15 @@ import itertools
 
 import numpy as np
 
-from maltsev_lab import Apply, FiniteAlgebra, Operation, Variable, digraph, subpower
+from maltsev_lab import (
+    Apply,
+    BudgetExceededError,
+    FiniteAlgebra,
+    Operation,
+    Variable,
+    digraph,
+    subpower,
+)
 from maltsev_lab.algebra import flat_index
 
 
@@ -146,32 +154,31 @@ def reference_closure(alg, generators, stop=None):
     return tuples, derivations, rounds, None
 
 
-def table_bytes(full, budget):
-    """The bytes of a dense closure's two key-indexed tables over ``full``
-    keys: ``seen``, int32 below a budget of 2^31 and int64 from it on, and
-    ``first``, int64."""
-    return full * ((4 if budget < 1 << 31 else 8) + 8)
+def table_bytes(full):
+    """The bytes of a dense closure's key-indexed table ``seen`` over
+    ``full`` keys, one intp position a key."""
+    return full * np.dtype(np.intp).itemsize
 
 
 def patch_chunk(monkeypatch, chunk):
-    """Blocks of at most ``chunk`` combinations, and dense tables only for
-    key spaces of at most ``chunk`` keys (budgets below 2^31), so that
-    small closures take the keyed path too."""
+    """Blocks of at most ``chunk`` combinations, and a dense table only for
+    key spaces of at most ``chunk`` keys, so that small closures take the
+    keyed path too."""
     monkeypatch.setattr(subpower, "_CHUNK", chunk)
-    monkeypatch.setattr(subpower, "_TABLE_BYTES", table_bytes(chunk, 0))
+    monkeypatch.setattr(subpower, "_TABLE_BYTES", table_bytes(chunk))
 
 
 def record_closure_paths(monkeypatch):
     """Count the closures run from now on by the path their commits take.
 
-    A closure whose two key-indexed tables fit ``_TABLE_BYTES`` is "dense":
-    it keeps tables indexed by the key.  A larger one is "keyed": it
+    A closure whose key-indexed table fits ``_TABLE_BYTES`` is "dense": it
+    keeps a table of its commits indexed by the key.  A larger one is "keyed": it
     searches an array of committed keys.  From 2^62 on, keys do not fit
     int64 and the closure searches Python ints ("tuple").  Each closure must
     take the path its size selects.  A dense table must mark exactly the
-    generators when the closure starts, whichever closure used the table
-    before, and exactly the tuples it committed, each with its position,
-    when it ends, also after a stop that cut a block short.
+    generators when the closure starts, and exactly the tuples it
+    committed, each with its position, when it ends, also after a stop or
+    a budget cut that cut a block short.
     """
     paths = collections.Counter()
     run = subpower._Closure.run
@@ -186,7 +193,7 @@ def record_closure_paths(monkeypatch):
     def recorded(state):
         full = state.n**state.width
         want = (
-            "dense" if table_bytes(full, state.budget) <= subpower._TABLE_BYTES
+            "dense" if table_bytes(full) <= subpower._TABLE_BYTES
             else "keyed" if full < 1 << 62
             else "tuple"
         )
@@ -199,7 +206,12 @@ def record_closure_paths(monkeypatch):
         paths[got] += 1
         if state.dense:
             marks_committed(state)
-        run(state)
+        try:
+            run(state)
+        except BudgetExceededError:
+            if state.dense:
+                marks_committed(state)
+            raise
         if state.dense:
             marks_committed(state)
 

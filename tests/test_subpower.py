@@ -611,7 +611,7 @@ def test_key_form_block_repeat_matches_the_rows(monkeypatch, n, width):
             label = (chunk, b)
             stop = _Tabled(BlockRepeat(b))
             state = subpower._Closure(alg, rows[:1], 1, stop)
-            assert state.dense == (table_bytes(n**width, 1) <= subpower._TABLE_BYTES), label
+            assert state.dense == (table_bytes(n**width) <= subpower._TABLE_BYTES), label
             assert (stop.tables, stop.masked) == ((1, 0) if tabled else (0, 1)), label
             want = subpower._is_repeat(rows, b)
             assert state.find_hit(keys) == want.argmax() and want.any(), label
@@ -623,35 +623,32 @@ def test_key_form_block_repeat_matches_the_rows(monkeypatch, n, width):
 
 
 @pytest.mark.parametrize(
-    "size,width,budget,limit,path",
+    "size,width,limit,path",
     [
-        (256, 2, None, 1 << 16, "dense"),
-        (4, 8, None, 1 << 16, "dense"),
-        (257, 2, None, 1 << 16, "keyed"),
-        (5, 7, None, 1 << 16, "keyed"),
-        (48, 4, None, None, "dense"),
-        (49, 4, None, None, "keyed"),
-        (48, 4, 1 << 31, None, "keyed"),
+        (256, 2, 1 << 16, "dense"),
+        (4, 8, 1 << 16, "dense"),
+        (257, 2, 1 << 16, "keyed"),
+        (5, 7, 1 << 16, "keyed"),
+        (53, 4, None, "dense"),
+        (54, 4, None, "keyed"),
     ],
     ids=[
         "256-2-dense", "4-8-dense", "257-2-keyed", "5-7-keyed",
-        "cap-48-4-dense", "cap-49-4-keyed", "cap-48-4-wide-positions-keyed",
+        "cap-53-4-dense", "cap-54-4-keyed",
     ],
 )
 def test_closures_at_the_dense_limit_match_reference_closure(
-    monkeypatch, size, width, budget, limit, path
+    monkeypatch, size, width, limit, path
 ):
     # with the dense limit at 2^16 keys, 2^16 is the largest dense key
     # space, and 257^2 and 5^7 lie just above it; at the default cap of
-    # 64 MiB, 48^4 keys fit at 12 bytes a key and 49^4 do not, nor 48^4 at
-    # 16 bytes a key, which a budget of 2^31 takes
+    # 64 MiB, 53^4 keys fit at 8 bytes a key and 54^4 do not
     import random
 
     if limit is not None:
         patch_chunk(monkeypatch, limit)
-    if budget is None:
-        budget = subpower.DEFAULT_TUPLE_BUDGET
-    dense = table_bytes(size**width, budget) <= subpower._TABLE_BYTES
+    budget = subpower.DEFAULT_TUPLE_BUDGET
+    dense = table_bytes(size**width) <= subpower._TABLE_BYTES
     assert dense == (path == "dense")
     paths = record_closure_paths(monkeypatch)
     alg = _limit_algebra(size)
@@ -674,96 +671,62 @@ def _arrays(rel):
     return rel.keys.tolist(), rel.op_ids.tolist(), rel.parents.tolist()
 
 
-def test_tables_passed_on_after_a_cut_closure_start_clean(monkeypatch):
-    # 4^9 keys: dense, and above _CHUNK, so is_closed saturates.  A closure
-    # hands its tables on after a budget cut, after a stop hit that cut its
-    # block short and after an is_closed refusal; the next closure in the
-    # key space then commits what one does with no spare tables
-    paths = record_closure_paths(monkeypatch)
+def _halving_case():
+    """4^9 keys: dense, and above _CHUNK, so is_closed saturates.  Tuple h
+    of the closure is the halving of the first generator, and h + 1 of the
+    second, in the same block."""
     alg = _limit_algebra(4)
     gens = [(0, 1, 2, 3, 0, 1, 2, 3, 0), (3, 2, 1, 0, 3, 2, 1, 0, 3), (1,) * 9]
-    monkeypatch.setattr(subpower, "_spare", {})
     want = generate_subpower(alg, gens)
     assert len(want) >= 8
-    # tuple h is the halving of the first generator, and h + 1 of the
-    # second, in the same block
     h = want.op_ids.tolist().index(1)
     assert want.op_ids[h + 1] == 1 and want.parents[h:h + 2, 0].tolist() == [0, 1]
-    stop = want.tuples[h]
+    return alg, gens, want, h
 
-    def budget_cut():
+
+def test_a_cut_closure_marks_only_its_commits(monkeypatch):
+    # a dense closure finds a block's first occurrences in its seen slots;
+    # after a budget cut, a stop hit that cut its block short and an
+    # is_closed refusal, record_closure_paths checks that seen marks
+    # exactly the tuples committed, and those are what a full run commits
+    # first
+    paths = record_closure_paths(monkeypatch)
+    alg, gens, want, h = _halving_case()
+    with pytest.raises(BudgetExceededError):
+        generate_subpower(alg, gens, h + 1)
+    rel, hit = generate_until(alg, gens, lambda t: t == want.tuples[h])
+    assert hit == h == len(rel) - 1
+    assert _arrays(rel) == tuple(a[:h + 1] for a in _arrays(want))
+    assert not subpower.is_closed(alg, want.rows[:-1])
+    assert paths == {"dense": 4}, paths
+
+
+def test_closures_pass_their_table_on_clean(monkeypatch):
+    # closures sharing a tables dict: one that returns, here after a stop
+    # hit that cut its block short, leaves its table for the next closure
+    # of the key space, which commits what a closure with a table of its
+    # own commits; one that raises, in run or, with a budget below the
+    # generators, before it, leaves no table
+    paths = record_closure_paths(monkeypatch)
+    alg, gens, want, h = _halving_case()
+    tables = {}
+    generate_until(alg, gens, lambda t: t == want.tuples[h], tables=tables)
+    (table,) = tables.values()
+    assert table.size == 4**9
+    rel, _ = generate_until(alg, gens, None, tables=tables)
+    assert list(tables) == [4**9] and tables[4**9] is table
+    assert _arrays(rel) == _arrays(want)
+    # a closure of another key space leaves the table and adds its own
+    generate_until(alg, [g[:3] for g in gens], None, tables=tables)
+    assert sorted(tables) == [4**3, 4**9] and tables[4**9] is table
+    del tables[4**3]
+    for budget in (h + 1, 1):
         with pytest.raises(BudgetExceededError):
-            generate_subpower(alg, gens, len(want) - 1)
-
-    def stop_hit():
-        rel, hit = generate_until(alg, gens, lambda t: t == stop)
-        assert hit == h == len(rel) - 1
-
-    def refusal():
-        assert not subpower.is_closed(alg, want.rows[:-1])
-
-    for cut in (budget_cut, stop_hit, refusal):
-        monkeypatch.setattr(subpower, "_spare", {})
-        cut()
-        (pair,) = subpower._spare.values()
-        assert pair[0].size == 4**9, cut.__name__
-        got = generate_subpower(alg, gens)
-        assert subpower._spare[0][0] is pair[0], cut.__name__
-        assert _arrays(got) == _arrays(want), cut.__name__
+            generate_until(alg, gens, None, budget, tables)
+        assert tables == {}, budget
+        rel, _ = generate_until(alg, gens, None, tables=tables)
+        assert _arrays(rel) == _arrays(want), budget
     assert paths == {"dense": 7}, paths
-
-
-def test_a_foreign_exception_drops_the_tables(monkeypatch):
-    # a closure ended by any exception but a budget cut may leave its
-    # tables out of step with its keys, so it does not hand them on; one
-    # pair is spare at most, the last handed on
-    alg = _limit_algebra(4)
-    gens = [(0, 1, 2), (3, 2, 1)]
-
-    def stop(t):
-        if t not in gens:
-            raise RuntimeError("stop")
-        return False
-
-    monkeypatch.setattr(subpower, "_spare", {})
-    generate_subpower(alg, [(0,)])
-    generate_subpower(alg, gens)
-    assert [pair[0].size for pair in subpower._spare.values()] == [4**3]
-    with pytest.raises(RuntimeError, match="stop"):
-        generate_until(alg, gens, stop)
-    assert subpower._spare == {}
-
-
-def test_concurrent_closures_never_share_tables():
-    # closures of one key space in several threads at once, with frequent
-    # thread switches, each commit what the closure commits alone
-    import sys
-    import threading
-
-    alg = _limit_algebra(4)
-    cases = [[(a, b, 3 - a, 3 - b, a)] for a in range(4) for b in range(4)]
-    want = [_arrays(generate_subpower(alg, gens)) for gens in cases]
-    errors = []
-
-    def work():
-        try:
-            for _ in range(5):
-                for gens, arrays in zip(cases, want):
-                    assert _arrays(generate_subpower(alg, gens)) == arrays, gens
-        except Exception as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and not errors, errors
 
 
 @pytest.mark.parametrize("chunk", [None, 4], ids=["dense", "keyed"])
