@@ -175,15 +175,23 @@ def evaluate_columns(alg: FiniteAlgebra, t: Term, cols) -> np.ndarray:
     ``cols`` is an integer array of shape (k, W); column w is the argument
     tuple (cols[0, w], ..., cols[k-1, w]).  Returns the W values.  Each
     distinct subterm object costs one table gather over all W columns, so
-    shared subterms are evaluated once.
+    shared subterms are evaluated once.  The shape and the range of
+    ``cols`` are checked here, the term node by node in ``_evaluate``.
     """
     cols = np.asarray(cols, dtype=np.int64)
     if cols.ndim != 2:
         raise TermError(f"argument columns must have shape (k, W), got {cols.shape}")
-    k, width = cols.shape
     if cols.size and (cols.min() < 0 or cols.max() >= alg.size):
         bad = cols[(cols < 0) | (cols >= alg.size)][0]
         raise TermError(f"argument {bad} outside universe of size {alg.size}")
+    return _evaluate(alg, t, cols)
+
+
+def _evaluate(alg: FiniteAlgebra, t: Term, cols: np.ndarray) -> np.ndarray:
+    """``evaluate_columns`` on an int64 (k, W) array whose entries are in the
+    universe, which the caller guarantees.  Each node is checked: a known
+    symbol, its arity's number of children, a variable below k."""
+    k, width = cols.shape
     memo: dict[int, np.ndarray] = {}
 
     def walk(node: Term) -> np.ndarray:
@@ -196,7 +204,7 @@ def evaluate_columns(alg: FiniteAlgebra, t: Term, cols) -> np.ndarray:
                 raise TermError(
                     f"term references x{node.index} but only {k} arguments given"
                 )
-            val = cols[node.index].copy()
+            val = cols[node.index]
         else:
             op = alg.operation(node.symbol)
             if len(node.children) != op.arity:
@@ -215,7 +223,8 @@ def evaluate_columns(alg: FiniteAlgebra, t: Term, cols) -> np.ndarray:
         memo[key] = val
         return val
 
-    return walk(t)
+    # a variable's values are a row of cols: the result must not share it
+    return walk(t).copy() if isinstance(t, Variable) else walk(t)
 
 
 def _argument_grid(values, arity: int) -> np.ndarray:

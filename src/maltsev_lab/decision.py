@@ -22,21 +22,28 @@ subpower, and a witness exists iff that subpower holds a block repeat.
 The sweep is term first.  Pairs are taken in lexicographic order, in blocks
 of _PAIR_BLOCK.  Each term found so far is evaluated, in discovery order, on
 every pair of the block that no earlier term covers, one batched
-``evaluate_columns`` call per term.  The first pair left uncovered is
-saturated until its first block repeat, and the term walked from that hit's
-row, with no lookup, is evaluated on the uncovered pairs after it, and so
-on.  So every pair gets the earliest-discovered term that works for it, and
-the first pair whose saturation holds no block repeat refutes.  A
-refutation is saturated again from scratch, its keys compared with the
-first one's, and checked by the standalone pattern finder.  Before a report
-is built, every witness is evaluated again on its pair, one call per
-distinct term, and checked against the equalities it claims.
+evaluation per term.  The first pair left uncovered is saturated until its
+first block repeat, and the term walked from that hit's row, with no
+lookup, is evaluated on the uncovered pairs after it, and so on.  So every
+pair gets the earliest-discovered term that works for it, and the first
+pair whose saturation holds no block repeat refutes.  A refutation is
+saturated again from its generators, on the sweep's key table, its keys
+compared with the first one's, and checked by the standalone pattern
+finder.  Before a report is built, every witness is evaluated again on its
+pair, one call per distinct term, and checked against the equalities it
+claims.
+
+Checks.  A term is checked node by node wherever it is evaluated: a known
+symbol, its arity's number of children, a variable below k.  Arguments are
+checked where they enter, by ``verify_local``'s pair check; the sweep's are
+the problem's points, so no evaluation here scans their range.
 """
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +51,7 @@ import numpy as np
 from .algebra import (  # noqa: F401  term_table stays importable from here
     FiniteAlgebra,
     Term,
-    evaluate_columns,
+    _evaluate,
     idempotence_violation,
     term_table,
 )
@@ -100,16 +107,25 @@ class Problem:
         ``result``: with elements, chain j holds the applications j, j +
         block, ... and ends in result[j]; with tuples, one chain holds all
         applications, each of which is ``result`` in every coordinate."""
+        first, second = pair
+        return tuple([t.format(first, second, result) for t in self._templates])
+
+    @cached_property
+    def _templates(self) -> tuple[str, ...]:
+        """``identities`` as ``str.format`` templates over (first point,
+        second point, result), compiled once; braces in ``symbol`` are
+        escaped."""
+        symbol = self.symbol.replace("{", "{{").replace("}", "}}")
         if self.point is None:
-            points = [str(x) for x in pair]
+            points = ["{0}", "{1}"]
         else:
-            points = [_call("", p) for p in pair]
-        # each point rendered once, then selected per argument
-        calls = [f"{self.symbol}({','.join([points[b] for b in row])})" for row in self.pattern]
+            points = [_call("", (f"{{{b}[{c}]}}" for c in range(self.point))) for b in (0, 1)]
+        calls = [f"{symbol}({','.join([points[b] for b in row])})" for row in self.pattern]
         if self.point is not None:
-            return (f"{' = '.join(calls)} = {_call('', result)} in every block",)
+            result = _call("", (f"{{2[{c}]}}" for c in range(self.block)))
+            return (f"{' = '.join(calls)} = {result} in every block",)
         return tuple(
-            f"{' = '.join(calls[j::self.block])} = {result[j]}" for j in range(self.block)
+            f"{' = '.join(calls[j::self.block])} = {{2[{j}]}}" for j in range(self.block)
         )
 
 
@@ -157,9 +173,10 @@ def _columns(problem: Problem, pairs) -> np.ndarray:
 
 def _values(alg, term, cols, idx) -> np.ndarray:
     """The term's values on pairs ``idx`` of a (k, P, W) argument array, as a
-    (len(idx), W) array."""
+    (len(idx), W) array.  The arguments are points of the problem, in the
+    universe by construction, so only the term is checked, node by node."""
     k, _, width = cols.shape
-    values = evaluate_columns(alg, term, cols[:, idx].reshape(k, -1))
+    values = _evaluate(alg, term, cols[:, idx].reshape(k, -1))
     return values.reshape(len(idx), width)
 
 
@@ -256,11 +273,12 @@ def decide(
             tuples_generated += len(rel)
             rounds_max = max(rounds_max, rel.rounds)
             if hit is None:
-                # refutation: replay the pair from scratch and require the
+                # refutation: replay the pair from its generators, on the
+                # table the first closure reset, and require the
                 # standalone pattern finder to agree before reporting "no";
                 # base-n keys are one to one, so equal sorted keys are equal
                 # row sets
-                again = generate_subpower(alg, gens, budget)
+                again = generate_subpower(alg, gens, budget, tables)
                 if (
                     not np.array_equal(np.sort(again.keys), np.sort(rel.keys))
                     or find_block_repeat(again, block, reps) is not None
@@ -374,10 +392,10 @@ def has_k_wnu_idemp(
             f"expected {element}"
         )
     report = decide(alg, qwnu(k), budget)
-    diagonal = np.tile(np.arange(alg.size), (k, 1))
+    diagonal = np.tile(np.arange(alg.size, dtype=np.int64), (k, 1))
     terms = {id(w.term): w.term for w in report.witnesses}
     for term in terms.values():
-        if (evaluate_columns(alg, term, diagonal) != diagonal[0]).any():
+        if (_evaluate(alg, term, diagonal) != diagonal[0]).any():
             raise ConsistencyError(
                 "witness of an idempotent algebra is not idempotent"
             )

@@ -268,35 +268,55 @@ def report_to_dict(report: DecisionReport, include_witnesses: bool = False) -> d
     return out
 
 
-def _json(v, pad: str) -> str:
-    """v as json.dumps(v, indent=2) writes it on a line indented by pad."""
-    if type(v) is int:
-        return repr(v)
+def _template(v, pad: str) -> str:
+    """The %-template of the values shaped like v, laid out as
+    json.dumps(v, indent=2) writes v on a line indented by pad: a tuple as
+    a list, %d for an int, %s for a string, which is filled in encoded."""
     if type(v) is not tuple:
-        return _encode(v) if isinstance(v, str) else json.dumps(v)
+        return "%s" if isinstance(v, str) else "%d"
     inner = pad + "  "
-    items = ",\n".join(inner + _json(x, inner) for x in v)
+    items = ",\n".join(inner + _template(x, inner) for x in v)
     return f"[\n{items}\n{pad}]" if v else "[]"
 
 
+def _entry_template(names, w) -> str:
+    """The %-template of the witness entries shaped like w: its points,
+    then its term, result and identities."""
+    pad = "      "
+    fields = [f"{pad}{k}: {_template(v, pad)}" for k, v in zip(names, w.pair)]
+    fields += [
+        f'{pad}"term": %s',
+        f'{pad}"result": {_template(w.result, pad)}',
+        f'{pad}"identities": {_template(w.identities, pad)}',
+    ]
+    return "{\n" + ",\n".join(fields) + "\n    }"
+
+
 def report_to_json(report: DecisionReport, include_witnesses: bool = False) -> str:
-    """json.dumps(report_to_dict(...), indent=2) and a newline; witnesses
-    are written here, since an indent puts json.dumps on its Python path."""
+    """json.dumps(report_to_dict(...), indent=2) and a newline.  Witness
+    entries are written here, since an indent puts json.dumps on its Python
+    path: each from a %-template per shape, for points and results that are
+    ints or tuples of ints, as ``decide`` makes them."""
     head = json.dumps(report_to_dict(report), indent=2)
     if not include_witnesses:
         return head + "\n"
     terms = {key: _encode(text) for key, text in _term_texts(report.witnesses).items()}
-    names = [_encode(k) for k in report.pair_names]
-    pad = "      "
-    entries = ",\n    ".join(
-        "{\n" + ",\n".join(
-            [f"{pad}{k}: {_json(v, pad)}" for k, v in zip(names, w.pair)]
-            + [f'{pad}"term": {terms[id(w.term)]}',
-               f'{pad}"result": {_json(w.result, pad)}',
-               f'{pad}"identities": {_json(w.identities, pad)}']
-        ) + "\n    }"
-        for w in report.witnesses
-    )
-    witnesses = f"[\n    {entries}\n  ]" if entries else "[]"
+    names = [_encode(k).replace("%", "%%") for k in report.pair_names]
+    templates: dict = {}
+    entries = []
+    for w in report.witnesses:
+        first, second = w.pair
+        if type(first) is tuple:
+            points, shape = first + second, (len(first), len(second))
+        else:
+            points, shape = w.pair, None
+        shape = (shape, len(w.result), len(w.identities))
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = _entry_template(names, w)
+        entries.append(template % (
+            *points, terms[id(w.term)], *w.result, *map(_encode, w.identities)
+        ))
+    witnesses = "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
     # head ends in "\n}"
     return f'{head[:-2]},\n  "witnesses": {witnesses}\n}}\n'

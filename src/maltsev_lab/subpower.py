@@ -25,6 +25,11 @@ unless an earlier closure of its sweep passed one on; and in a key space of
 at most ``_CHUNK`` for a cached table of the keys ``BlockRepeat`` stops at.  Per block of at most ``_CHUNK`` keys it pays a
 gather per chunk, a lookup of the fresh keys and of the stop (key
 arithmetic above ``_CHUNK``) and the commit.
+
+Checks.  Generators are checked where they enter (``generate_until``, and
+``is_admissible`` before ``is_closed``).  The witness walk builds its term
+from the algebra's own operations and replays it on those rows as it goes,
+so it makes none of ``evaluate_columns``' checks on columns or nodes.
 """
 from __future__ import annotations
 
@@ -37,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Apply, FiniteAlgebra, Term, Variable, evaluate_columns
+from .algebra import Apply, FiniteAlgebra, Term, Variable
 from .errors import BudgetExceededError, ConsistencyError
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
@@ -546,9 +551,11 @@ def generate_subpower(
     alg: FiniteAlgebra,
     generators: Sequence[Sequence[int]],
     budget: int = DEFAULT_TUPLE_BUDGET,
+    tables: Optional[dict] = None,
 ) -> TupleRelation:
-    """The subpower generated by the given tuples, fully saturated."""
-    return generate_until(alg, generators, None, budget)[0]
+    """The subpower generated by the given tuples, fully saturated; a sweep
+    passes its ``tables`` on as to ``generate_until``."""
+    return generate_until(alg, generators, None, budget, tables)[0]
 
 
 def generate_until(
@@ -644,8 +651,9 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
 
     Walks the relation's parent arrays from that row: generators map to
     Variable(position); derived tuples map to Apply over their parents'
-    terms.  The term is replayed against the generator rows before it is
-    returned.
+    terms.  The same walk replays the term: a generator's values are its
+    row of ``generator_rows``, a derived tuple's are its operation's table
+    at its parents' values, and the row's values must be the target.
     """
     if row is None:
         row = rel._position(target)
@@ -654,8 +662,12 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
     elif not 0 <= row < len(rel):
         raise ValueError(f"row {row} is not in the relation")
     target = tuple(rel.layout.decode(rel.keys[row:row + 1])[0].tolist())
-    ops = rel.algebra.ops
+    alg = rel.algebra
+    n, ops, tables = alg.size, alg.ops, alg.table_arrays
+    # generator j's values are row j
+    gens = rel.generator_rows
     terms: dict[int, Term] = {}
+    values: dict[int, np.ndarray] = {}
     stack = [row]
     while stack:
         i = stack[-1]
@@ -666,20 +678,27 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
         parents = rel.parents[i].tolist()
         if o < 0:
             terms[i] = Variable(parents[0])
+            values[i] = gens[parents[0]]
             stack.pop()
             continue
-        parents = parents[:ops[o].arity]
+        op = ops[o]
+        parents = parents[:op.arity]
         missing = [p for p in parents if p not in terms]
         if missing:
             stack.extend(missing)
             continue
-        terms[i] = Apply(ops[o].symbol, tuple(terms[p] for p in parents))
+        terms[i] = Apply(op.symbol, tuple(terms[p] for p in parents))
+        if parents:
+            flat = values[parents[0]]
+            for p in parents[1:]:
+                flat = flat * n + values[p]
+        else:
+            flat = np.zeros(rel.width, dtype=np.int64)
+        values[i] = tables[op.symbol][flat]
         stack.pop()
-    term = terms[row]
-    # generator j is row j, so column c holds the arguments at coordinate c
-    replay = tuple(evaluate_columns(rel.algebra, term, rel.generator_rows).tolist())
+    replay = tuple(values[row].tolist())
     if replay != target:
         raise ConsistencyError(
             f"witness replay produced {replay}, expected {target}"
         )
-    return WitnessTerm(term=term, target=target)
+    return WitnessTerm(term=terms[row], target=target)

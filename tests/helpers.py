@@ -89,6 +89,29 @@ def random_dag_term(rng, alg, k, nodes):
     return pool[-1]
 
 
+def reference_identities(problem, pair, result):
+    """``Problem.identities`` rendered call by call with f-strings, as the
+    library wrote them before it compiled them into templates."""
+
+    def call(name, args):
+        return name + "(" + ",".join(map(str, args)) + ")"
+
+    if problem.point is None:
+        points = [str(x) for x in pair]
+    else:
+        points = [call("", p) for p in pair]
+    calls = [
+        f"{problem.symbol}({','.join([points[b] for b in row])})"
+        for row in problem.pattern
+    ]
+    if problem.point is not None:
+        return (f"{' = '.join(calls)} = {call('', result)} in every block",)
+    return tuple(
+        f"{' = '.join(calls[j::problem.block])} = {result[j]}"
+        for j in range(problem.block)
+    )
+
+
 def naive_subpower(alg, generators):
     """Independent closure: iterate over sorted snapshots until stable."""
     current = {tuple(g) for g in generators}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -172,11 +173,20 @@ def test_evaluate_columns_shares_subterms():
 
 
 def test_evaluate_columns_errors():
+    # the columns' range and shape are checked first, whatever the term
+    for bad, message in [
+        ([[0, 1], [1, 2]], "argument 2 outside universe of size 2"),
+        ([[0, -1], [1, 1]], "argument -1 outside universe of size 2"),
+        ([0, 1], "argument columns must have shape (k, W), got (2,)"),
+        ([[[0, 1], [1, 1]]], "argument columns must have shape (k, W), got (1, 2, 2)"),
+    ]:
+        for term in (MEET, Variable(0), Apply("join", ())):
+            with pytest.raises(TermError, match=re.escape(message)):
+                evaluate_columns(MIN2, term, np.array(bad))
     cols = np.array([[0, 1], [1, 1]])
-    with pytest.raises(TermError, match="outside universe"):
-        evaluate_columns(MIN2, MEET, np.array([[0, 1], [1, 2]]))
-    with pytest.raises(TermError, match="outside universe"):
-        evaluate_columns(MIN2, MEET, np.array([[0, -1], [1, 1]]))
+    # a variable's values are a copy, not a row of the columns
+    evaluate_columns(MIN2, Variable(1), cols)[:] = 0
+    assert cols.tolist() == [[0, 1], [1, 1]]
     with pytest.raises(TermError, match="unknown operation"):
         evaluate_columns(MIN2, Apply("join", (Variable(0), Variable(1))), cols)
     with pytest.raises(TermError, match="expects 2 children"):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +17,7 @@ from helpers import (
     Z2_MINORITY,
     Z3_MALTSEV,
     make_algebra,
+    reference_identities,
     relabel,
 )
 from maltsev_lab import (
@@ -41,7 +44,7 @@ from maltsev_lab import (
     verify_local,
 )
 from maltsev_lab.decision import _columns
-from maltsev_lab.errors import BudgetExceededError
+from maltsev_lab.errors import BudgetExceededError, TermError
 
 MIN_CHAIN3 = Apply("meet", (Variable(0), Apply("meet", (Variable(1), Variable(2)))))
 
@@ -178,6 +181,43 @@ def test_arguments_and_identities_follow_the_paper():
                 ]
                 want = [" = ".join(calls) + f" = ({','.join(map(str, result))}) in every block"]
             assert list(lines) == want, (problem.name, pair)
+
+
+def test_identity_templates_match_the_reference_renderer():
+    # the identities compiled into templates are the ones written call by
+    # call, on points and results of two digits, and with braces in the
+    # term's symbol
+    rng = random.Random(15)
+    problems = [qwnu(k) for k in range(2, 7)]
+    problems += [nlocal(n, k) for n in range(1, 4) for k in (2, 3)]
+    problems += [qtaylor(), replace(qwnu(3), symbol="{t}"), replace(nlocal(2, 2), symbol="}{0}{")]
+    for problem in problems:
+        points = (
+            [10, 11, 12] if problem.point is None
+            else list(itertools.product([10, 11, 12], repeat=problem.point))
+        )
+        for pair in itertools.product(points, repeat=2):
+            result = tuple(rng.randrange(10, 100) for _ in range(problem.block))
+            want = reference_identities(problem, pair, result)
+            assert problem.identities(pair, result) == want, (problem, pair)
+
+
+def test_verify_local_checks_the_term_node_by_node():
+    # the sweep's evaluations skip the range scan of their columns, but a
+    # term is still checked node by node, with the evaluator's messages
+    x = Variable
+    cases = [
+        (Apply("join", (x(0), x(1))), "unknown operation symbol 'join'"),
+        (Apply("meet", (x(0),)), "operation meet expects 2 children, got 1"),
+        (Apply("meet", (x(0), Apply("meet", (x(1), x(2), x(0))))), "expects 2 children, got 3"),
+        (Apply("meet", (x(0), x(5))), "term references x5 but only 3 arguments given"),
+    ]
+    for problem in (qwnu(3), nlocal(2, 3)):
+        pair = (0, 1) if problem.point is None else ((0, 1), (1, 0))
+        assert verify_local(MIN2, problem, pair, MIN_CHAIN3) is not None
+        for term, message in cases:
+            with pytest.raises(TermError, match=re.escape(message)):
+                verify_local(MIN2, problem, pair, term)
 
 
 def test_problems_are_data():

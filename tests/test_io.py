@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -9,11 +10,13 @@ from helpers import MIN2, NOT2, PROJ2, Z3_MALTSEV, make_algebra
 from maltsev_lab import (
     Apply,
     Variable,
+    decide,
     format_algebra,
     format_term,
     has_k_qwnu,
     has_n_local_k_qwnu,
     has_quasi_taylor,
+    nlocal,
     parse_algebra,
     parse_term,
     qtaylor,
@@ -123,7 +126,17 @@ def test_json_report_is_its_dict_dumped_with_an_indent():
         has_n_local_k_qwnu(meet, 2, 2),
         has_quasi_taylor(neg),
         has_k_qwnu(neg, 2),
+        # pair names that hold a % are not read as template fields
+        decide(meet, replace(nlocal(1, 2), pair_names=("r%s", 'b"%%'))),
     ]
+    # one report with witnesses of every shape: elements, 1- and 2-tuples,
+    # results of one and two entries, and zero to two identities
+    shapes = [has_k_qwnu(MIN2, 2), has_n_local_k_qwnu(MIN2, 2, 2), has_quasi_taylor(MIN2),
+              has_n_local_k_qwnu(MIN2, 1, 2)]
+    first = shapes[0].witnesses[0]
+    edited = (replace(first, identities=()), replace(first, identities=("a", "b")))
+    mixed = sum((r.witnesses for r in shapes), edited)
+    reports.append(replace(shapes[0], witnesses=mixed))
     seen = set()
     for report in reports:
         for witnesses in (False, True):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -30,7 +31,7 @@ from maltsev_lab import (
     subpower,
     unary_term_monoid,
 )
-from maltsev_lab.errors import BudgetExceededError
+from maltsev_lab.errors import BudgetExceededError, ConsistencyError
 
 GENS3 = [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
@@ -225,6 +226,27 @@ def test_extract_witness_from_a_row_needs_no_lookup(monkeypatch):
         for bad in (-1, len(rel)):
             with pytest.raises(ValueError, match=f"row {bad} is not in the relation"):
                 extract_witness(rel, row=bad)
+
+
+def test_a_wrong_derivation_fails_its_replay():
+    # the extraction walk replays its term on the generator rows: a relation
+    # whose parents derive a row that its term does not produce is refused.
+    # Meet and join differ on distinct parents, so every derived row with
+    # its operation swapped is wrong, and so is every row under another key
+    lattice = make_algebra("lattice2", 2, ("meet", 2, (0, 0, 0, 1)), ("join", 2, (0, 1, 1, 1)))
+    rel = generate_subpower(lattice, GENS3)
+    assert len(rel) == 8
+    for i in range(len(rel)):
+        assert extract_witness(rel, row=i).target == rel.tuples[i]
+        keys = rel.keys.copy()
+        keys[i] = (keys[i] + 1) % 8
+        with pytest.raises(ConsistencyError, match="witness replay produced"):
+            extract_witness(dataclasses.replace(rel, keys=keys), row=i)
+        if rel.op_ids[i] >= 0:
+            op_ids = rel.op_ids.copy()
+            op_ids[i] = 1 - op_ids[i]
+            with pytest.raises(ConsistencyError, match="witness replay produced"):
+                extract_witness(dataclasses.replace(rel, op_ids=op_ids), row=i)
 
 
 def test_idempotent_closure():
