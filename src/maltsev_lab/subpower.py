@@ -553,8 +553,8 @@ def generate_subpower(
     budget: int = DEFAULT_TUPLE_BUDGET,
     tables: Optional[dict] = None,
 ) -> TupleRelation:
-    """The subpower generated by the given tuples, fully saturated; a sweep
-    passes its ``tables`` on as to ``generate_until``."""
+    """The subpower generated by the given tuples, fully saturated.
+    ``tables`` is as in ``generate_until``."""
     return generate_until(alg, generators, None, budget, tables)[0]
 
 
