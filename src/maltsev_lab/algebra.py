@@ -358,7 +358,7 @@ def minimal_unary_idempotent(
     raised to the power making it idempotent.
     """
     monoid = unary_term_monoid(alg, budget=budget)
-    images = [tuple(sorted(set(u.images))) for u in monoid]
+    images = [u.image() for u in monoid]
     least = min(map(len, images))
     b_sorted = min(image for image in images if len(image) == least)
     base = monoid[images.index(b_sorted)]

@@ -23,8 +23,9 @@ The sweep is term first.  Pairs are taken in lexicographic order, in blocks
 of _PAIR_BLOCK.  Each term found so far is evaluated, in discovery order, on
 every pair of the block that no earlier term covers, one batched
 evaluation per term.  The first pair left uncovered is saturated until its
-first block repeat, and the term walked from that hit's row, with no
-lookup, is evaluated on the uncovered pairs after it, and so on.  So every
+first block repeat.  The term walked from that hit's row, with no lookup,
+is replayed on the pair's generators and compared with the row by key,
+then evaluated on the uncovered pairs after it, and so on.  So every
 pair gets the earliest-discovered term that works for it, and the first
 pair whose saturation holds no block repeat refutes.  A refutation is
 saturated again from its generators, on the sweep's key table, its keys
@@ -33,10 +34,12 @@ finder.  Before a report is built, every witness is evaluated again on its
 pair, one call per distinct term, and checked against the equalities it
 claims.
 
-Checks.  A term is checked node by node wherever it is evaluated: a known
-symbol, its arity's number of children, a variable below k.  Arguments are
-checked where they enter, by ``verify_local``'s pair check; the sweep's are
-the problem's points, so no evaluation here scans their range.
+Checks.  Every term, the extracted witnesses included, is evaluated by the
+algebra's one evaluator core, ``_evaluate``, which checks it node by node: a
+known symbol, its arity's number of children, a variable below k.
+Arguments are checked where they enter, by ``verify_local``'s pair check;
+the sweep's are the problem's points, so no evaluation here scans their
+range.
 """
 from __future__ import annotations
 

@@ -138,7 +138,6 @@ def _search_clone(alg, k, budget, satisfies):
         if satisfies(table):
             # stopped early: a hit is definitive, completeness is not claimed
             return table, False
-    return None, False
 
 
 def qwnu_table_check(table: Sequence[int], size: int, k: int) -> bool:

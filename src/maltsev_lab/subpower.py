@@ -27,9 +27,12 @@ gather per chunk, a lookup of the fresh keys and of the stop (key
 arithmetic above ``_CHUNK``) and the commit.
 
 Checks.  Generators are checked where they enter (``generate_until``, and
-``is_admissible`` before ``is_closed``).  The witness walk builds its term
-from the algebra's own operations and replays it on those rows as it goes,
-so it makes none of ``evaluate_columns``' checks on columns or nodes.
+``is_admissible`` before ``is_closed``).  A witness's term is replayed on
+those validated rows by the algebra's one term evaluator, ``_evaluate``,
+which checks the term node by node and does not scan the rows' range
+again.  The replay's key must be the key of the row the term was walked
+from; keys are one to one with rows, so no row is decoded unless the
+replay fails.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Apply, FiniteAlgebra, Term, Variable
+from .algebra import Apply, FiniteAlgebra, Term, Variable, _evaluate
 from .errors import BudgetExceededError, ConsistencyError
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
@@ -199,10 +202,7 @@ class _Layout:
         return rows @ self.powers
 
     def decode(self, keys):
-        """The rows with these keys, a (P, width) array."""
-        if self.keyed:
-            return keys[:, None] // self.powers % self.n
-        # Python int keys: split into int64 chunk keys first
+        """The rows with these keys, a (P, width) array, chunk by chunk."""
         return np.hstack([
             d[:, None] // _key_powers(self.n, s) % self.n
             for d, s in zip(self.digits(keys), self.widths)
@@ -284,18 +284,14 @@ class BlockRepeat:
         b = self.block
         if width % b:
             return np.zeros(len(keys), dtype=bool)
-        return keys // n ** (width - b) * _repeat(n, width, b) == keys
-
-
-def _repeat(n, width, b):
-    return sum(n ** (b * i) for i in range(width // b))
+        # not keys % repeat == 0: on a 5000-key block it takes twice as long
+        repeat = sum(n ** (b * i) for i in range(width // b))
+        return keys // n ** (width - b) * repeat == keys
 
 
 @functools.lru_cache(maxsize=64)
 def _repeat_table(n, width, b):
-    table = np.zeros(n**width, dtype=bool)
-    if width % b == 0:
-        table[np.arange(n**b) * _repeat(n, width, b)] = True
+    table = BlockRepeat(b).key_mask(np.arange(n**width), n, width)
     table.flags.writeable = False
     return table
 
@@ -651,9 +647,8 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
 
     Walks the relation's parent arrays from that row: generators map to
     Variable(position); derived tuples map to Apply over their parents'
-    terms.  The same walk replays the term: a generator's values are its
-    row of ``generator_rows``, a derived tuple's are its operation's table
-    at its parents' values, and the row's values must be the target.
+    terms.  The term is replayed by ``_evaluate`` on the generator rows,
+    and the key of its values must be the row's key.
     """
     if row is None:
         row = rel._position(target)
@@ -661,13 +656,8 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
             raise ValueError(f"target tuple {tuple(target)} is not in the relation")
     elif not 0 <= row < len(rel):
         raise ValueError(f"row {row} is not in the relation")
-    target = tuple(rel.layout.decode(rel.keys[row:row + 1])[0].tolist())
-    alg = rel.algebra
-    n, ops, tables = alg.size, alg.ops, alg.table_arrays
-    # generator j's values are row j
-    gens = rel.generator_rows
+    ops = rel.algebra.ops
     terms: dict[int, Term] = {}
-    values: dict[int, np.ndarray] = {}
     stack = [row]
     while stack:
         i = stack[-1]
@@ -678,7 +668,6 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
         parents = rel.parents[i].tolist()
         if o < 0:
             terms[i] = Variable(parents[0])
-            values[i] = gens[parents[0]]
             stack.pop()
             continue
         op = ops[o]
@@ -688,17 +677,13 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
             stack.extend(missing)
             continue
         terms[i] = Apply(op.symbol, tuple(terms[p] for p in parents))
-        if parents:
-            flat = values[parents[0]]
-            for p in parents[1:]:
-                flat = flat * n + values[p]
-        else:
-            flat = np.zeros(rel.width, dtype=np.int64)
-        values[i] = tables[op.symbol][flat]
         stack.pop()
-    replay = tuple(values[row].tolist())
-    if replay != target:
+    # variable j's values are generator j's row, validated int64
+    values = _evaluate(rel.algebra, terms[row], rel.generator_rows)
+    replay = tuple(values.tolist())
+    if rel.layout.encode(values) != rel.keys[row]:
+        target = tuple(rel.layout.decode(rel.keys[row:row + 1])[0].tolist())
         raise ConsistencyError(
             f"witness replay produced {replay}, expected {target}"
         )
-    return WitnessTerm(term=terms[row], target=target)
+    return WitnessTerm(term=terms[row], target=replay)

@@ -39,7 +39,7 @@ from maltsev_lab import (
     unary_term_monoid,
 )
 from maltsev_lab.algebra import flat_index, term_arity
-from maltsev_lab.errors import BudgetExceededError, TermError
+from maltsev_lab.errors import BudgetExceededError, ConsistencyError, TermError
 
 MEET = Apply("meet", (Variable(0), Variable(1)))
 MEET_NESTED = Apply("f", (Variable(0), Apply("f", (Variable(1), Variable(2)))))
@@ -307,6 +307,27 @@ def test_minimal_image_is_the_least_inclusion_minimal_image():
         shrinking += len(b) < size
         ties += len(minimal) > 1
     assert shrinking >= 100 and ties >= 50, (shrinking, ties)
+
+
+def test_a_minimal_image_that_is_not_permuted_is_refused(monkeypatch):
+    # both image constructions check that a map permutes the image it
+    # works on before they take its power, whose cycle walk would not end
+    # on another map; a monoid that is not closed under composition, or an
+    # alpha that is not idempotent on its image, breaks that
+    from maltsev_lab import algebra
+
+    def power(mapping, p_from_order):
+        raise AssertionError(f"power of {mapping} taken")
+
+    monkeypatch.setattr(algebra, "_perm_order_and_power", power)
+    monkeypatch.setattr(algebra, "unary_term_monoid", lambda alg, budget: (UnaryMap((1, 2, 2)),))
+    with pytest.raises(ConsistencyError, match="unary map is not a permutation"):
+        minimal_unary_idempotent(CLIP3)
+    monkeypatch.setattr(
+        algebra, "minimal_unary_idempotent", lambda alg, budget: (UnaryMap((0, 0)), (0, 1))
+    )
+    with pytest.raises(ConsistencyError, match="diagonal map is not a permutation"):
+        induced_image_algebra(MIN2)
 
 
 def test_restrict_to_image_examples():

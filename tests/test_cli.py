@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import MIN2, NOT2, PROJ2, Z2_MINORITY
-from maltsev_lab import decision, format_algebra
+from maltsev_lab import decision, digraph, format_algebra
 from maltsev_lab.cli import run_cli
 from maltsev_lab.errors import ConsistencyError
 
@@ -184,6 +184,13 @@ def test_oracle_commands(files, capsys):
     assert data["found"] is not None
 
 
+def test_oracle_out_of_budget_is_inconclusive(files, capsys):
+    # the binary slice of negation has four tables, none a qWNU; a budget
+    # of two stops after the projections
+    assert run_cli(["oracle", "qwnu", "--k", "2", files["not2"], "--budget", "2"]) == 3
+    assert capsys.readouterr().out == "oracle qwnu k=2: inconclusive (budget exhausted)\n"
+
+
 def test_image_command(files, capsys):
     assert run_cli(["image", files["not2"], "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -199,6 +206,13 @@ def test_gen_roundtrip(capsys):
 
     alg = parse_algebra(first)
     assert alg.size == 3 and [op.arity for op in alg.ops] == [2, 1]
+
+
+def test_gen_refuses_a_bad_arity_list(capsys):
+    assert run_cli(["gen", "--seed", "5", "--size", "3", "--arity", "2,x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad arity list '2,x'" in captured.err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
@@ -228,3 +242,12 @@ def test_digraph_commands(files, capsys):
     assert run_cli(["digraph", "length-one", files["digraph"], "--witness"]) == 0
     out = capsys.readouterr().out
     assert "walk from" in out
+
+
+def test_digraph_length_one_json_walk_replays(files, capsys):
+    assert run_cli(["digraph", "length-one", files["digraph"], "--json", "--witness"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["predicate"] == "length-one" and data["answer"] is True
+    start, steps = data["walk"]["start"], data["walk"]["steps"]
+    g = digraph.parse_digraph(Path(files["digraph"]).read_text())
+    assert digraph.replay_walk(g, start, [(tuple(edge), d) for edge, d in steps]) == (start, 1)

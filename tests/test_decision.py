@@ -23,9 +23,11 @@ from helpers import (
 from maltsev_lab import (
     Apply,
     Variable,
+    WitnessTerm,
     decide,
     enumerate_clone_slice,
     find_block_repeat,
+    format_algebra,
     generate_subpower,
     has_k_qwnu,
     has_k_wnu_idemp,
@@ -43,8 +45,9 @@ from maltsev_lab import (
     term_table,
     verify_local,
 )
+from maltsev_lab.cli import run_cli
 from maltsev_lab.decision import _columns
-from maltsev_lab.errors import BudgetExceededError, TermError
+from maltsev_lab.errors import BudgetExceededError, ConsistencyError, TermError
 
 MIN_CHAIN3 = Apply("meet", (Variable(0), Apply("meet", (Variable(1), Variable(2)))))
 
@@ -386,9 +389,60 @@ def test_refutation_is_first_failing_pair():
     assert report.stats.pairs_checked == 2  # (0,0) succeeded, (0,1) refuted
 
 
-def test_a_yes_sweep_decodes_only_its_hit_rows(monkeypatch):
-    # a saturation that hits needs only the hit's row to read its witness
-    # off; no closure of a "yes" sweep is decoded whole
+def test_a_claimed_witness_that_breaks_its_identities_is_refused(monkeypatch):
+    # every witness is evaluated again on its pair before the report is
+    # built, so a wrong term read off a saturation is caught there
+    from maltsev_lab import decision
+
+    monkeypatch.setattr(decision, "extract_witness", lambda rel, row: WitnessTerm(Variable(0), ()))
+    with pytest.raises(
+        ConsistencyError, match=re.escape("witness violates its claimed equalities at pair (0, 1)")
+    ):
+        has_k_qwnu(MIN2, 3)
+
+
+def test_a_refutation_that_does_not_reproduce_is_refused(monkeypatch, tmp_path, capsys):
+    # a "no" is saturated again from its generators: the replay must hold
+    # the same keys, and the standalone pattern finder must find no repeat.
+    # The command line reports either failure as an internal error, exit 4
+    from maltsev_lab import decision
+
+    generate = decision.generate_subpower
+
+    def one_row_short(*args):
+        rel = generate(*args)
+        return replace(rel, keys=rel.keys[:-1])
+
+    assert has_k_qwnu(PROJ2, 2).refutation == (0, 1)
+    path = tmp_path / "proj2.alg"
+    path.write_text(format_algebra(PROJ2))
+    message = "refutation at pair (0, 1) did not reproduce"
+    for name, fake in (("generate_subpower", one_row_short), ("find_block_repeat", lambda *args: (0,))):
+        with monkeypatch.context() as m:
+            m.setattr(decision, name, fake)
+            with pytest.raises(ConsistencyError, match=re.escape(message)):
+                has_k_qwnu(PROJ2, 2)
+            assert run_cli(["check", "qwnu", "--k", "2", str(path)]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"internal consistency error: {message}" in captured.err
+
+
+def test_a_witness_that_is_not_idempotent_is_refused(monkeypatch):
+    # every witness of has_k_wnu_idemp is checked on the diagonal; here the
+    # precondition lets a constant operation through, whose witness is not
+    # idempotent
+    from maltsev_lab import decision
+
+    const = make_algebra("const2", 2, ("c", 2, (0, 0, 0, 0)))
+    monkeypatch.setattr(decision, "idempotence_violation", lambda alg: None)
+    with pytest.raises(ConsistencyError, match="witness of an idempotent algebra is not idempotent"):
+        has_k_wnu_idemp(const, 2)
+
+
+def test_a_yes_sweep_decodes_no_row(monkeypatch):
+    # a witness is read off from its hit's row and its replay compared by
+    # key, so a "yes" sweep decodes no row of any closure
     from maltsev_lab import decision, subpower
 
     decoded, saturations = [], []
@@ -406,7 +460,7 @@ def test_a_yes_sweep_decodes_only_its_hit_rows(monkeypatch):
     monkeypatch.setattr(decision, "generate_until", counted_until)
     report = has_quasi_taylor(random_algebra(7, 12, [2]))
     assert report.answer and len(saturations) == 30
-    assert sum(decoded) == len(saturations)
+    assert decoded == []
 
 
 def test_a_yes_sweep_pays_no_per_witness_lookups(monkeypatch):

@@ -36,7 +36,7 @@ from maltsev_lab import (
     replay_walk,
     subpower,
 )
-from maltsev_lab.errors import AlgebraFormatError
+from maltsev_lab.errors import AlgebraFormatError, ConsistencyError
 
 
 def cycle_edges(vertices):
@@ -76,6 +76,18 @@ def test_algebraic_length_one_loop():
     start, steps = cert
     end, net = replay_walk(Digraph.from_edges([(0, 0), (1, 2)]), start, steps)
     assert end == start and net == 1
+
+
+def test_a_walk_that_fails_its_replay_is_refused(monkeypatch):
+    # the assembled walk is replayed before it is returned: one that ends
+    # elsewhere or has another net length is an internal fault
+    from maltsev_lab import digraph
+
+    g = Digraph.from_edges(cycle_edges([0, 1, 2]) + cycle_edges([0, 3]))
+    for end, net in ((0, 0), (1, 1)):
+        monkeypatch.setattr(digraph, "replay_walk", lambda g, start, steps: (end, net))
+        with pytest.raises(ConsistencyError, match="assembled walk failed replay"):
+            has_algebraic_length_one(g)
 
 
 def test_algebraic_length_agrees_with_brute_force():

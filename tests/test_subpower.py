@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,25 +229,34 @@ def test_extract_witness_from_a_row_needs_no_lookup(monkeypatch):
                 extract_witness(rel, row=bad)
 
 
-def test_a_wrong_derivation_fails_its_replay():
-    # the extraction walk replays its term on the generator rows: a relation
-    # whose parents derive a row that its term does not produce is refused.
-    # Meet and join differ on distinct parents, so every derived row with
-    # its operation swapped is wrong, and so is every row under another key
+def test_a_wrong_derivation_fails_its_replay(monkeypatch):
+    # the extraction replays its term on the generator rows and compares the
+    # values' key with the row's: a relation whose parents derive a row that
+    # its term does not produce is refused.  Meet and join differ on
+    # distinct parents, so every derived row with its operation swapped is
+    # wrong, and so is every row under another key.  Each key dtype is
+    # covered: int64 keys of a dense and of a keyed closure, and Python int
+    # keys of generators 21 copies wide (2^63 keys)
     lattice = make_algebra("lattice2", 2, ("meet", 2, (0, 0, 0, 1)), ("join", 2, (0, 1, 1, 1)))
-    rel = generate_subpower(lattice, GENS3)
-    assert len(rel) == 8
-    for i in range(len(rel)):
-        assert extract_witness(rel, row=i).target == rel.tuples[i]
-        keys = rel.keys.copy()
-        keys[i] = (keys[i] + 1) % 8
-        with pytest.raises(ConsistencyError, match="witness replay produced"):
-            extract_witness(dataclasses.replace(rel, keys=keys), row=i)
-        if rel.op_ids[i] >= 0:
-            op_ids = rel.op_ids.copy()
-            op_ids[i] = 1 - op_ids[i]
+    paths = record_closure_paths(monkeypatch)
+    rels = [generate_subpower(lattice, GENS3), generate_subpower(lattice, [g * 21 for g in GENS3])]
+    patch_chunk(monkeypatch, 4)
+    rels.append(generate_subpower(lattice, GENS3))
+    assert paths == {"dense": 1, "tuple": 1, "keyed": 1}
+    for rel in rels:
+        assert len(rel) == 8
+        for i in range(len(rel)):
+            message = re.escape(f"expected {rel.tuples[i]}")
+            assert extract_witness(rel, row=i).target == rel.tuples[i]
+            keys = rel.keys.copy()
+            keys[i] = (keys[i] + 1) % 2**rel.width
             with pytest.raises(ConsistencyError, match="witness replay produced"):
-                extract_witness(dataclasses.replace(rel, op_ids=op_ids), row=i)
+                extract_witness(dataclasses.replace(rel, keys=keys), row=i)
+            if rel.op_ids[i] >= 0:
+                op_ids = rel.op_ids.copy()
+                op_ids[i] = 1 - op_ids[i]
+                with pytest.raises(ConsistencyError, match=message):
+                    extract_witness(dataclasses.replace(rel, op_ids=op_ids), row=i)
 
 
 def test_idempotent_closure():
