@@ -319,7 +319,9 @@ def _perm_order_and_power(mapping: dict, p_from_order) -> dict:
     """Power of a permutation given as a dict, exponent chosen from its order.
 
     ``p_from_order`` maps the permutation's order d to the wanted exponent p;
-    the power is taken cycle by cycle, so huge orders cost nothing.
+    the power is taken cycle by cycle, so huge orders cost nothing.  Raises
+    ValueError, instead of walking a cycle that never closes, when the
+    mapping does not permute its keys.
     """
     cycles = []
     seen = set()
@@ -330,6 +332,8 @@ def _perm_order_and_power(mapping: dict, p_from_order) -> dict:
         seen.add(start)
         nxt = mapping[start]
         while nxt != start:
+            if nxt in seen or nxt not in mapping:
+                raise ValueError(f"{mapping} is not a permutation")
             cyc.append(nxt)
             seen.add(nxt)
             nxt = mapping[nxt]
@@ -388,16 +392,15 @@ def restrict_to_image(
     p >= 1 with beta^(p+1) the identity on B and returns the table of
     beta^p . alpha . t on arguments from B.  The table is row major over
     sorted(B) and its values are universe elements lying in B.  The result
-    satisfies u(b, ..., b) = b for every b in B.
+    satisfies u(b, ..., b) = b for every b in B.  Raises ValueError when
+    beta does not permute B.
     """
     b_sorted = tuple(sorted(image_set))
     b_set = set(b_sorted)
     diagonal = evaluate_columns(alg, t, np.tile(b_sorted, (arity, 1))).tolist()
     beta = {b: alpha.images[v] for b, v in zip(b_sorted, diagonal)}
     if set(beta.values()) != b_set:
-        raise ConsistencyError(
-            "diagonal map is not a permutation of the minimal image"
-        )
+        raise ValueError("diagonal map is not a permutation of the minimal image")
     # least p >= 1 with beta^(p+1) = id on B: p = d - 1 for order d >= 2, else 1
     beta_p = _perm_order_and_power(beta, lambda d: d - 1 if d >= 2 else 1)
     values = evaluate_columns(alg, t, _argument_grid(b_sorted, arity)).tolist()
@@ -418,7 +421,11 @@ def induced_image_algebra(
     ops = []
     for op in alg.ops:
         t = Apply(op.symbol, tuple(Variable(i) for i in range(op.arity)))
-        table = restrict_to_image(alg, alpha, b_sorted, t, op.arity)
+        try:
+            table = restrict_to_image(alg, alpha, b_sorted, t, op.arity)
+        except ValueError as exc:
+            # alpha and the term are this function's own: an internal fault
+            raise ConsistencyError(str(exc)) from None
         ops.append(Operation(op.symbol, op.arity, tuple(relabel[v] for v in table)))
     induced = FiniteAlgebra(f"{alg.name}-image", len(b_sorted), tuple(ops))
     return induced, alpha, b_sorted

@@ -291,8 +291,9 @@ def decide(
                     )
                 return report(pair)
             term = extract_witness(rel, row=hit).term
-            # free the closure's arrays before the term is evaluated on the
-            # block, which would otherwise hold both at the sweep's peak
+            # free the closure's keys and positions before the term is
+            # evaluated on the block, which would otherwise hold both at the
+            # sweep's peak
             del rel
             known_terms.append(term)
             term_of[p] = term

@@ -15,16 +15,20 @@ is its base-n key, and a subpower of A^w is one of (A^s)^c, s the largest
 width with (n^s)^M at most ``_CHUNK`` for the largest arity M: a block's
 image keys are one gather per chunk from the algebra's cached lifted
 tables, combined by Horner's rule.  A relation is the committed keys
-(Python ints from 2^62 on), operations and parents; rows are decoded only
-when asked for.
+(Python ints from 2^62 on), each key's position in its block, and one
+record per committed block of the operation and the argument ranges it
+was applied to.  Rows, operations and parents are decoded only when asked
+for; a witness walk decodes the rows it visits, one record each.
 
-A closure pays once for its arrays, sized to the least of key space,
+A closure pays once for its two arrays, sized to the least of key space,
 budget and ``_FIRST_ROWS`` and left unfilled; in a key space whose
-key-indexed table of commits fits ``_TABLE_BYTES`` (dense) for that table,
-unless an earlier closure of its sweep passed one on; and in a key space of
-at most ``_CHUNK`` for a cached table of the keys ``BlockRepeat`` stops at.  Per block of at most ``_CHUNK`` keys it pays a
-gather per chunk, a lookup of the fresh keys and of the stop (key
-arithmetic above ``_CHUNK``) and the commit.
+key-indexed table of commits fits ``_TABLE_BYTES`` and has at most the
+larger of budget and ``_CHUNK`` keys (dense) for that table, unless an
+earlier closure of its sweep passed one on; and in a key space of at most
+``_CHUNK`` for a cached table of the keys ``BlockRepeat`` stops at.  Per
+block of at most ``_CHUNK`` keys it pays a gather per chunk, a lookup of
+the fresh keys and of the stop (key arithmetic above ``_CHUNK``) and the
+commit: keys, positions and one record.
 
 Checks.  Generators are checked where they enter (``generate_until``, and
 ``is_admissible`` before ``is_closed``).  A witness's term is replayed on
@@ -36,6 +40,7 @@ replay fails.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -67,13 +72,20 @@ Derivation = tuple
 class TupleRelation:
     """A generated set of fixed-width tuples with per-tuple derivations.
 
-    ``keys`` holds the tuples' base-n keys in committed order, ``op_ids[i]``
-    is the position in ``algebra.ops`` of the operation that first produced
-    tuple i (-1 for a generator), and ``parents[i, :arity]`` are the tuples
-    it was applied to (a generator's position in column 0; -1 past the
-    arity).  ``generator_rows`` are the generators, validated, as an int64
-    array.  ``generators``, ``rows``, ``tuples`` and ``derivations`` are
-    decoded from them when first asked for.  A tuple is looked up by its
+    ``keys`` holds the tuples' base-n keys in committed order.  Derivations
+    are kept per committed block: ``records[r]`` is ``(op_id, block)`` for
+    the tuples from row ``starts[r]`` up to the next record's, op_id the
+    position in ``algebra.ops`` of the operation that produced them (-1 for
+    the generators) and block the ``(prefix, ranges)`` of argument
+    combinations it was applied to (None for the generators and for a
+    constant).  ``positions[i]`` is tuple i's position in its block, in
+    row-major order, or among the generators.  ``generator_rows`` are the
+    generators, validated, as an int64 array.
+
+    Decoded when first asked for: ``op_ids[i]``, tuple i's operation, and
+    ``parents[i, :arity]``, the tuples it was applied to (a generator's
+    position in column 0; -1 past the arity), as well as ``generators``,
+    ``rows``, ``tuples`` and ``derivations``.  A tuple is looked up by its
     key.  Relations are compared by identity.
     """
 
@@ -81,8 +93,9 @@ class TupleRelation:
     width: int
     generator_rows: np.ndarray
     keys: np.ndarray
-    op_ids: np.ndarray
-    parents: np.ndarray
+    records: list
+    starts: list
+    positions: np.ndarray
     rounds: int
     complete: bool
     layout: _Layout = field(repr=False)
@@ -100,12 +113,51 @@ class TupleRelation:
         return tuple(map(tuple, self.generator_rows.tolist()))
 
     @cached_property
+    def op_ids(self) -> np.ndarray:
+        ops = np.array([o for o, _ in self.records], dtype=np.intp)
+        return np.repeat(ops, np.diff(self.starts + [len(self)]))
+
+    @cached_property
+    def parents(self) -> np.ndarray:
+        # one column per argument of the largest arity; with one possible
+        # tuple no row is derived, whatever the arities
+        columns = max(self.algebra.max_arity, 1) if self.layout.n > 1 else 1
+        out = np.full((len(self), columns), -1, dtype=np.intp)
+        ends = self.starts[1:] + [len(self)]
+        for (o, block), start, end in zip(self.records, self.starts, ends):
+            positions = self.positions[start:end]
+            if block is None:
+                if o < 0:
+                    out[start:end, 0] = positions
+                continue
+            prefix, ranges = block
+            rows = out[start:end]
+            rows[:, :len(prefix)] = prefix
+            grid = np.unravel_index(positions, tuple(len(r) for r in ranges))
+            for d, (g, r) in enumerate(zip(grid, ranges), len(prefix)):
+                rows[:, d] = g + r.start
+        return out
+
+    @cached_property
     def derivations(self) -> tuple[Derivation, ...]:
         ops = self.algebra.ops
         return tuple(
             (None, (row[0],)) if o < 0 else (ops[o].symbol, tuple(row[:ops[o].arity]))
             for o, row in zip(self.op_ids.tolist(), self.parents.tolist())
         )
+
+    def _derivation(self, i) -> tuple[int, list[int]]:
+        """Row i's operation position and parents (a generator's position),
+        decoded from its record alone."""
+        o, block = self.records[bisect.bisect_right(self.starts, i) - 1]
+        p = self.positions.item(i)
+        if block is None:
+            return o, [p] if o < 0 else []
+        prefix, ranges = block
+        if len(ranges) == 1:
+            return o, [*prefix, ranges[0].start + p]
+        a, b = divmod(p, len(ranges[1]))
+        return o, [*prefix, ranges[0].start + a, ranges[1].start + b]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -324,7 +376,9 @@ def _hit_finder(predicate, layout):
 class _Closure:
     """Mutable saturation state; committed order is the canonical one.
     The first ``count`` entries of its arrays, whose capacity doubles, are
-    the committed keys and their derivations."""
+    the committed keys and their positions in their blocks; ``records``
+    and ``starts`` hold one entry per block that committed a key (see
+    ``TupleRelation``)."""
 
     def __init__(self, alg, rows, budget, stop, tables=None):
         self.alg = alg
@@ -332,13 +386,17 @@ class _Closure:
         self.width = rows.shape[1]
         self.full_size = self.n**self.width
         self.budget = budget
-        arity = alg.max_arity
-        self.layout = _layout(self.n, self.width, arity, _CHUNK)
+        self.layout = _layout(self.n, self.width, alg.max_arity, _CHUNK)
         # key-indexed: seen holds each committed tuple's position, -1 for
         # the others, in the dtype of a block's positions (a cast slows
         # np.minimum.at, which finds first occurrences in it); one passed
-        # on in ``tables`` saves the fill
-        self.dense = self.full_size * np.dtype(np.intp).itemsize <= _TABLE_BYTES
+        # on in ``tables`` saves the fill.  Not over more keys than the
+        # larger of budget and _CHUNK: a small budget (is_closed's) would
+        # fill a table that its few commits never use
+        self.dense = (
+            self.full_size * np.dtype(np.intp).itemsize <= _TABLE_BYTES
+            and self.full_size <= max(budget, _CHUNK)
+        )
         if self.dense:
             spare = None if tables is None else tables.pop(self.full_size, None)
             self.seen = np.full(self.full_size, -1, dtype=np.intp) if spare is None else spare
@@ -350,18 +408,12 @@ class _Closure:
         self.rounds = 0
         self.count = 0
         self.keys = np.empty(0, dtype=np.int64 if self.layout.keyed else object)
-        self.op_ids = np.empty(0, dtype=np.intp)
-        # one parent column per argument of the largest arity; with one
-        # possible tuple no row is derived, whatever the arities
-        columns = max(arity, 1) if self.full_size > 1 else 1
-        self.parents = np.empty((0, columns), dtype=np.intp)
+        self.positions = np.empty(0, dtype=np.intp)
+        self.records: list = []
+        self.starts: list[int] = []
         self._reserve(min(self.full_size, budget, _FIRST_ROWS))
-
-        def generator_positions(positions, out):
-            out[:, 0] = positions
-
         self.rows = rows.astype(np.int64, copy=False)
-        self._commit_block(self.layout.encode(self.rows), -1, 1, generator_positions)
+        self._commit_block(self.layout.encode(self.rows), -1, None)
 
     def pass_on(self, tables):
         """Reset the committed slots of a dense closure's table and leave it
@@ -375,9 +427,9 @@ class _Closure:
         if end <= len(self.keys):
             return
         capacity = max(end, 2 * len(self.keys))
-        for name in ("keys", "op_ids", "parents"):
+        for name in ("keys", "positions"):
             old = getattr(self, name)
-            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            new = np.empty(capacity, dtype=old.dtype)
             new[:self.count] = old[:self.count]
             setattr(self, name, new)
 
@@ -409,11 +461,10 @@ class _Closure:
         _, first = np.unique(fk, return_index=True)
         return fresh[np.sort(first)]
 
-    def _commit_block(self, keys, op_id, arity, parents_of):
-        """Commit the new keys of a result block in first-occurrence order;
-        ``parents_of(positions, out)`` writes the parents of the keys at
-        those positions (a generator's position) into the first ``arity``
-        columns of ``out``, and -1 goes into the others."""
+    def _commit_block(self, keys, op_id, block):
+        """Commit the new keys of a result block in first-occurrence order,
+        with their positions in the block, and record ``(op_id, block)``
+        for them if there are any."""
         fresh = self._fresh(keys)
         if not fresh.size:
             return
@@ -441,11 +492,9 @@ class _Closure:
         new = new[:cut]
         self._reserve(end)
         self.keys[start:end] = new
-        self.op_ids[start:end] = op_id
-        out = self.parents[start:end]
-        parents_of(positions[:cut], out)
-        if arity < out.shape[1]:
-            out[:, arity:] = -1
+        self.positions[start:end] = positions[:cut]
+        self.records.append((op_id, block))
+        self.starts.append(start)
         if self.dense:
             self.seen[new] = np.arange(start, end)
         elif not self.layout.keyed:
@@ -463,23 +512,15 @@ class _Closure:
             # the constant tuple can only appear once; round 1 suffices
             if lo == 0:
                 row = np.full((1, self.width), op.table[0], dtype=np.int64)
-                self._commit_block(
-                    self.layout.encode(row), op_id, 0, lambda positions, out: None
-                )
+                self._commit_block(self.layout.encode(row), op_id, None)
             return
         tables = [self.alg.lifted_table(op.symbol, s) for s in self.layout.widths]
-        for prefix, ranges in _blocks(m, lo, k):
-            shape = tuple(len(r) for r in ranges)
-            keys = self.layout.images(tables, digits, prefix, ranges)
-
-            def parents_of(positions, out):
-                if prefix:
-                    out[:, :len(prefix)] = prefix
-                grid = np.unravel_index(positions, shape)
-                for d, (g, r) in enumerate(zip(grid, ranges), len(prefix)):
-                    out[:, d] = g + r.start
-
-            self._commit_block(keys, op_id, m, parents_of)
+        for block in _blocks(m, lo, k):
+            # bound until the next block's images exist: freed before them,
+            # a block's arrays let malloc trim the heap top, and the next
+            # block faults its pages in again
+            keys = self.layout.images(tables, digits, *block)
+            self._commit_block(keys, op_id, block)
             if self._done():
                 return
 
@@ -511,8 +552,9 @@ class _Closure:
             width=self.width,
             generator_rows=self.rows,
             keys=self.keys[:c],
-            op_ids=self.op_ids[:c],
-            parents=self.parents[:c],
+            records=self.records,
+            starts=self.starts,
+            positions=self.positions[:c],
             rounds=self.rounds,
             complete=self.hit is None,
             layout=self.layout,
@@ -596,7 +638,8 @@ def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     fit ``_CHUNK`` for the largest arity M, each operation's lifted table
     is taken at the rows' keys along each axis.  Otherwise the rows are
     saturated with a budget of their own number, which a closure that
-    commits a tuple exceeds.
+    commits a tuple exceeds, and which keeps a key space of more than
+    ``_CHUNK`` and k keys from filling a dense table.
     """
     k, w = rows.shape
     n, m = alg.size, alg.max_arity
@@ -645,10 +688,11 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
     """A term over generator variables deriving the target tuple, or the
     tuple at position ``row``, which is not looked up.
 
-    Walks the relation's parent arrays from that row: generators map to
-    Variable(position); derived tuples map to Apply over their parents'
-    terms.  The term is replayed by ``_evaluate`` on the generator rows,
-    and the key of its values must be the row's key.
+    Walks the relation's derivations from that row, decoding each row it
+    visits from its record: generators map to Variable(position); derived
+    tuples map to Apply over their parents' terms.  The term is replayed by
+    ``_evaluate`` on the generator rows, and the key of its values must be
+    the row's key.
     """
     if row is None:
         row = rel._position(target)
@@ -664,19 +708,16 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
         if i in terms:
             stack.pop()
             continue
-        o = rel.op_ids.item(i)
-        parents = rel.parents[i].tolist()
+        o, parents = rel._derivation(i)
         if o < 0:
             terms[i] = Variable(parents[0])
             stack.pop()
             continue
-        op = ops[o]
-        parents = parents[:op.arity]
         missing = [p for p in parents if p not in terms]
         if missing:
             stack.extend(missing)
             continue
-        terms[i] = Apply(op.symbol, tuple(terms[p] for p in parents))
+        terms[i] = Apply(ops[o].symbol, tuple(terms[p] for p in parents))
         stack.pop()
     # variable j's values are generator j's row, validated int64
     values = _evaluate(rel.algebra, terms[row], rel.generator_rows)

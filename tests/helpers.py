@@ -183,6 +183,13 @@ def table_bytes(full):
     return full * np.dtype(np.intp).itemsize
 
 
+def is_dense(full, budget):
+    """Does a closure over ``full`` keys with this budget keep a dense
+    table: one that fits ``_TABLE_BYTES``, over at most the larger of the
+    budget and ``_CHUNK`` keys?"""
+    return table_bytes(full) <= subpower._TABLE_BYTES and full <= max(budget, subpower._CHUNK)
+
+
 def patch_chunk(monkeypatch, chunk):
     """Blocks of at most ``chunk`` combinations, and a dense table only for
     key spaces of at most ``chunk`` keys, so that small closures take the
@@ -194,8 +201,9 @@ def patch_chunk(monkeypatch, chunk):
 def record_closure_paths(monkeypatch):
     """Count the closures run from now on by the path their commits take.
 
-    A closure whose key-indexed table fits ``_TABLE_BYTES`` is "dense": it
-    keeps a table of its commits indexed by the key.  A larger one is "keyed": it
+    A closure whose key-indexed table fits ``_TABLE_BYTES``, over at most
+    the larger of its budget and ``_CHUNK`` keys, is "dense": it keeps a
+    table of its commits indexed by the key.  Another one is "keyed": it
     searches an array of committed keys.  From 2^62 on, keys do not fit
     int64 and the closure searches Python ints ("tuple").  Each closure must
     take the path its size selects.  A dense table must mark exactly the
@@ -216,7 +224,7 @@ def record_closure_paths(monkeypatch):
     def recorded(state):
         full = state.n**state.width
         want = (
-            "dense" if table_bytes(full) <= subpower._TABLE_BYTES
+            "dense" if is_dense(full, state.budget)
             else "keyed" if full < 1 << 62
             else "tuple"
         )

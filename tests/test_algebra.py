@@ -330,6 +330,30 @@ def test_a_minimal_image_that_is_not_permuted_is_refused(monkeypatch):
         induced_image_algebra(MIN2)
 
 
+def test_a_caller_alpha_that_does_not_permute_the_image_is_refused():
+    # restrict_to_image is public: an alpha whose diagonal map does not
+    # permute the image is the caller's error, a ValueError and not the
+    # internal ConsistencyError
+    with pytest.raises(ValueError, match="diagonal map is not a permutation"):
+        restrict_to_image(MIN2, UnaryMap((0, 0)), (0, 1), MEET, 2)
+    neg_term = Apply("neg", (Variable(0),))
+    with pytest.raises(ValueError, match="diagonal map is not a permutation"):
+        restrict_to_image(NOT2, UnaryMap((1, 1)), (0, 1), neg_term, 1)
+
+
+def test_the_cycle_walk_refuses_a_map_that_is_not_a_permutation():
+    # a repeated vertex or a value outside the keys ends the walk, which
+    # would otherwise follow the map forever
+    from maltsev_lab import algebra
+
+    for mapping in ({0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, {0: 2}, {0: 0, 1: 0}):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            algebra._perm_order_and_power(mapping, lambda d: d - 1)
+    # permutations keep their power: order 6, exponent 5 is the inverse
+    power = algebra._perm_order_and_power({0: 1, 1: 0, 2: 3, 3: 4, 4: 2}, lambda d: d - 1)
+    assert power == {0: 1, 1: 0, 2: 4, 3: 2, 4: 3}
+
+
 def test_restrict_to_image_examples():
     # idempotent term on an idempotent algebra: the table of the term itself
     alpha = UnaryMap((0, 1))

@@ -5,6 +5,7 @@ import random
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -461,6 +462,28 @@ def test_a_yes_sweep_decodes_no_row(monkeypatch):
     report = has_quasi_taylor(random_algebra(7, 12, [2]))
     assert report.answer and len(saturations) == 30
     assert decoded == []
+
+
+def test_a_yes_sweep_decodes_no_derivation_array(monkeypatch):
+    # a witness walk decodes each row it visits from that row's record, so
+    # a "yes" sweep builds no closure's op_ids, parents or derivations
+    from maltsev_lab import decision
+
+    rels, until = [], decision.generate_until
+
+    def recorded(*args):
+        rel, hit = until(*args)
+        rels.append(rel)
+        return rel, hit
+
+    monkeypatch.setattr(decision, "generate_until", recorded)
+    report = has_quasi_taylor(random_algebra(7, 12, [2]))
+    assert report.answer and len(rels) == 30
+    for rel in rels:
+        assert not {"op_ids", "parents", "derivations"} & set(vars(rel))
+    # asked for, they are built from the records
+    assert rels[0].op_ids.dtype == np.intp and rels[0].parents.shape == (len(rels[0]), 2)
+    assert "op_ids" in vars(rels[0]) and "parents" in vars(rels[0])
 
 
 def test_a_yes_sweep_pays_no_per_witness_lookups(monkeypatch):

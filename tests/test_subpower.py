@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import json
 import math
 import re
 
@@ -13,11 +14,13 @@ from helpers import (
     MIN2,
     PROJ2,
     Z2_MINORITY,
+    is_dense,
     make_algebra,
     naive_subpower,
     patch_chunk,
     record_closure_paths,
     reference_closure,
+    scalar_is_admissible,
     table_bytes,
 )
 from maltsev_lab import (
@@ -231,12 +234,15 @@ def test_extract_witness_from_a_row_needs_no_lookup(monkeypatch):
 
 def test_a_wrong_derivation_fails_its_replay(monkeypatch):
     # the extraction replays its term on the generator rows and compares the
-    # values' key with the row's: a relation whose parents derive a row that
+    # values' key with the row's: a relation whose records derive a row that
     # its term does not produce is refused.  Meet and join differ on
-    # distinct parents, so every derived row with its operation swapped is
-    # wrong, and so is every row under another key.  Each key dtype is
-    # covered: int64 keys of a dense and of a keyed closure, and Python int
-    # keys of generators 21 copies wide (2^63 keys)
+    # distinct parents, so every derived row whose record has its operation
+    # swapped is wrong, and so is every row under another key.  A record
+    # whose ranges start one row earlier gives its rows other parents, all
+    # of earlier rounds: a row is refused exactly when they give another
+    # tuple.  Each key dtype is covered: int64 keys of a dense and of a
+    # keyed closure, and Python int keys of generators 21 copies wide (2^63
+    # keys)
     lattice = make_algebra("lattice2", 2, ("meet", 2, (0, 0, 0, 1)), ("join", 2, (0, 1, 1, 1)))
     paths = record_closure_paths(monkeypatch)
     rels = [generate_subpower(lattice, GENS3), generate_subpower(lattice, [g * 21 for g in GENS3])]
@@ -245,6 +251,7 @@ def test_a_wrong_derivation_fails_its_replay(monkeypatch):
     assert paths == {"dense": 1, "tuple": 1, "keyed": 1}
     for rel in rels:
         assert len(rel) == 8
+        shifted = refused = 0
         for i in range(len(rel)):
             message = re.escape(f"expected {rel.tuples[i]}")
             assert extract_witness(rel, row=i).target == rel.tuples[i]
@@ -252,11 +259,32 @@ def test_a_wrong_derivation_fails_its_replay(monkeypatch):
             keys[i] = (keys[i] + 1) % 2**rel.width
             with pytest.raises(ConsistencyError, match="witness replay produced"):
                 extract_witness(dataclasses.replace(rel, keys=keys), row=i)
-            if rel.op_ids[i] >= 0:
-                op_ids = rel.op_ids.copy()
-                op_ids[i] = 1 - op_ids[i]
+            r = max(j for j, start in enumerate(rel.starts) if start <= i)
+            o, block = rel.records[r]
+            if o < 0:
+                continue
+            records = list(rel.records)
+            records[r] = (1 - o, block)
+            with pytest.raises(ConsistencyError, match=message):
+                extract_witness(dataclasses.replace(rel, records=records), row=i)
+            prefix, ranges = block
+            if not any(q.start for q in ranges):
+                continue
+            earlier = tuple(range(q.start - 1, q.stop - 1) if q.start else q for q in ranges)
+            records[r] = (o, (prefix, earlier))
+            tampered = dataclasses.replace(rel, records=records)
+            step = [0] * len(prefix) + [1 if q.start else 0 for q in ranges]
+            a, b = (rel.tuples[p - d] for p, d in zip(rel.parents[i], step))
+            table = lattice.ops[o].table
+            image = tuple(table[2 * x + y] for x, y in zip(a, b))
+            shifted += 1
+            if image == rel.tuples[i]:
+                assert extract_witness(tampered, row=i).target == image
+            else:
+                refused += 1
                 with pytest.raises(ConsistencyError, match=message):
-                    extract_witness(dataclasses.replace(rel, op_ids=op_ids), row=i)
+                    extract_witness(tampered, row=i)
+        assert shifted >= 1 and refused >= 1, (shifted, refused)
 
 
 def test_idempotent_closure():
@@ -408,7 +436,8 @@ def _as_reference(rel, hit=None):
 
 def _assert_arrays_match(rel, alg, want):
     """The relation's rows, op ids and parents (-1 past each arity) are the
-    reference's tuples and derivations."""
+    reference's tuples and derivations, and so is each row's derivation
+    decoded alone from its record; every record holds a row."""
     tuples, derivations = want[0][:len(rel)], want[1][:len(rel)]
     symbols = [op.symbol for op in alg.ops]
     op_ids, parents = [], []
@@ -418,6 +447,30 @@ def _assert_arrays_match(rel, alg, want):
     assert rel.rows.tolist() == [list(t) for t in tuples]
     assert rel.op_ids.tolist() == op_ids
     assert rel.parents.tolist() == parents
+    assert [rel._derivation(i) for i in range(len(rel))] == [
+        (o, list(args)) for o, (_, args) in zip(op_ids, derivations)
+    ]
+    ends = rel.starts[1:] + [len(rel)]
+    assert len(rel.records) == len(rel.starts) and rel.starts[0] == 0
+    assert all(start < end for start, end in zip(rel.starts, ends)), rel.starts
+
+
+def _assert_budget_raise_matches(alg, gens, want):
+    """A closure with a budget between its generators and its size raises
+    at a block, and its state then holds the reference's first rows, with
+    their derivations.  Returns whether the closure had room to raise."""
+    distinct = len(set(map(tuple, gens)))
+    if len(want[0]) == distinct:
+        return False
+    budget = (distinct + len(want[0])) // 2
+    rows = subpower._validate_tuples([tuple(g) for g in gens], alg.size, "generator")
+    state = subpower._Closure(alg, rows, budget, None)
+    with pytest.raises(BudgetExceededError):
+        state.run()
+    rel = state.relation()
+    assert distinct <= len(rel) <= budget
+    _assert_arrays_match(rel, alg, want)
+    return True
 
 
 def _force_layout(monkeypatch, layout):
@@ -458,7 +511,7 @@ def _check_reference_cases(monkeypatch, chunk, layout):
         patch_chunk(monkeypatch, chunk)
     _force_layout(monkeypatch, layout)
     paths = record_closure_paths(monkeypatch)
-    full_power = generators_full = grouped = split = 0
+    full_power = generators_full = grouped = split = raised = 0
     for rng, alg, gens in _reference_cases(4000, 240):
         label = (alg.name, gens)
         width = len(gens[0])
@@ -483,7 +536,9 @@ def _check_reference_cases(monkeypatch, chunk, layout):
         assert _as_reference(got, hit) == until, label
         _assert_arrays_match(got, alg, until)
         assert got.complete is False
-    assert full_power >= 60 and generators_full >= 20
+        # and a budget that a block exceeds
+        raised += _assert_budget_raise_matches(alg, gens, want)
+    assert full_power >= 60 and generators_full >= 20 and raised >= 100, raised
     if layout == "selected" and chunk is None:
         # most rows are read a few coordinates per chunk
         assert grouped >= 50, grouped
@@ -491,7 +546,7 @@ def _check_reference_cases(monkeypatch, chunk, layout):
         # and some through more than one chunk of width 2 or more
         assert split >= 10, split
     if chunk is None:
-        assert paths == {"dense": 480}
+        assert paths == {"dense": 480 + raised}
     else:
         assert paths["dense"] >= 100 and paths["keyed"] >= 100, paths
 
@@ -643,7 +698,7 @@ def test_key_form_block_repeat_matches_the_rows(monkeypatch, n, width):
             label = (chunk, b)
             stop = _Tabled(BlockRepeat(b))
             state = subpower._Closure(alg, rows[:1], 1, stop)
-            assert state.dense == (table_bytes(n**width) <= subpower._TABLE_BYTES), label
+            assert state.dense == is_dense(n**width, 1), label
             assert (stop.tables, stop.masked) == ((1, 0) if tabled else (0, 1)), label
             want = subpower._is_repeat(rows, b)
             assert state.find_hit(keys) == want.argmax() and want.any(), label
@@ -704,11 +759,12 @@ def _arrays(rel):
 
 
 def _halving_case():
-    """4^9 keys: dense, and above _CHUNK, so is_closed saturates.  Tuple h
-    of the closure is the halving of the first generator, and h + 1 of the
-    second, in the same block."""
+    """4^8 = _CHUNK keys: dense at any budget, and (4^8)^2 combinations are
+    above _CHUNK, so is_closed saturates.  Tuple h of the closure is the
+    halving of the first generator, and h + 1 of the second, in the same
+    block."""
     alg = _limit_algebra(4)
-    gens = [(0, 1, 2, 3, 0, 1, 2, 3, 0), (3, 2, 1, 0, 3, 2, 1, 0, 3), (1,) * 9]
+    gens = [(0, 1, 2, 3, 0, 1, 2, 3), (3, 2, 1, 0, 3, 2, 1, 0), (1,) * 8]
     want = generate_subpower(alg, gens)
     assert len(want) >= 8
     h = want.op_ids.tolist().index(1)
@@ -733,6 +789,40 @@ def test_a_cut_closure_marks_only_its_commits(monkeypatch):
     assert paths == {"dense": 4}, paths
 
 
+def test_the_dense_choice_weighs_the_budget(monkeypatch):
+    # a closure keeps a dense table over at most the larger of its budget
+    # and _CHUNK keys.  is_admissible of two width-4 rows in 48^4 keys
+    # saturates them under a budget of two, keyed, instead of filling a
+    # 42-MB table; a standalone closure there and a sweep in 17^4 keys, at
+    # their default budgets, and a unary monoid of 7^7 maps stay dense.  A
+    # sweep whose budget is below its key space commits the same, keyed
+    from maltsev_lab import decision, digraph, io
+
+    paths = record_closure_paths(monkeypatch)
+    alg = random_algebra(7, 48, [2])
+    rows = [(0, 1, 2, 3), (0, 0, 0, 0)]
+    assert digraph.is_admissible(alg, rows) == scalar_is_admissible(alg, rows)
+    assert paths == {"keyed": 1}
+    generate_until(alg, rows, BlockRepeat(1))
+    assert paths == {"keyed": 1, "dense": 1}
+    assert len(unary_term_monoid(random_algebra(3, 7, [1]))) > 1
+    assert paths == {"keyed": 1, "dense": 2}
+    paths.clear()
+    small = random_algebra(7, 17, [2])
+    want = decision.has_quasi_taylor(small)
+    dense = dict(paths)
+    paths.clear()
+    got = decision.has_quasi_taylor(small, budget=17**4 - 1)
+    assert list(dense) == ["dense"] and paths == {"keyed": dense["dense"]}, (dense, paths)
+
+    def stripped(report):
+        report = json.loads(io.report_to_json(report, include_witnesses=True))
+        del report["stats"]["elapsed_seconds"]
+        return report
+
+    assert want.answer and stripped(got) == stripped(want)
+
+
 def test_closures_pass_their_table_on_clean(monkeypatch):
     # closures sharing a tables dict: one that returns, here after a stop
     # hit that cut its block short, leaves its table for the next closure
@@ -744,13 +834,13 @@ def test_closures_pass_their_table_on_clean(monkeypatch):
     tables = {}
     generate_until(alg, gens, lambda t: t == want.tuples[h], tables=tables)
     (table,) = tables.values()
-    assert table.size == 4**9
+    assert table.size == 4**8
     rel, _ = generate_until(alg, gens, None, tables=tables)
-    assert list(tables) == [4**9] and tables[4**9] is table
+    assert list(tables) == [4**8] and tables[4**8] is table
     assert _arrays(rel) == _arrays(want)
     # a closure of another key space leaves the table and adds its own
     generate_until(alg, [g[:3] for g in gens], None, tables=tables)
-    assert sorted(tables) == [4**3, 4**9] and tables[4**9] is table
+    assert sorted(tables) == [4**3, 4**8] and tables[4**8] is table
     del tables[4**3]
     for budget in (h + 1, 1):
         with pytest.raises(BudgetExceededError):
@@ -782,13 +872,26 @@ def test_wide_tuples_match_reference_closure():
     import random
 
     rng = random.Random(62)
+    raised = collections.Counter()
     for alg in (MIN2, Z2_MINORITY, random_algebra(1, 2, [0, 1, 2])):
         for width in (61, 62, 64):
             gens = [tuple(rng.randrange(2) for _ in range(width)) for _ in range(2)]
             gens.append(gens[0])
-            assert _as_reference(generate_subpower(alg, gens)) == reference_closure(
-                alg, gens
-            ), (alg.name, width)
+            label = (alg.name, width)
+            want = reference_closure(alg, gens)
+            rel = generate_subpower(alg, gens)
+            assert _as_reference(rel) == want, label
+            _assert_arrays_match(rel, alg, want)
+            # a stop hit in the middle, and a budget that a block exceeds
+            target = want[0][len(want[0]) // 2]
+            until = reference_closure(alg, gens, lambda t: t == target)
+            got, hit = generate_until(alg, gens, lambda t: t == target)
+            assert _as_reference(got, hit) == until, label
+            _assert_arrays_match(got, alg, until)
+            raised["tuple" if width >= 62 else "keyed"] += _assert_budget_raise_matches(
+                alg, gens, want
+            )
+    assert raised["tuple"] >= 2 and raised["keyed"] >= 1, raised
 
 
 def test_wide_keys_are_looked_up_in_linear_time():
