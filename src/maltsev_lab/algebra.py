@@ -14,7 +14,6 @@ inclusion-minimal images drive the idempotent image construction exposed by
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -276,18 +275,12 @@ class UnaryMap:
 
     images: tuple[int, ...]
 
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
     def compose(self, other: "UnaryMap") -> "UnaryMap":
         """self after other: (self . other)(a) = self(other(a))."""
         return UnaryMap(tuple(self.images[v] for v in other.images))
 
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.images)))
-
-    def is_idempotent(self) -> bool:
-        return all(self.images[v] == v for v in self.images)
 
 
 def unary_term_monoid(
@@ -315,39 +308,6 @@ def unary_term_monoid(
     return tuple(UnaryMap(t) for t in rel.tuples)
 
 
-def _perm_order_and_power(mapping: dict, p_from_order) -> dict:
-    """Power of a permutation given as a dict, exponent chosen from its order.
-
-    ``p_from_order`` maps the permutation's order d to the wanted exponent p;
-    the power is taken cycle by cycle, so huge orders cost nothing.  Raises
-    ValueError, instead of walking a cycle that never closes, when the
-    mapping does not permute its keys.
-    """
-    cycles = []
-    seen = set()
-    for start in mapping:
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = mapping[start]
-        while nxt != start:
-            if nxt in seen or nxt not in mapping:
-                raise ValueError(f"{mapping} is not a permutation")
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = mapping[nxt]
-        cycles.append(cyc)
-    order = math.lcm(*(len(c) for c in cycles)) if cycles else 1
-    p = p_from_order(order)
-    power = {}
-    for cyc in cycles:
-        length = len(cyc)
-        for i, v in enumerate(cyc):
-            power[v] = cyc[(i + p) % length]
-    return power
-
-
 def minimal_unary_idempotent(
     alg: FiniteAlgebra, budget: int = DEFAULT_MONOID_BUDGET
 ) -> tuple[UnaryMap, tuple[int, ...]]:
@@ -359,23 +319,24 @@ def minimal_unary_idempotent(
     with a minimal image and any g, f . g . f has image im f, so |im f| <=
     |im g|.  Ties: among them pick the lexicographically least image set,
     then the first map with that image in generation order; that map is
-    raised to the power making it idempotent.
+    raised to the power making it idempotent, which is the map followed by
+    the inverse of the permutation it induces on its image.
     """
     monoid = unary_term_monoid(alg, budget=budget)
     images = [u.image() for u in monoid]
     least = min(map(len, images))
     b_sorted = min(image for image in images if len(image) == least)
     base = monoid[images.index(b_sorted)]
-    # base restricted to its image is a permutation (else a power of base
-    # would have a strictly smaller image); raise base to that permutation's
-    # order d so the restriction becomes the identity: base^d = sigma^(d-1) . base.
+    # base restricted to its image is a permutation sigma (else a power of
+    # base would have a strictly smaller image); for sigma's order d,
+    # base^d = sigma^(d-1) . base, and sigma^(d-1) is sigma's inverse
     sigma = {b: base.images[b] for b in b_sorted}
     if set(sigma.values()) != set(b_sorted):
         raise ConsistencyError(
             "unary map is not a permutation of its inclusion-minimal image"
         )
-    sigma_pow = _perm_order_and_power(sigma, lambda d: (d - 1) % d)
-    alpha = UnaryMap(tuple(sigma_pow[base.images[a]] for a in range(alg.size)))
+    inverse = {v: b for b, v in sigma.items()}
+    alpha = UnaryMap(tuple(inverse[v] for v in base.images))
     return alpha, b_sorted
 
 
@@ -388,23 +349,27 @@ def restrict_to_image(
 ) -> tuple[int, ...]:
     """Correct a term operation into an idempotent operation on alpha's image.
 
-    With B = image_set and beta(b) = alpha(t(b, ..., b)), finds the least
-    p >= 1 with beta^(p+1) the identity on B and returns the table of
-    beta^p . alpha . t on arguments from B.  The table is row major over
-    sorted(B) and its values are universe elements lying in B.  The result
-    satisfies u(b, ..., b) = b for every b in B.  Raises ValueError when
-    beta does not permute B.
+    With B = image_set and beta(b) = alpha(t(b, ..., b)), returns the table
+    of beta^p . alpha . t on arguments from B, for the least p >= 1 with
+    beta^(p+1) the identity on B; that power is beta's inverse.  The table
+    is row major over sorted(B) and its values are universe elements lying
+    in B.  The result satisfies u(b, ..., b) = b for every b in B.  Raises
+    ValueError when beta does not permute B, or when alpha sends a value of
+    t on B outside B.
     """
     b_sorted = tuple(sorted(image_set))
-    b_set = set(b_sorted)
     diagonal = evaluate_columns(alg, t, np.tile(b_sorted, (arity, 1))).tolist()
     beta = {b: alpha.images[v] for b, v in zip(b_sorted, diagonal)}
-    if set(beta.values()) != b_set:
+    if set(beta.values()) != set(b_sorted):
         raise ValueError("diagonal map is not a permutation of the minimal image")
-    # least p >= 1 with beta^(p+1) = id on B: p = d - 1 for order d >= 2, else 1
-    beta_p = _perm_order_and_power(beta, lambda d: d - 1 if d >= 2 else 1)
+    inverse = {v: b for b, v in beta.items()}
     values = evaluate_columns(alg, t, _argument_grid(b_sorted, arity)).tolist()
-    return tuple(beta_p[alpha.images[v]] for v in values)
+    try:
+        return tuple(inverse[alpha.images[v]] for v in values)
+    except KeyError as exc:
+        raise ValueError(
+            f"alpha sends a value of the term to {exc.args[0]}, outside the minimal image"
+        ) from None
 
 
 def induced_image_algebra(

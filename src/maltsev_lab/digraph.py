@@ -113,43 +113,33 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
     if loop is not None:
         cert = (loop, (((loop, loop), 1),))
         return True, cert
-    out_adj: dict = {v: [] for v in g.vertices}
-    in_adj: dict = {v: [] for v in g.vertices}
-    for u, v in sorted(g.edges):
-        out_adj[u].append(v)
-        in_adj[v].append(u)
-    visited = set()
+    edges = sorted(g.edges)
+    # each vertex's steps to its neighbours: out-steps, then in-steps
+    steps: dict = {v: [] for v in g.vertices}
+    for u, v in edges:
+        steps[u].append((v, ((u, v), 1)))
+    for u, v in edges:
+        steps[v].append((u, ((u, v), -1)))
+    potential: dict = {}  # also the set of visited vertices
     for root in g.vertices:
-        if root in visited:
+        if root in potential:
             continue
-        potential = {root: 0}
-        parent: dict = {root: None}  # vertex -> (previous vertex, step)
+        potential[root] = 0
+        # the component's vertices: vertex -> (previous vertex, step)
+        parent: dict = {root: None}
         tree_edges = set()
         queue = deque([root])
-        component = [root]
-        visited.add(root)
         while queue:
             u = queue.popleft()
-            for v in out_adj[u]:
+            for v, step in steps[u]:
                 if v not in potential:
-                    potential[v] = potential[u] + 1
-                    parent[v] = (u, ((u, v), 1))
-                    tree_edges.add((u, v))
-                    visited.add(v)
-                    component.append(v)
+                    potential[v] = potential[u] + step[1]
+                    parent[v] = (u, step)
+                    tree_edges.add(step[0])
                     queue.append(v)
-            for w in in_adj[u]:
-                if w not in potential:
-                    potential[w] = potential[u] - 1
-                    parent[w] = (u, ((w, u), -1))
-                    tree_edges.add((w, u))
-                    visited.add(w)
-                    component.append(w)
-                    queue.append(w)
-        comp_set = set(component)
         chords = []
-        for u, v in sorted(g.edges):
-            if u in comp_set and (u, v) not in tree_edges:
+        for u, v in edges:
+            if u in parent and (u, v) not in tree_edges:
                 disc = potential[u] + 1 - potential[v]
                 if disc != 0:
                     chords.append(((u, v), disc))

@@ -692,7 +692,8 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
     visits from its record: generators map to Variable(position); derived
     tuples map to Apply over their parents' terms.  The term is replayed by
     ``_evaluate`` on the generator rows, and the key of its values must be
-    the row's key.
+    the row's key.  A derived row with a parent at or after it, or a replay
+    with another key, raises ConsistencyError.
     """
     if row is None:
         row = rel._position(target)
@@ -713,6 +714,10 @@ def extract_witness(rel: TupleRelation, target=None, row=None) -> WitnessTerm:
             terms[i] = Variable(parents[0])
             stack.pop()
             continue
+        # a closure derives a row from earlier rows only; a later parent
+        # would grow the walk without end
+        if parents and max(parents) >= i:
+            raise ConsistencyError(f"row {i} is derived from a row at or after it")
         missing = [p for p in parents if p not in terms]
         if missing:
             stack.extend(missing)

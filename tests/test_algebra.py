@@ -43,6 +43,8 @@ from maltsev_lab.errors import BudgetExceededError, ConsistencyError, TermError
 
 MEET = Apply("meet", (Variable(0), Variable(1)))
 MEET_NESTED = Apply("f", (Variable(0), Apply("f", (Variable(1), Variable(2)))))
+# f(0, 0) = 0 and f(1, 1) = 1, but f(0, 1) = 2
+K3 = make_algebra("k3", 3, ("f", 2, (0, 2, 0, 2, 1, 1, 0, 1, 2)))
 
 
 def test_algebra_validation():
@@ -311,15 +313,11 @@ def test_minimal_image_is_the_least_inclusion_minimal_image():
 
 def test_a_minimal_image_that_is_not_permuted_is_refused(monkeypatch):
     # both image constructions check that a map permutes the image it
-    # works on before they take its power, whose cycle walk would not end
-    # on another map; a monoid that is not closed under composition, or an
-    # alpha that is not idempotent on its image, breaks that
+    # works on before they invert it; a monoid that is not closed under
+    # composition, or an alpha that is not idempotent on its image, breaks
+    # that
     from maltsev_lab import algebra
 
-    def power(mapping, p_from_order):
-        raise AssertionError(f"power of {mapping} taken")
-
-    monkeypatch.setattr(algebra, "_perm_order_and_power", power)
     monkeypatch.setattr(algebra, "unary_term_monoid", lambda alg, budget: (UnaryMap((1, 2, 2)),))
     with pytest.raises(ConsistencyError, match="unary map is not a permutation"):
         minimal_unary_idempotent(CLIP3)
@@ -328,6 +326,13 @@ def test_a_minimal_image_that_is_not_permuted_is_refused(monkeypatch):
     )
     with pytest.raises(ConsistencyError, match="diagonal map is not a permutation"):
         induced_image_algebra(MIN2)
+    # an alpha of its own that sends a value of an operation outside the
+    # image is an internal fault too
+    monkeypatch.setattr(
+        algebra, "minimal_unary_idempotent", lambda alg, budget: (UnaryMap((0, 1, 2)), (0, 1))
+    )
+    with pytest.raises(ConsistencyError, match="to 2, outside the minimal image"):
+        induced_image_algebra(K3)
 
 
 def test_a_caller_alpha_that_does_not_permute_the_image_is_refused():
@@ -339,19 +344,97 @@ def test_a_caller_alpha_that_does_not_permute_the_image_is_refused():
     neg_term = Apply("neg", (Variable(0),))
     with pytest.raises(ValueError, match="diagonal map is not a permutation"):
         restrict_to_image(NOT2, UnaryMap((1, 1)), (0, 1), neg_term, 1)
+    # so is an alpha that permutes the image on the diagonal but sends
+    # another value of the term outside it: f(0, 1) = 2 and alpha(2) = 2
+    f_term = Apply("f", (Variable(0), Variable(1)))
+    with pytest.raises(ValueError, match="to 2, outside the minimal image"):
+        restrict_to_image(K3, UnaryMap((0, 1, 2)), (0, 1), f_term, 2)
 
 
-def test_the_cycle_walk_refuses_a_map_that_is_not_a_permutation():
-    # a repeated vertex or a value outside the keys ends the walk, which
-    # would otherwise follow the map forever
-    from maltsev_lab import algebra
+def _power(u, d):
+    """u composed with itself d times, for d >= 1."""
+    power = u
+    for _ in range(d - 1):
+        power = power.compose(u)
+    return power
 
-    for mapping in ({0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, {0: 2}, {0: 0, 1: 0}):
-        with pytest.raises(ValueError, match="is not a permutation"):
-            algebra._perm_order_and_power(mapping, lambda d: d - 1)
-    # permutations keep their power: order 6, exponent 5 is the inverse
-    power = algebra._perm_order_and_power({0: 1, 1: 0, 2: 3, 3: 4, 4: 2}, lambda d: d - 1)
-    assert power == {0: 1, 1: 0, 2: 4, 3: 2, 4: 3}
+
+def _least_idempotent_power(u):
+    power = u
+    while power.compose(power) != power:
+        power = power.compose(u)
+    return power
+
+
+def _cyclic_algebra(f):
+    """The unary f and a binary g with g(x, x) = f(x) that mixes its
+    arguments elsewhere."""
+    n = len(f)
+    g = tuple(f[x] if x == y else (x + 2 * y + 1) % n for x in range(n) for y in range(n))
+    return make_algebra(f"cyc{n}", n, ("f", 1, f)), make_algebra(
+        f"cyc{n}g", n, ("f", 1, f), ("g", 2, g)
+    )
+
+
+# f permutes its image {0..n-2} with order 3, 4, 5, 6 (one 6-cycle, and a
+# 2-cycle beside a 3-cycle), and sends the last element into it
+CYCLIC_MAPS = {
+    3: [(1, 2, 0, 0)],
+    4: [(1, 2, 3, 0, 0)],
+    5: [(1, 2, 3, 4, 0, 0)],
+    6: [(1, 2, 3, 4, 5, 0, 0), (1, 0, 3, 4, 2, 0)],
+}
+
+
+def test_minimal_unary_idempotent_is_the_least_idempotent_power():
+    # alpha is pinned to the least idempotent power of the first map with
+    # the minimal image, found by composition; the permutations here have
+    # order 3 to 6, where a permutation is not its own inverse
+    for order, maps in CYCLIC_MAPS.items():
+        for f in maps:
+            alg, _ = _cyclic_algebra(f)
+            monoid = unary_term_monoid(alg)
+            b = tuple(range(len(f) - 1))
+            base = next(u for u in monoid if u.image() == b)
+            assert base.images == f
+            alpha, image = minimal_unary_idempotent(alg)
+            assert image == b
+            assert alpha == _least_idempotent_power(base), f
+            assert _power(base, order) == alpha != _power(base, order - 1)
+    alg, _ = _cyclic_algebra((1, 2, 0, 0))
+    assert minimal_unary_idempotent(alg)[0].images == (0, 1, 2, 2)
+    # order 6, exponent 5 is the inverse
+    fifth = _power(UnaryMap((1, 0, 3, 4, 2, 0)), 5)
+    assert {b: fifth.images[b] for b in range(5)} == {0: 1, 1: 0, 2: 4, 3: 2, 4: 3}
+
+
+def test_restrict_to_image_is_the_inverse_corrected_term():
+    # the table is beta^p . alpha . t for the least p >= 1 with beta^(p+1)
+    # the identity on B, p found by composition; beta has order 2 to 6
+    f_term = Apply("f", (Variable(0),))
+    g_term = Apply("g", (Variable(0), Variable(1)))
+    fg_term = Apply("f", (g_term,))
+    orders = set()
+    for maps in CYCLIC_MAPS.values():
+        for f in maps:
+            # alpha and B of f alone: g adds maps to the monoid
+            unary, alg = _cyclic_algebra(f)
+            alpha, b = minimal_unary_idempotent(unary)
+            for t, arity in ((f_term, 1), (g_term, 2), (fg_term, 2)):
+                beta = UnaryMap(
+                    tuple(alpha.images[scalar_evaluate(alg, t, (a,) * arity)] for a in range(alg.size))
+                )
+                p = 1
+                while any(_power(beta, p + 1).images[x] != x for x in b):
+                    p += 1
+                orders.add(p + 1)
+                beta_p = _power(beta, p)
+                expected = tuple(
+                    beta_p.images[alpha.images[scalar_evaluate(alg, t, args)]]
+                    for args in itertools.product(b, repeat=arity)
+                )
+                assert restrict_to_image(alg, alpha, b, t, arity) == expected, (f, t)
+    assert {3, 4, 5, 6} <= orders, orders
 
 
 def test_restrict_to_image_examples():

@@ -65,6 +65,39 @@ def test_algebraic_length_one_shared_cycles():
     assert end == start and net == 1
 
 
+def test_algebraic_length_one_certificates_are_pinned():
+    # the exact walks, so that a change to the spanning tree's order shows:
+    # shared cycles; two components where the second answers; tree edges
+    # taken backward from a root with no out-edge, once with the chords'
+    # combination 2 * 3 - 5; and a 2-cycle 1 <-> 2, where the tree takes
+    # vertex 1 by 2's out-step, which comes before its in-steps
+    cases = [
+        (
+            cycle_edges([0, 1, 2]) + cycle_edges([0, 3]),
+            (0, (((0, 1), 1), ((1, 2), 1), ((2, 0), 1), ((3, 0), -1), ((0, 3), -1))),
+        ),
+        (
+            cycle_edges([0, 1]) + cycle_edges([2, 3, 4]) + cycle_edges([2, 5]),
+            (2, (((2, 3), 1), ((3, 4), 1), ((4, 2), 1), ((5, 2), -1), ((2, 5), -1))),
+        ),
+        ([(1, 0), (2, 0), (2, 1)], (0, (((2, 0), -1), ((2, 1), 1), ((1, 0), 1)))),
+        (
+            [(1, 0)] + cycle_edges([1, 2, 3]) + cycle_edges([1, 4, 5, 6, 7]),
+            (0, (((1, 0), -1), ((1, 2), 1), ((2, 3), 1), ((3, 1), 1), ((1, 0), 1))
+             + (((1, 0), -1), ((1, 2), 1), ((2, 3), 1), ((3, 1), 1), ((1, 0), 1))
+             + (((1, 0), -1), ((7, 1), -1), ((6, 7), -1), ((5, 6), -1), ((4, 5), -1),
+                ((1, 4), -1), ((1, 0), 1))),
+        ),
+        (
+            [(0, 2), (1, 2), (1, 3), (2, 1), (3, 2)],
+            (0, (((0, 2), 1), ((1, 2), -1), ((2, 1), -1), ((0, 2), -1), ((0, 2), 1),
+                 ((2, 1), 1), ((1, 3), 1), ((3, 2), 1), ((0, 2), -1))),
+        ),
+    ]
+    for edges, cert in cases:
+        assert has_algebraic_length_one(Digraph.from_edges(edges)) == (True, cert), edges
+
+
 def test_algebraic_length_one_single_cycle_false():
     assert not has_algebraic_length_one(Digraph.from_edges(cycle_edges([0, 1])))[0]
     assert not has_algebraic_length_one(Digraph.from_edges(cycle_edges([0, 1, 2, 3])))[0]

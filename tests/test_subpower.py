@@ -287,6 +287,30 @@ def test_a_wrong_derivation_fails_its_replay(monkeypatch):
         assert shifted >= 1 and refused >= 1, (shifted, refused)
 
 
+def test_a_derivation_from_a_later_row_is_refused(monkeypatch):
+    # a closure derives each row from earlier rows only; a decoded parent at
+    # or after its row, here the row itself or the last row, is refused at
+    # once instead of growing the walk
+    rel = generate_subpower(MIN2, GENS3)
+    last = len(rel) - 1
+    derivation = subpower.TupleRelation._derivation
+    calls = 0
+
+    for row, parent in ((last, last), (last - 1, last)):
+        assert derivation(rel, row)[0] >= 0
+
+        def later_parent(rel, i):
+            nonlocal calls
+            calls += 1
+            assert calls < 1000, "the walk did not end"
+            o, parents = derivation(rel, i)
+            return (o, [parent, *parents[1:]]) if i == row else (o, parents)
+
+        monkeypatch.setattr(subpower.TupleRelation, "_derivation", later_parent)
+        with pytest.raises(ConsistencyError, match=f"row {row} is derived from a row at or after it"):
+            extract_witness(rel, row=row)
+
+
 def test_idempotent_closure():
     rel = generate_subpower(Z2_MINORITY, GENS3)
     again = generate_subpower(Z2_MINORITY, list(rel.tuples))
