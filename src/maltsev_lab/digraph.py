@@ -114,12 +114,12 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
         cert = (loop, (((loop, loop), 1),))
         return True, cert
     edges = sorted(g.edges)
-    # each vertex's steps to its neighbours: out-steps, then in-steps
-    steps: dict = {v: [] for v in g.vertices}
+    # each vertex's neighbours with the step to each: out-steps, then in-steps
+    neighbours: dict = {v: [] for v in g.vertices}
     for u, v in edges:
-        steps[u].append((v, ((u, v), 1)))
+        neighbours[u].append((v, ((u, v), 1)))
     for u, v in edges:
-        steps[v].append((u, ((u, v), -1)))
+        neighbours[v].append((u, ((u, v), -1)))
     potential: dict = {}  # also the set of visited vertices
     for root in g.vertices:
         if root in potential:
@@ -127,19 +127,18 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
         potential[root] = 0
         # the component's vertices: vertex -> (previous vertex, step)
         parent: dict = {root: None}
-        tree_edges = set()
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v, step in steps[u]:
+            for v, step in neighbours[u]:
                 if v not in potential:
                     potential[v] = potential[u] + step[1]
                     parent[v] = (u, step)
-                    tree_edges.add(step[0])
                     queue.append(v)
+        # a tree edge's discrepancy is 0, so it is never a chord
         chords = []
         for u, v in edges:
-            if u in parent and (u, v) not in tree_edges:
+            if u in parent:
                 disc = potential[u] + 1 - potential[v]
                 if disc != 0:
                     chords.append(((u, v), disc))
