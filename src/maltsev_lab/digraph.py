@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra
 from .errors import AlgebraFormatError, ConsistencyError
-from .subpower import is_closed, _validate_tuples
+from .subpower import _closed_keys, _gathers, _rows, _tuple_keys, is_closed
 
 WalkStep = tuple  # ((u, v), +1 | -1)
 
@@ -121,12 +121,17 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
     for u, v in edges:
         neighbours[v].append((u, ((u, v), -1)))
     potential: dict = {}  # also the set of visited vertices
+    parent: dict = {}  # vertex -> (previous vertex, step); None at a root
+    chords_of: dict = {}  # vertex -> its component's list of chords
+    components = []  # (root, chords), in root order
     for root in g.vertices:
         if root in potential:
             continue
+        chords: list = []
+        components.append((root, chords))
         potential[root] = 0
-        # the component's vertices: vertex -> (previous vertex, step)
-        parent: dict = {root: None}
+        parent[root] = None
+        chords_of[root] = chords
         queue = deque([root])
         while queue:
             u = queue.popleft()
@@ -134,14 +139,14 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
                 if v not in potential:
                     potential[v] = potential[u] + step[1]
                     parent[v] = (u, step)
+                    chords_of[v] = chords
                     queue.append(v)
-        # a tree edge's discrepancy is 0, so it is never a chord
-        chords = []
-        for u, v in edges:
-            if u in parent:
-                disc = potential[u] + 1 - potential[v]
-                if disc != 0:
-                    chords.append(((u, v), disc))
+    # a tree edge's discrepancy is 0, so it is never a chord
+    for u, v in edges:
+        disc = potential[u] + 1 - potential[v]
+        if disc != 0:
+            chords_of[u].append(((u, v), disc))
+    for root, chords in components:
         if gcd(*(disc for _, disc in chords)) != 1:
             continue
 
@@ -184,13 +189,25 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
 def is_admissible(alg: FiniteAlgebra, rel) -> bool:
     """Is the relation closed under every basic operation, coordinate-wise.
 
-    The empty relation is.  Otherwise the tuples are validated in order
-    and checked by ``subpower.is_closed``.
+    The empty relation is.  Otherwise the tuples are validated in order, in
+    one pass that also gives each tuple's base-n key.  A relation whose
+    sizes ``subpower._gathers`` admits and whose keys are all Python ints is
+    checked from those keys by ``subpower._closed_keys``, with no array of
+    rows.  Any other relation (an entry that is a bool, a float or a numpy
+    scalar, or a relation to saturate) is converted to rows, which refuses
+    entries that are not integers, and checked by ``subpower.is_closed``.
     """
     tuples = [tuple(t) for t in rel]
     if not tuples:
         return True
-    rows = _validate_tuples(tuples, alg.size, "relation")
+    keys = _tuple_keys(tuples, alg.size, "relation")
+    width = len(tuples[0])
+    # a width-0 relation has no entries, and the conversion refuses it
+    if width and _gathers(alg, width, len(keys)):
+        keys = np.array(keys)
+        if keys.dtype.kind == "i":
+            return _closed_keys(alg, keys, width)
+    rows = _rows(tuples, "relation")
     return is_closed(alg, rows.astype(np.int64, copy=False))
 
 

@@ -30,13 +30,18 @@ block of at most ``_CHUNK`` keys it pays a gather per chunk, a lookup of
 the fresh keys and of the stop (key arithmetic above ``_CHUNK``) and the
 commit: keys, positions and one record.
 
-Checks.  Generators are checked where they enter (``generate_until``, and
-``is_admissible`` before ``is_closed``).  A witness's term is replayed on
-those validated rows by the algebra's one term evaluator, ``_evaluate``,
-which checks the term node by node and does not scan the rows' range
-again.  The replay's key must be the key of the row the term was walked
-from; keys are one to one with rows, so no row is decoded unless the
-replay fails.
+Checks.  Tuples are checked where they enter, in one ordered pass,
+``_tuple_keys``, that also gives each tuple's base-n key: NaN for a tuple
+with an entry that is not a Python int.  ``generate_until`` converts its
+generators to rows with ``_rows``.  ``is_admissible`` checks a relation
+that ``_gathers`` admits from its keys when they are all ints, with
+``_closed_keys``, the core of ``is_closed``'s gather path, and converts
+any other relation to rows for ``is_closed``.  A witness's term is
+replayed on the generator rows by the algebra's one term evaluator,
+``_evaluate``, which checks the term node by node and does not scan the
+rows' range again.  The replay's key must be the key of the row the term
+was walked from; keys are one to one with rows, so no row is decoded
+unless the replay fails.
 """
 from __future__ import annotations
 
@@ -561,21 +566,32 @@ class _Closure:
         )
 
 
-def _validate_tuples(tuples, n, noun):
-    """The rows of equal-width tuples of elements of 0..n-1, as an array;
-    checked tuple by tuple (width, then entries), then converted as one
-    flat list and checked for integer entries.  Messages name the tuples
-    by ``noun``."""
+def _tuple_keys(tuples, n, noun):
+    """The base-n keys of equal-width tuples of elements of 0..n-1, checked
+    tuple by tuple (width, then entries) with messages that name the tuples
+    by ``noun``.  An entry whose type is not int (a bool, a float, a numpy
+    scalar, whose arithmetic could overflow) makes its tuple's key NaN."""
     width = len(tuples[0])
-    flat = []
+    keys = []
     for t in tuples:
         if len(t) != width:
             raise ValueError(f"{noun} tuples must have equal width")
+        key = 0
         for v in t:
             if not 0 <= v < n:
                 raise ValueError(f"{noun} entry {v} outside universe")
+            key = key * n + v if type(v) is int else math.nan
+        keys.append(key)
+    return keys
+
+
+def _rows(tuples, noun):
+    """The rows of checked equal-width tuples as an array, converted as one
+    flat list; entries must be integers."""
+    flat = []
+    for t in tuples:
         flat += t
-    rows = np.array(flat).reshape(len(tuples), width)
+    rows = np.array(flat).reshape(len(tuples), len(tuples[0]))
     if rows.dtype.kind not in "biu":
         # numpy promotes uint64 beside a signed integer to float64
         if flat and all(isinstance(v, (int, np.integer, np.bool_)) for v in flat):
@@ -583,6 +599,13 @@ def _validate_tuples(tuples, n, noun):
         # an int64 cast would truncate 1.5 to a valid entry
         raise TypeError(f"{noun} entries must be integers, got {rows.dtype}")
     return rows
+
+
+def _validate_tuples(tuples, n, noun):
+    """The rows of equal-width tuples of elements of 0..n-1, as an array:
+    ``_tuple_keys`` checks them, ``_rows`` converts them."""
+    _tuple_keys(tuples, n, noun)
+    return _rows(tuples, noun)
 
 
 def generate_subpower(
@@ -632,31 +655,43 @@ def generate_until(
     return state.relation(), state.hit
 
 
+def _gathers(alg: FiniteAlgebra, width: int, k: int) -> bool:
+    """Are k rows of this width checked by gathers: are n^width,
+    (n^width)^M and k^M at most ``_CHUNK`` for the largest arity M?"""
+    n, m = alg.size, alg.max_arity
+    # m <= 32 keeps the table within numpy 1's limit on dimensions, and a
+    # huge arity's power from being taken
+    return n**width <= _CHUNK and m <= 32 and max(n**width, k) ** m <= _CHUNK
+
+
+def _closed_keys(alg: FiniteAlgebra, keys: np.ndarray, width: int) -> bool:
+    """Is the set of width-w rows with these base-n keys, an integer array
+    of a size that ``_gathers`` admits, closed under every basic operation?
+    Each operation's lifted table is taken at the keys along each axis and
+    its images are looked up in a dense member table."""
+    member = np.zeros(alg.size**width, dtype=bool)
+    member[keys] = True
+    for op in alg.ops:
+        images = alg.lifted_table(op.symbol, width)
+        for axis in range(op.arity):
+            images = images.take(keys, axis)
+        # not .all(): its reduction costs a tenth of a small check
+        if np.count_nonzero(member[images]) != images.size:
+            return False
+    return True
+
+
 def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     """Is the set of rows of a (k, width) array, k >= 1, closed under every
-    basic operation, coordinate-wise?  When n^width, (n^width)^M and k^M
-    fit ``_CHUNK`` for the largest arity M, each operation's lifted table
-    is taken at the rows' keys along each axis.  Otherwise the rows are
+    basic operation, coordinate-wise?  Rows that ``_gathers`` admits are
+    checked from their keys by ``_closed_keys``.  Otherwise the rows are
     saturated with a budget of their own number, which a closure that
     commits a tuple exceeds, and which keeps a key space of more than
     ``_CHUNK`` and k keys from filling a dense table.
     """
     k, w = rows.shape
-    n, m = alg.size, alg.max_arity
-    # m <= 32 keeps the table within numpy 1's limit on dimensions, and a
-    # huge arity's power from being taken
-    if n**w <= _CHUNK and m <= 32 and max(n**w, k) ** m <= _CHUNK:
-        keys = rows.dot(_key_powers(n, w))
-        member = np.zeros(n**w, dtype=bool)
-        member[keys] = True
-        for op in alg.ops:
-            images = alg.lifted_table(op.symbol, w)
-            for axis in range(op.arity):
-                images = images.take(keys, axis)
-            # not .all(): its reduction costs a tenth of a small check
-            if np.count_nonzero(member[images]) != images.size:
-                return False
-        return True
+    if _gathers(alg, w, k):
+        return _closed_keys(alg, rows.dot(_key_powers(alg.size, w)), w)
     state = _Closure(alg, rows, k, None)
     # the first image outside the rows exceeds the budget
     state.budget = state.count

@@ -260,6 +260,10 @@ def record_admissibility_paths(monkeypatch):
     Otherwise it takes the "saturate" path: one closure of the rows, which
     reads lifted tables of its own.  Each check must take the path its sizes
     select, through every operation when the answer is yes.
+
+    ``is_admissible`` gathers at the keys it validated when they are all
+    Python ints, and converts its tuples to rows for ``is_closed``
+    otherwise; each check through ``is_closed`` also counts as "converted".
     """
     paths = collections.Counter()
     events = None
@@ -267,6 +271,7 @@ def record_admissibility_paths(monkeypatch):
     lifted_table = FiniteAlgebra.lifted_table
     run = subpower._Closure.run
     check = digraph.is_closed
+    closed_keys = digraph._closed_keys
 
     def recorded_lifted_table(alg, symbol, width):
         if events is not None and not saturating:
@@ -283,9 +288,8 @@ def record_admissibility_paths(monkeypatch):
         finally:
             saturating = False
 
-    def recorded_check(alg, rows):
+    def recorded(alg, k, w, closed):
         nonlocal events
-        k, w = rows.shape
         n = alg.size
         chunk = subpower._CHUNK
         m = max(op.arity for op in alg.ops)
@@ -295,7 +299,7 @@ def record_admissibility_paths(monkeypatch):
             want = [("saturate", None)]
         events = []
         try:
-            answer = check(alg, rows)
+            answer = closed()
             got = events
         finally:
             events = None
@@ -303,9 +307,18 @@ def record_admissibility_paths(monkeypatch):
         paths.update({path for path, _ in got})
         return answer
 
+    def recorded_check(alg, rows):
+        paths["converted"] += 1
+        k, w = rows.shape
+        return recorded(alg, k, w, lambda: check(alg, rows))
+
+    def recorded_keys(alg, keys, width):
+        return recorded(alg, len(keys), width, lambda: closed_keys(alg, keys, width))
+
     monkeypatch.setattr(FiniteAlgebra, "lifted_table", recorded_lifted_table)
     monkeypatch.setattr(subpower._Closure, "run", recorded_run)
     monkeypatch.setattr(digraph, "is_closed", recorded_check)
+    monkeypatch.setattr(digraph, "_closed_keys", recorded_keys)
     return paths
 
 

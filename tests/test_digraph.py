@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -281,6 +282,8 @@ def test_is_admissible_matches_scalar_check(monkeypatch, chunk):
         assert paths["gather"] >= 50 and paths["saturate"] >= 50, paths
     else:
         assert paths["saturate"] >= 50, paths
+    # Python int entries are converted to rows only to be saturated
+    assert paths["converted"] == paths["saturate"], paths
 
 
 def test_a_second_check_at_the_same_width_builds_no_table():
@@ -321,6 +324,7 @@ def test_admissibility_is_invariant_under_relabelling(monkeypatch):
     assert len(answers) >= 200
     assert answers.count(True) >= 50 and answers.count(False) >= 50
     assert paths["gather"] >= 50 and paths["saturate"] >= 50, paths
+    assert paths["converted"] == paths["saturate"], paths
 
 
 def test_is_admissible_wide_tuples_match_scalar_check():
@@ -386,6 +390,114 @@ def test_is_admissible_input_rules():
         with pytest.raises(type(want)) as info:
             is_admissible(alg, rel)
         assert str(info.value) == str(want), rel
+
+
+# entry types of a relation: Python ints alone take the keyed path when the
+# sizes admit gathers; the others are converted to rows
+_ENTRY_MIXES = [
+    (int,), (int,), (int,), (int,),
+    (bool, int), (np.uint8,), (np.uint8, int), (np.int32,), (np.int64, int),
+    (np.uint64, int), (np.uint64, np.int32), (np.uint64, np.int64),
+]
+
+
+def _typed_admissibility_cases(seed, count):
+    """Seeded (algebra, relation) pairs for each path of ``is_admissible``.
+    Shapes: a binary operation on at most 256 keys (gathers), unary
+    operations on 512 to 4096 keys (gathers, with keys past np.uint8), and a
+    binary operation on 512 to 4096 keys (saturation).  Every generator's
+    coordinates are copies of one or two base coordinates, so a closure has
+    at most n^2 tuples.  Relations are closures, closures without their last
+    tuple, generators with a duplicate, or random tuples; their entries are
+    of one of ``_ENTRY_MIXES`` (a bool only for 0 and 1), and a few
+    relations have a tuple of another width or an entry outside the
+    universe."""
+    rng = random.Random(seed)
+    widths = {
+        "binary": {2: (1, 8), 3: (1, 5), 4: (1, 4)},
+        "unary": {2: (9, 12), 3: (6, 7), 4: (5, 6)},
+        "wide": {2: (9, 12), 3: (6, 7), 4: (5, 6)},
+    }
+    signatures = {
+        "binary": [[2], [2, 1], [2, 0]],
+        "unary": [[1], [1, 1], [1, 0]],
+        "wide": [[2], [2, 1], [2, 0]],
+    }
+    for case in range(count):
+        shape = ("binary", "unary", "wide")[case % 3]
+        size = rng.randint(2, 4)
+        width = rng.randint(*widths[shape][size])
+        alg = random_algebra(seed + case, size, rng.choice(signatures[shape]))
+        base = rng.randint(1, 2)
+        copies = [rng.randrange(base) for _ in range(width)]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            b = [rng.randrange(size) for _ in range(base)]
+            gens.append(tuple(b[c] for c in copies))
+        kind = rng.randrange(4)
+        if kind == 0:
+            rel = gens + [gens[-1]]
+        elif kind == 1:
+            rel = list(generate_subpower(alg, gens).tuples)
+        elif kind == 2:
+            rel = list(generate_subpower(alg, gens).tuples)[:-1] or gens
+        else:
+            rel = [
+                tuple(rng.randrange(size) for _ in range(width))
+                for _ in range(rng.randint(1, 12))
+            ]
+        mix = rng.choice(_ENTRY_MIXES)
+
+        def typed(v):
+            kinds = [t for t in mix if t is not bool or v < 2]
+            return rng.choice(kinds)(v)
+
+        rel = [tuple(typed(v) for v in t) for t in rel]
+        defect = rng.random()
+        if defect < 0.04:
+            i = rng.randrange(len(rel))
+            rel[i] = rel[i] + (0,) if defect < 0.02 else rel[i][1:]
+        elif defect < 0.06:
+            i = rng.randrange(len(rel))
+            rel[i] = rel[i][:-1] + (typed(size),)
+        yield alg, rel
+
+
+def test_keyed_admissibility_matches_scalar_check_on_typed_entries(monkeypatch):
+    # each path (keys of Python ints, rows converted from other entry
+    # types, saturation) gives the scalar answer, or its error, and runs
+    # at least 100 checks with both answers
+    paths = record_admissibility_paths(monkeypatch)
+    answers = {path: collections.Counter() for path in ("keyed", "converted", "saturate")}
+    errors = 0
+
+    def outcome(check, alg, rel):
+        try:
+            return check(alg, rel)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    for alg, rel in _typed_admissibility_cases(31, 900):
+        # the scalar check reads the entries' values as Python ints
+        want = outcome(scalar_is_admissible, alg, [tuple(map(int, t)) for t in rel])
+        before = paths.copy()
+        got = outcome(is_admissible, alg, rel)
+        assert got == want, (alg.name, rel)
+        taken = paths - before
+        if isinstance(got, tuple):
+            errors += 1
+            assert not taken, taken
+            continue
+        path = (
+            "saturate" if taken["saturate"]
+            else "converted" if taken["converted"]
+            else "keyed"
+        )
+        assert taken["gather"] or path == "saturate", taken
+        answers[path][got] += 1
+    assert errors >= 20, errors
+    for path, counts in answers.items():
+        assert sum(counts.values()) >= 100 and min(counts[True], counts[False]) >= 20, answers
 
 
 def test_is_admissible_on_one_element_at_any_arity():
