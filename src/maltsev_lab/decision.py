@@ -390,7 +390,7 @@ def has_k_wnu_idemp(
     violation = idempotence_violation(alg)
     if violation is not None:
         symbol, element, value = violation
-        diag = ",".join([str(element)] * max(alg.operation(symbol).arity, 1))
+        diag = ",".join([str(element)] * alg.operation(symbol).arity)
         raise ValueError(
             f"algebra is not idempotent: {symbol}({diag}) = {value}, "
             f"expected {element}"

@@ -85,8 +85,9 @@ def _iter_clone_tables(
         frontier_start = lo
         count = hi
         for op in alg.ops:
-            # a constant's one empty combination counts as index 0, so it is
-            # tried in the first round only
+            # a combination belongs to the round that starts at index lo when
+            # its largest index is at least lo, 0 counting as the largest
+            # index of a constant's empty combination
             for combo in itertools.product(range(count), repeat=op.arity):
                 if max(combo, default=0) < frontier_start:
                     continue

@@ -2,12 +2,13 @@
 
 Width-w tuples over the universe are closed under every basic operation
 applied coordinate-wise.  Insertion order is the canonical breadth-first
-order: rounds of applying each operation (declaration order) to all argument
-combinations of previously known tuples, combinations enumerated in
-lexicographic order of tuple indices; a combination is skipped when none of
-its arguments is new from the previous round, which cannot change the result
-set or the first discovery of any tuple.  Each tuple carries the operation
-and parent indices that first produced it, so membership certificates are
+order: rounds of applying each operation (declaration order) to argument
+combinations of known tuples in lexicographic order of tuple indices.  A
+combination belongs to the round that starts at index lo when its largest
+index is at least lo, 0 counting as the largest index of a constant's
+empty combination; one with no new index cannot change the result set or
+the first discovery of any tuple.  Each tuple carries the operation and
+parent indices that first produced it, so membership certificates are
 replayable terms over the generators.
 
 One engine, ``_Closure``, runs every closure (design: README.md).  A tuple
@@ -16,9 +17,10 @@ width with (n^s)^M at most ``_CHUNK`` for the largest arity M: a block's
 image keys are one gather per chunk from the algebra's cached lifted
 tables, combined by Horner's rule.  A relation is the committed keys
 (Python ints from 2^62 on), each key's position in its block, and one
-record per committed block of the operation and the argument ranges it
-was applied to.  Rows, operations and parents are decoded only when asked
-for; a witness walk decodes the rows it visits, one record each.
+record ``(op_id, (prefix, ranges))`` per committed block.  Every record is
+a block: the g generators' is ``(-1, ((), (range(g),)))``, a constant's
+block is ``((), ())``.  Rows, operations and parents are decoded only when
+asked for; a witness walk decodes the rows it visits, one record each.
 
 A closure pays once for its two arrays, sized to the least of key space,
 budget and ``_FIRST_ROWS`` and left unfilled; in a key space whose
@@ -78,14 +80,14 @@ class TupleRelation:
     """A generated set of fixed-width tuples with per-tuple derivations.
 
     ``keys`` holds the tuples' base-n keys in committed order.  Derivations
-    are kept per committed block: ``records[r]`` is ``(op_id, block)`` for
-    the tuples from row ``starts[r]`` up to the next record's, op_id the
-    position in ``algebra.ops`` of the operation that produced them (-1 for
-    the generators) and block the ``(prefix, ranges)`` of argument
-    combinations it was applied to (None for the generators and for a
-    constant).  ``positions[i]`` is tuple i's position in its block, in
-    row-major order, or among the generators.  ``generator_rows`` are the
-    generators, validated, as an int64 array.
+    are kept per committed block: ``records[r]`` is ``(op_id, (prefix,
+    ranges))`` for the tuples from row ``starts[r]`` up to the next
+    record's, the position in ``algebra.ops`` of the operation that produced
+    them and the block of argument combinations it was applied to, prefix +
+    the row-major product of the ranges.  Every record is a block: the g
+    generators' is ``(-1, ((), (range(g),)))``, a constant's block is ``((),
+    ())``.  ``positions[i]`` is tuple i's position in its block.
+    ``generator_rows`` are the generators, validated, as an int64 array.
 
     Decoded when first asked for: ``op_ids[i]``, tuple i's operation, and
     ``parents[i, :arity]``, the tuples it was applied to (a generator's
@@ -129,18 +131,12 @@ class TupleRelation:
         columns = max(self.algebra.max_arity, 1) if self.layout.n > 1 else 1
         out = np.full((len(self), columns), -1, dtype=np.intp)
         ends = self.starts[1:] + [len(self)]
-        for (o, block), start, end in zip(self.records, self.starts, ends):
-            positions = self.positions[start:end]
-            if block is None:
-                if o < 0:
-                    out[start:end, 0] = positions
-                continue
-            prefix, ranges = block
-            rows = out[start:end]
+        for (_, (prefix, ranges)), start, end in zip(self.records, self.starts, ends):
+            rows, q = out[start:end], self.positions[start:end]
             rows[:, :len(prefix)] = prefix
-            grid = np.unravel_index(positions, tuple(len(r) for r in ranges))
-            for d, (g, r) in enumerate(zip(grid, ranges), len(prefix)):
-                rows[:, d] = g + r.start
+            for d, r in reversed(list(enumerate(ranges, len(prefix)))):
+                q, j = np.divmod(q, len(r))
+                rows[:, d] = j + r.start
         return out
 
     @cached_property
@@ -154,15 +150,13 @@ class TupleRelation:
     def _derivation(self, i) -> tuple[int, list[int]]:
         """Row i's operation position and parents (a generator's position),
         decoded from its record alone."""
-        o, block = self.records[bisect.bisect_right(self.starts, i) - 1]
-        p = self.positions.item(i)
-        if block is None:
-            return o, [p] if o < 0 else []
-        prefix, ranges = block
-        if len(ranges) == 1:
-            return o, [*prefix, ranges[0].start + p]
-        a, b = divmod(p, len(ranges[1]))
-        return o, [*prefix, ranges[0].start + a, ranges[1].start + b]
+        o, (prefix, ranges) = self.records[bisect.bisect_right(self.starts, i) - 1]
+        q = self.positions.item(i)
+        if len(ranges) == 2:
+            a, q = divmod(q, len(ranges[1]))
+            return o, [*prefix, ranges[0].start + a, ranges[1].start + q]
+        # in one range the position is an offset; a constant has no range
+        return o, [*prefix, *[r.start + q for r in ranges]]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -199,29 +193,32 @@ class WitnessTerm:
 
 
 def _rectangles(m, lo, k):
-    """One round of an m-ary operation (m >= 1) in lexicographic order.
-
-    The round is every index combination over [0, k) holding an index >= lo,
-    as (prefix, ranges): prefix + the row-major product of the ranges, which
-    hold the last index (m = 1) or the last two.
-    """
-    if m == 1:
-        yield (), (range(lo, k),)
-        return
-    for prefix in itertools.product(range(k), repeat=m - 2):
-        if any(i >= lo for i in prefix):
-            yield prefix, (range(k), range(k))
-            continue
-        if lo:
-            yield prefix, (range(lo), range(lo, k))
-        yield prefix, (range(lo, k), range(k))
+    """The round that starts at lo of an m-ary operation on k tuples, in
+    lexicographic order, as (prefix, ranges): prefix + the row-major
+    product of the ranges, which hold the last min(m, 2) indices."""
+    r = min(m, 2)
+    full = (range(k),) * r
+    # under a prefix below lo (none in round 1), the first index at least
+    # lo is in a range, and the ranges before it are below lo
+    tails = [(range(lo),) * j + (range(lo, k),) + (range(k),) * (r - 1 - j)
+             for j in reversed(range(r))] if lo else ()
+    for prefix in itertools.product(range(k), repeat=m - r):
+        if max(prefix, default=0) >= lo:
+            yield prefix, full
+        else:
+            for ranges in tails:
+                yield prefix, ranges
 
 
 def _blocks(m, lo, k):
     """The round's rectangles cut into blocks of at most _CHUNK combinations,
     in the same order and form."""
-    for prefix, (first, *rest) in _rectangles(m, lo, k):
-        inner = math.prod(len(r) for r in rest)
+    for prefix, ranges in _rectangles(m, lo, k):
+        if math.prod(map(len, ranges)) <= _CHUNK:
+            yield prefix, ranges
+            continue
+        first, *rest = ranges
+        inner = math.prod(map(len, rest))
         if inner <= _CHUNK:
             step = _CHUNK // inner
             for start in range(0, len(first), step):
@@ -276,23 +273,22 @@ class _Layout:
 
     def images(self, tables, digits, prefix, ranges):
         """The keys of a block's images, in row-major order: per chunk, the
-        lifted table at the prefix is taken along each axis, the shorter range
-        first so the step between stays small, and Horner's rule adds it."""
+        lifted table at the prefix is taken along each range's axis, the
+        shorter first so the step between stays small, and Horner's rule
+        adds it."""
+        takes = list(enumerate(ranges))
+        if len(ranges) == 2 and len(ranges[0]) > len(ranges[1]):
+            takes.reverse()
         keys = None
         for table, d, scale in zip(tables, digits, self.scales):
             for i in prefix:
                 table = table[d[i]]
-            if len(ranges) == 1:
-                (a,) = ranges
-                g = table.take(d[a.start:a.stop])
-            else:
-                a, b = (d[r.start:r.stop] for r in ranges)
-                if len(a) <= len(b):
-                    g = table.take(a, axis=0).take(b, axis=1).ravel()
-                else:
-                    g = table.take(b, axis=1).take(a, axis=0).ravel()
+            for axis, r in takes:
+                table = table.take(d[r.start:r.stop], axis)
+            g = table.ravel()
             if keys is None:
-                keys = g if self.keyed else g.astype(object)
+                # a constant's ravel is a view of its read-only 0-d table
+                keys = g.astype(self.powers.dtype, copy=not g.flags.writeable)
             else:
                 keys *= scale
                 keys += g
@@ -418,7 +414,7 @@ class _Closure:
         self.starts: list[int] = []
         self._reserve(min(self.full_size, budget, _FIRST_ROWS))
         self.rows = rows.astype(np.int64, copy=False)
-        self._commit_block(self.layout.encode(self.rows), -1, None)
+        self._commit_block(self.layout.encode(self.rows), -1, ((), (range(len(rows)),)))
 
     def pass_on(self, tables):
         """Reset the committed slots of a dense closure's table and leave it
@@ -512,15 +508,8 @@ class _Closure:
     def _round(self, op_id, digits, lo, k):
         """Apply one operation to the round's combinations, block by block."""
         op = self.alg.ops[op_id]
-        m = op.arity
-        if m == 0:
-            # the constant tuple can only appear once; round 1 suffices
-            if lo == 0:
-                row = np.full((1, self.width), op.table[0], dtype=np.int64)
-                self._commit_block(self.layout.encode(row), op_id, None)
-            return
         tables = [self.alg.lifted_table(op.symbol, s) for s in self.layout.widths]
-        for block in _blocks(m, lo, k):
+        for block in _blocks(op.arity, lo, k):
             # bound until the next block's images exist: freed before them,
             # a block's arrays let malloc trim the heap top, and the next
             # block faults its pages in again

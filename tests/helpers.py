@@ -134,9 +134,11 @@ def naive_subpower(alg, generators):
 def reference_closure(alg, generators, stop=None):
     """Scalar closure in canonical order: (tuples, derivations, rounds, hit).
 
-    Rounds apply each operation in declaration order to every argument
-    combination, in lexicographic order of tuple indices, that holds an index
-    new from the previous round; a nullary operation contributes in round 1.
+    Rounds apply each operation in declaration order to argument
+    combinations in lexicographic order of tuple indices: a combination
+    belongs to the round that starts at index lo when its largest index is
+    at least lo, 0 counting as the largest index of a constant's empty
+    combination, so a nullary operation contributes in round 1 only.
     Without a stop predicate the last round is the one that finds nothing
     new.  With one, generation ends at the first tuple satisfying it, whose
     index is ``hit``.

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import MIN2, NOT2, PROJ2, Z2_MINORITY
+from helpers import MIN2, NOT2, PROJ2, Z2_MINORITY, make_algebra
 from maltsev_lab import decision, digraph, format_algebra
 from maltsev_lab.cli import run_cli
 from maltsev_lab.errors import ConsistencyError
@@ -47,6 +47,26 @@ def test_check_qwnu_k_one_usage_error(files):
 
 def test_check_wnu_idemp_precondition(files):
     assert run_cli(["check", "wnu-idemp", "--k", "2", files["not2"]]) == 2
+
+
+@pytest.mark.parametrize(
+    "op,message",
+    [
+        (("f", 2, (1, 0, 0, 1)), "f(0,0) = 1, expected 0"),
+        # a constant's diagonal has no arguments
+        (("c", 0, (1,)), "c() = 1, expected 0"),
+    ],
+)
+def test_wnu_idemp_precondition_names_the_diagonal(tmp_path, capsys, op, message):
+    alg = make_algebra("nonidem", 2, op)
+    want = f"algebra is not idempotent: {message}"
+    with pytest.raises(ValueError) as info:
+        decision.has_k_wnu_idemp(alg, 2)
+    assert str(info.value) == want
+    path = tmp_path / "nonidem.alg"
+    path.write_text(format_algebra(alg))
+    assert run_cli(["check", "wnu-idemp", "--k", "2", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_parse_error_exit(files):

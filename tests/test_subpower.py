@@ -24,6 +24,7 @@ from helpers import (
     table_bytes,
 )
 from maltsev_lab import (
+    Apply,
     BlockRepeat,
     Variable,
     evaluate_term,
@@ -459,9 +460,20 @@ def _as_reference(rel, hit=None):
 
 
 def _assert_arrays_match(rel, alg, want):
-    """The relation's rows, op ids and parents (-1 past each arity) are the
-    reference's tuples and derivations, and so is each row's derivation
-    decoded alone from its record; every record holds a row."""
+    """Every record holds a row and is a block (op_id, (prefix, ranges)) of
+    the operation's arity (1 for the generators, op -1) that its rows'
+    positions are in; the relation's rows, op ids and parents (-1 past each
+    arity) are the reference's tuples and derivations, and so is each row's
+    derivation decoded alone from its record."""
+    ends = rel.starts[1:] + [len(rel)]
+    assert len(rel.records) == len(rel.starts) and rel.starts[0] == 0
+    assert all(start < end for start, end in zip(rel.starts, ends)), rel.starts
+    for (o, block), start, end in zip(rel.records, rel.starts, ends):
+        prefix, ranges = block
+        assert type(prefix) is tuple and all(type(r) is range for r in ranges), block
+        assert len(prefix) + len(ranges) == (1 if o < 0 else alg.ops[o].arity), block
+        size = math.prod(map(len, ranges))
+        assert 0 <= rel.positions[start:end].min() <= rel.positions[start:end].max() < size
     tuples, derivations = want[0][:len(rel)], want[1][:len(rel)]
     symbols = [op.symbol for op in alg.ops]
     op_ids, parents = [], []
@@ -474,9 +486,6 @@ def _assert_arrays_match(rel, alg, want):
     assert [rel._derivation(i) for i in range(len(rel))] == [
         (o, list(args)) for o, (_, args) in zip(op_ids, derivations)
     ]
-    ends = rel.starts[1:] + [len(rel)]
-    assert len(rel.records) == len(rel.starts) and rel.starts[0] == 0
-    assert all(start < end for start, end in zip(rel.starts, ends)), rel.starts
 
 
 def _assert_budget_raise_matches(alg, gens, want):
@@ -918,6 +927,32 @@ def test_wide_tuples_match_reference_closure():
     assert raised["tuple"] >= 2 and raised["keyed"] >= 1, raised
 
 
+@pytest.mark.parametrize("layout", ["selected", "ones"])
+def test_a_constant_in_a_python_int_key_space(monkeypatch, layout):
+    # 2^64 keys: the constant's one image is gathered from its 0-d lifted
+    # tables, one per chunk, as a Python int like any other block's; its
+    # record's block is empty, its derivation has no parents and its
+    # witness is the constant itself
+    import random
+
+    _force_layout(monkeypatch, layout)
+    paths = record_closure_paths(monkeypatch)
+    alg = make_algebra("meetc", 2, ("meet", 2, (0, 0, 0, 1)), ("c", 0, (1,)))
+    rng = random.Random(64)
+    gens = [tuple(rng.randrange(2) for _ in range(64)) for _ in range(3)]
+    want = reference_closure(alg, gens)
+    rel = generate_subpower(alg, gens)
+    assert paths == {"tuple": 1}
+    assert len(rel.layout.widths) == (64 if layout == "ones" else 8)
+    assert _as_reference(rel) == want
+    _assert_arrays_match(rel, alg, want)
+    row = rel.derivations.index(("c", ()))
+    assert rel.tuples[row] == (1,) * 64 and row >= len(gens)
+    assert rel.records[rel.starts.index(row)] == (1, ((), ()))
+    assert rel._derivation(row) == (1, [])
+    assert extract_witness(rel, row=row).term == Apply("c", ())
+
+
 def test_wide_keys_are_looked_up_in_linear_time():
     # 16^16 = 2^64 maps: Python int keys, looked up in a set; compared
     # pairwise, this monoid's 32684 maps took seven seconds to generate
@@ -1089,10 +1124,13 @@ def test_unary_term_monoid_is_the_identity_closure():
 
 def test_blocks_enumerate_a_round_lexicographically(monkeypatch):
     # the blocks of a round, flattened, are exactly the lexicographic
-    # combinations holding a new index, for every chunk size
-    for m, lo, k in [(1, 2, 5), (2, 0, 3), (2, 2, 5), (3, 1, 4), (4, 2, 3)]:
+    # combinations whose largest index is at least the round's first, 0
+    # counting as the largest index of a constant's empty combination, for
+    # every chunk size: a constant's one empty block in round 1, none later
+    cases = [(0, 0, 3), (0, 2, 5), (1, 2, 5), (2, 0, 3), (2, 2, 5), (3, 1, 4), (4, 2, 3)]
+    for m, lo, k in cases:
         want = [
-            c for c in itertools.product(range(k), repeat=m) if max(c) >= lo
+            c for c in itertools.product(range(k), repeat=m) if max(c, default=0) >= lo
         ]
         for chunk in (1, 2, 7, 1 << 20):
             monkeypatch.setattr(subpower, "_CHUNK", chunk)
@@ -1103,7 +1141,7 @@ def test_blocks_enumerate_a_round_lexicographically(monkeypatch):
                 for tail in itertools.product(*ranges)
             ]
             assert got == want, (m, lo, k, chunk)
-            assert max(math.prod(map(len, ranges)) for _, ranges in blocks) <= chunk
+            assert max((math.prod(map(len, ranges)) for _, ranges in blocks), default=0) <= chunk
 
 
 @pytest.mark.parametrize(
