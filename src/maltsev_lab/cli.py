@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 for yes/success, 1 for no, 2 for usage, parse, or precondition
-errors, 3 when a resource budget was exceeded or memory ran out, 4 when an
-internal consistency check failed.  Each command's default budget (tuples
+errors, 3 when a budget, memory or the recursion limit was exhausted, 4 when
+an internal consistency check failed.  Each command's default budget (tuples
 per closure for check, clone tables for oracle, unary maps for image) can be
 overridden with --budget or the MALTSEV_LAB_BUDGET environment variable.
 """
@@ -240,6 +240,10 @@ def run_cli(argv=None) -> int:
         return 3
     except MemoryError:
         print("error: resource exhausted: out of memory", file=sys.stderr)
+        return 3
+    except RecursionError:
+        limit = "term nesting exceeds the interpreter's recursion limit"
+        print(f"error: resource exhausted: {limit}", file=sys.stderr)
         return 3
     except (AlgebraFormatError, TermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,12 +27,12 @@ first block repeat.  The term walked from that hit's row, with no lookup,
 is replayed on the pair's generators and compared with the row by key,
 then evaluated on the uncovered pairs after it, and so on.  So every
 pair gets the earliest-discovered term that works for it, and the first
-pair whose saturation holds no block repeat refutes.  A refutation is
-saturated again from its generators, on the sweep's key table, its keys
-compared with the first one's, and checked by the standalone pattern
-finder.  Before a report is built, every witness is evaluated again on its
-pair, one call per distinct term, and checked against the equalities it
-claims.
+pair whose saturation holds no block repeat refutes.  That closure proves
+the refutation, with no second saturation: it holds the pair's generators,
+``is_closed`` finds it closed under every operation, and the standalone
+pattern finder finds no block repeat in it.  Before a report is built,
+every witness is evaluated again on its pair, one call per distinct term,
+and checked against the equalities it claims.
 
 Checks.  Every term, the extracted witnesses included, is evaluated by the
 algebra's one evaluator core, ``_evaluate``, which checks it node by node: a
@@ -59,7 +59,7 @@ from .algebra import (  # noqa: F401  term_table stays importable from here
     term_table,
 )
 from .errors import BudgetExceededError, ConsistencyError
-from .subpower import (
+from .subpower import (  # noqa: F401  generate_subpower stays importable from here
     DEFAULT_TUPLE_BUDGET,
     BlockRepeat,
     _is_repeat,
@@ -67,6 +67,7 @@ from .subpower import (
     find_block_repeat,
     generate_subpower,
     generate_until,
+    is_closed,
 )
 
 # pairs per sweep block; the block's argument array is k x _PAIR_BLOCK x W
@@ -276,20 +277,17 @@ def decide(
             tuples_generated += len(rel)
             rounds_max = max(rounds_max, rel.rounds)
             if hit is None:
-                # refutation: replay the pair from its generators, on the
-                # table the first closure reset, and require the
-                # standalone pattern finder to agree before reporting "no";
-                # base-n keys are one to one, so equal sorted keys are equal
-                # row sets
-                again = generate_subpower(alg, gens, budget, tables)
-                if (
-                    not np.array_equal(np.sort(again.keys), np.sort(rel.keys))
-                    or find_block_repeat(again, block, reps) is not None
-                ):
-                    raise ConsistencyError(
-                        f"refutation at pair {pair} did not reproduce"
-                    )
-                return report(pair)
+                # a closed set that holds the generators holds every term's
+                # values at the pair: with no block repeat, it refutes
+                if not all(g in rel for g in gens):
+                    failed = "a generator is missing from its closure"
+                elif not is_closed(alg, rel.rows):
+                    failed = "its closure is not closed"
+                elif find_block_repeat(rel, block, reps) is not None:
+                    failed = "its closure holds a block repeat"
+                else:
+                    return report(pair)
+                raise ConsistencyError(f"refutation at pair {pair} is not proved: {failed}")
             term = extract_witness(rel, row=hit).term
             # free the closure's keys and positions before the term is
             # evaluated on the block, which would otherwise hold both at the

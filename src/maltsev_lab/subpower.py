@@ -601,11 +601,9 @@ def generate_subpower(
     alg: FiniteAlgebra,
     generators: Sequence[Sequence[int]],
     budget: int = DEFAULT_TUPLE_BUDGET,
-    tables: Optional[dict] = None,
 ) -> TupleRelation:
-    """The subpower generated by the given tuples, fully saturated.
-    ``tables`` is as in ``generate_until``."""
-    return generate_until(alg, generators, None, budget, tables)[0]
+    """The subpower generated by the given tuples, fully saturated."""
+    return generate_until(alg, generators, None, budget)[0]
 
 
 def generate_until(

@@ -252,7 +252,7 @@ def record_closure_paths(monkeypatch):
     return paths
 
 
-def record_admissibility_paths(monkeypatch):
+def record_admissibility_paths(monkeypatch, module=digraph):
     """Count the closedness checks run from now on by the paths they take.
 
     A check of k rows of width w over n elements takes one path, chosen by
@@ -266,13 +266,15 @@ def record_admissibility_paths(monkeypatch):
     ``is_admissible`` gathers at the keys it validated when they are all
     Python ints, and converts its tuples to rows for ``is_closed``
     otherwise; each check through ``is_closed`` also counts as "converted".
+    The checks counted are those through ``module.is_closed``, ``digraph``'s
+    by default, and ``digraph._closed_keys``.
     """
     paths = collections.Counter()
     events = None
     saturating = False
     lifted_table = FiniteAlgebra.lifted_table
     run = subpower._Closure.run
-    check = digraph.is_closed
+    check = module.is_closed
     closed_keys = digraph._closed_keys
 
     def recorded_lifted_table(alg, symbol, width):
@@ -319,7 +321,7 @@ def record_admissibility_paths(monkeypatch):
 
     monkeypatch.setattr(FiniteAlgebra, "lifted_table", recorded_lifted_table)
     monkeypatch.setattr(subpower._Closure, "run", recorded_run)
-    monkeypatch.setattr(digraph, "is_closed", recorded_check)
+    monkeypatch.setattr(module, "is_closed", recorded_check)
     monkeypatch.setattr(digraph, "_closed_keys", recorded_keys)
     return paths
 

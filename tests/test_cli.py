@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -152,6 +153,29 @@ def test_memory_error_is_resource_exhaustion(files, monkeypatch, capsys):
     monkeypatch.setattr(decision, "has_quasi_taylor", _raiser(MemoryError()))
     assert run_cli(["check", "qtaylor", files["min2"]]) == 3
     assert "resource exhausted" in capsys.readouterr().err
+
+
+def test_a_term_nested_past_the_recursion_limit_is_resource_exhaustion(tmp_path, capsys):
+    # f(x) = max(x - 1, 0) on 300 elements: the witness at (0, s) is f^s(x0),
+    # nested s deep, and its evaluation recurses once per level, so a low
+    # limit is passed long before the sweep ends; that is exit 3, not "no"
+    n = 300
+    path = tmp_path / "down.alg"
+    down = make_algebra("down", n, ("f", 1, [max(x - 1, 0) for x in range(n)]))
+    path.write_text(format_algebra(down))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        start = time.perf_counter()
+        code = run_cli(["check", "qwnu", "--k", "2", str(path)])
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, ""), captured.err
+    message = "resource exhausted: term nesting exceeds the interpreter's recursion limit"
+    assert f"error: {message}" in captured.err
+    assert elapsed < 10, elapsed
 
 
 def test_usage_error():

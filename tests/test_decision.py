@@ -18,6 +18,8 @@ from helpers import (
     Z2_MINORITY,
     Z3_MALTSEV,
     make_algebra,
+    patch_chunk,
+    record_admissibility_paths,
     reference_identities,
     relabel,
 )
@@ -402,23 +404,27 @@ def test_a_claimed_witness_that_breaks_its_identities_is_refused(monkeypatch):
         has_k_qwnu(MIN2, 3)
 
 
-def test_a_refutation_that_does_not_reproduce_is_refused(monkeypatch, tmp_path, capsys):
-    # a "no" is saturated again from its generators: the replay must hold
-    # the same keys, and the standalone pattern finder must find no repeat.
-    # The command line reports either failure as an internal error, exit 4
+def test_a_refutation_that_is_not_proved_is_refused(monkeypatch, tmp_path, capsys):
+    # a "no" is proved by the closure that found it: the closure must hold
+    # the pair's generators, be closed, and hold no block repeat.  The
+    # command line reports a failed check as an internal error, exit 4
     from maltsev_lab import decision
 
-    generate = decision.generate_subpower
+    generate = decision.generate_until
 
     def one_row_short(*args):
-        rel = generate(*args)
-        return replace(rel, keys=rel.keys[:-1])
+        rel, hit = generate(*args)
+        return (rel if hit is not None else replace(rel, keys=rel.keys[:-1])), hit
 
     assert has_k_qwnu(PROJ2, 2).refutation == (0, 1)
     path = tmp_path / "proj2.alg"
     path.write_text(format_algebra(PROJ2))
-    message = "refutation at pair (0, 1) did not reproduce"
-    for name, fake in (("generate_subpower", one_row_short), ("find_block_repeat", lambda *args: (0,))):
+    for name, fake, failed in (
+        ("generate_until", one_row_short, "a generator is missing from its closure"),
+        ("is_closed", lambda *args: False, "its closure is not closed"),
+        ("find_block_repeat", lambda *args: (0,), "its closure holds a block repeat"),
+    ):
+        message = f"refutation at pair (0, 1) is not proved: {failed}"
         with monkeypatch.context() as m:
             m.setattr(decision, name, fake)
             with pytest.raises(ConsistencyError, match=re.escape(message)):
@@ -427,6 +433,43 @@ def test_a_refutation_that_does_not_reproduce_is_refused(monkeypatch, tmp_path, 
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"internal consistency error: {message}" in captured.err
+
+
+def test_a_closure_that_misses_tuples_refutes_nothing(monkeypatch):
+    # an engine that skips the last rectangle of every round after the first
+    # misses tuples, so a closure may hold no block repeat where the full one
+    # does.  Saturating the pair again would reproduce that wrong "no"; the
+    # proof finds the closure not closed.  The corpus runs at the default
+    # chunk, where every proof gathers, and at 256 combinations, where the
+    # larger ones saturate
+    from maltsev_lab import decision, subpower
+
+    problems = (qwnu(2), qwnu(3), qtaylor())
+    algebras = [random_algebra(seed, 3, [2]) for seed in range(60)]
+    truth = [[decide(alg, problem).answer for problem in problems] for alg in algebras]
+    rectangles = subpower._rectangles
+
+    def last_one_dropped(m, lo, k):
+        out = list(rectangles(m, lo, k))
+        return out[:-1] if lo else out
+
+    monkeypatch.setattr(subpower, "_rectangles", last_one_dropped)
+    paths = record_admissibility_paths(monkeypatch, decision)
+    for chunk in (None, 256):
+        if chunk:
+            patch_chunk(monkeypatch, chunk)
+        refused = 0
+        for seed, (alg, answers) in enumerate(zip(algebras, truth)):
+            for problem, answer in zip(problems, answers):
+                try:
+                    report = decide(alg, problem)
+                except ConsistencyError as exc:
+                    assert str(exc).endswith("is not proved: its closure is not closed")
+                    refused += answer
+                    continue
+                assert report.answer or not answer, (seed, problem.name, chunk)
+        assert refused >= 20, (chunk, refused)
+    assert paths["gather"] and paths["saturate"], paths
 
 
 def test_a_witness_that_is_not_idempotent_is_refused(monkeypatch):
