@@ -14,6 +14,7 @@ inclusion-minimal images drive the idempotent image construction exposed by
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -52,6 +53,8 @@ class FiniteAlgebra:
     _op_map: dict = field(init=False, repr=False, compare=False, hash=False)
     # lifted tables by (symbol, width), built on first use
     _lifted: dict = field(init=False, repr=False, compare=False, hash=False)
+    # table-fixing argument transpositions by symbol, found on first use
+    _swaps: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -83,6 +86,7 @@ class FiniteAlgebra:
             op_map[op.symbol] = op
         object.__setattr__(self, "_op_map", op_map)
         object.__setattr__(self, "_lifted", {})
+        object.__setattr__(self, "_swaps", {})
 
     def operation(self, symbol: str) -> Operation:
         op = self._op_map.get(symbol)
@@ -104,6 +108,21 @@ class FiniteAlgebra:
             arr.flags.writeable = False
             arrays[op.symbol] = arr
         return arrays
+
+    def swaps(self, symbol: str) -> tuple:
+        """The argument pairs (i, j), i < j, whose transposition leaves the
+        operation's table unchanged: m(m-1)/2 table comparisons for arity m
+        on first use, then cached."""
+        swaps = self._swaps.get(symbol)
+        if swaps is None:
+            m = self.operation(symbol).arity
+            table = self.table_arrays[symbol].reshape((self.size,) * m)
+            swaps = tuple(
+                (i, j) for i, j in itertools.combinations(range(m), 2)
+                if np.array_equal(table, table.swapaxes(i, j))
+            )
+            self._swaps[symbol] = swaps
+        return swaps
 
     def lifted_table(self, symbol: str, width: int) -> np.ndarray:
         """The operation acting coordinate-wise on rows of A^width, by key.

@@ -7,9 +7,16 @@ combinations of known tuples in lexicographic order of tuple indices.  A
 combination belongs to the round that starts at index lo when its largest
 index is at least lo, 0 counting as the largest index of a constant's
 empty combination; one with no new index cannot change the result set or
-the first discovery of any tuple.  Each tuple carries the operation and
-parent indices that first produced it, so membership certificates are
-replayable terms over the generators.
+the first discovery of any tuple.  Nor can one whose index i exceeds its
+index j, i < j, when swapping arguments i and j leaves the operation's
+table unchanged: the swap has the same image and index set, so it comes
+earlier in the same round.  A round skips these where index i is in a
+block's prefix: a prefix index j skips the prefix, a range index j trims
+the range's start to index i, and two range indices are left to the
+dedup.  No committed key, order, derivation, round, stop hit or budget
+raise changes.  Each tuple carries the operation and parent indices that
+first produced it, so membership certificates are replayable terms over
+the generators.
 
 One engine, ``_Closure``, runs every closure (design: README.md).  A tuple
 is its base-n key, and a subpower of A^w is one of (A^s)^c, s the largest
@@ -230,6 +237,26 @@ def _blocks(m, lo, k):
                     yield prefix, (range(i, i + 1), cols[start:start + _CHUNK])
 
 
+def _unswapped(blocks, p, swaps):
+    """The blocks less every combination whose index i exceeds its index j
+    for a swap (i, j), i < j, with i in the prefix of length p: a prefix
+    index j skips the prefix, a range index j trims the range's start."""
+    for prefix, ranges in blocks:
+        ranges = list(ranges)
+        for i, j in swaps:
+            if j < p:
+                if prefix[i] > prefix[j]:
+                    break
+            else:
+                r = ranges[j - p]
+                if r.start < prefix[i]:
+                    if r.stop <= prefix[i]:
+                        break
+                    ranges[j - p] = range(prefix[i], r.stop)
+        else:
+            yield prefix, tuple(ranges)
+
+
 @functools.lru_cache(maxsize=256)
 def _key_powers(n, width):
     """Weights of a width-w row's base-n key; cached for small checks."""
@@ -381,7 +408,7 @@ class _Closure:
     and ``starts`` hold one entry per block that committed a key (see
     ``TupleRelation``)."""
 
-    def __init__(self, alg, rows, budget, stop, tables=None):
+    def __init__(self, alg, rows, budget, stop, tables=None, keys=None):
         self.alg = alg
         self.n = alg.size
         self.width = rows.shape[1]
@@ -414,7 +441,12 @@ class _Closure:
         self.starts: list[int] = []
         self._reserve(min(self.full_size, budget, _FIRST_ROWS))
         self.rows = rows.astype(np.int64, copy=False)
-        self._commit_block(self.layout.encode(self.rows), -1, ((), (range(len(rows)),)))
+        # the generators' keys from their validation, when each is an int
+        # (not NaN) and the layout's keys are int64
+        first = np.array(keys) if keys is not None and self.layout.keyed else None
+        if first is None or first.dtype != np.int64:
+            first = self.layout.encode(self.rows)
+        self._commit_block(first, -1, ((), (range(len(rows)),)))
 
     def pass_on(self, tables):
         """Reset the committed slots of a dense closure's table and leave it
@@ -509,7 +541,15 @@ class _Closure:
         """Apply one operation to the round's combinations, block by block."""
         op = self.alg.ops[op_id]
         tables = [self.alg.lifted_table(op.symbol, s) for s in self.layout.widths]
-        for block in _blocks(op.arity, lo, k):
+        blocks = _blocks(op.arity, lo, k)
+        # a block's prefix is the indices before the last two; a swap of
+        # those two would cut a triangle, and is left to the dedup
+        p = op.arity - 2
+        if p > 0:
+            swaps = [s for s in self.alg.swaps(op.symbol) if s[0] < p]
+            if swaps:
+                blocks = _unswapped(blocks, p, swaps)
+        for block in blocks:
             # bound until the next block's images exist: freed before them,
             # a block's arrays let malloc trim the heap top, and the next
             # block faults its pages in again
@@ -591,10 +631,9 @@ def _rows(tuples, noun):
 
 
 def _validate_tuples(tuples, n, noun):
-    """The rows of equal-width tuples of elements of 0..n-1, as an array:
-    ``_tuple_keys`` checks them, ``_rows`` converts them."""
-    _tuple_keys(tuples, n, noun)
-    return _rows(tuples, noun)
+    """The keys and the rows, as an array, of equal-width tuples of elements
+    of 0..n-1: ``_tuple_keys`` checks them, ``_rows`` converts them."""
+    return _tuple_keys(tuples, n, noun), _rows(tuples, noun)
 
 
 def generate_subpower(
@@ -634,8 +673,8 @@ def generate_until(
         raise ValueError("at least one generator tuple is required")
     if not gens[0]:
         raise ValueError("generator width must be positive")
-    rows = _validate_tuples(gens, alg.size, "generator")
-    state = _Closure(alg, rows, budget, predicate, tables)
+    keys, rows = _validate_tuples(gens, alg.size, "generator")
+    state = _Closure(alg, rows, budget, predicate, tables, keys)
     state.run()
     if tables is not None:
         state.pass_on(tables)

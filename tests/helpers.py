@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 
 import numpy as np
 
@@ -198,6 +199,23 @@ def patch_chunk(monkeypatch, chunk):
     keyed path too."""
     monkeypatch.setattr(subpower, "_CHUNK", chunk)
     monkeypatch.setattr(subpower, "_TABLE_BYTES", table_bytes(chunk))
+
+
+def count_gathered(monkeypatch):
+    """Count the argument combinations gathered from now on, under
+    ``"combinations"``: per block passed to ``_Layout.images``, the product
+    of its range lengths.  These are the combinations a closure applies its
+    operations to, after a symmetric operation's repeated argument orders
+    are left out."""
+    counts = collections.Counter()
+    images = subpower._Layout.images
+
+    def counted(layout, tables, digits, prefix, ranges):
+        counts["combinations"] += math.prod(map(len, ranges))
+        return images(layout, tables, digits, prefix, ranges)
+
+    monkeypatch.setattr(subpower._Layout, "images", counted)
+    return counts
 
 
 def record_closure_paths(monkeypatch):

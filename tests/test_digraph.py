@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 import random
 
 import numpy as np
@@ -13,6 +12,7 @@ from helpers import (
     NOT2,
     Z2_MINORITY,
     Z3_MALTSEV,
+    count_gathered,
     make_algebra,
     patch_chunk,
     record_admissibility_paths,
@@ -511,8 +511,10 @@ def test_is_admissible_on_one_element_at_any_arity():
 
 def test_is_admissible_memory_is_bounded_by_the_chunk(monkeypatch):
     # the subpower of A^6 generated by four tuples under x - y + z mod 7 is
-    # closed and not all of A^6, so every one of its 343^3 combinations is
-    # checked; one broadcast over them all needs about 1.9 GB
+    # closed and not all of A^6, so every combination of its 343 rows is
+    # checked but those that the symmetry in arguments 0 and 2 repeats:
+    # 343 * 343 * 344 / 2 with index 0 at most index 2; one broadcast over
+    # all 343^3 needs about 1.9 GB
     import tracemalloc
 
     alg = make_algebra(
@@ -525,23 +527,15 @@ def test_is_admissible_memory_is_bounded_by_the_chunk(monkeypatch):
     rel = generate_subpower(alg, gens).tuples
     assert len(rel) == 343
     is_admissible(alg, rel[:2])  # numpy imports some helpers lazily
-    combinations = 0
-    blocks = subpower._blocks
-
-    def counted(m, lo, k):
-        nonlocal combinations
-        for prefix, ranges in blocks(m, lo, k):
-            combinations += math.prod(map(len, ranges))
-            yield prefix, ranges
-
-    monkeypatch.setattr(subpower, "_blocks", counted)
+    gathered = count_gathered(monkeypatch)
     tracemalloc.start()
     try:
         assert is_admissible(alg, rel)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert combinations == len(rel) ** 3 >= 1 << 20
+    k = len(rel)
+    assert gathered["combinations"] == k * k * (k + 1) // 2 >= 1 << 20
     bound = 6 * subpower._CHUNK * width * 8 + 4 * len(rel) * (width + 1) * 8
     assert peak <= bound, (peak, bound)
 

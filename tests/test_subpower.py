@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ from helpers import (
     MIN2,
     PROJ2,
     Z2_MINORITY,
+    count_gathered,
     is_dense,
     make_algebra,
     naive_subpower,
@@ -36,6 +38,7 @@ from maltsev_lab import (
     subpower,
     unary_term_monoid,
 )
+from maltsev_lab.algebra import flat_index
 from maltsev_lab.errors import BudgetExceededError, ConsistencyError
 
 GENS3 = [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
@@ -107,6 +110,10 @@ def _nested_validation(tuples, n, noun):
     return rows
 
 
+def _validated_rows(tuples, n, noun):
+    return subpower._validate_tuples(tuples, n, noun)[1]
+
+
 def _validation_outcome(validate, tuples, n):
     try:
         rows = validate(tuples, n, "relation")
@@ -152,7 +159,7 @@ def test_validation_matches_the_nested_conversion():
             i = rng.randrange(len(tuples))
             tuples[i] = tuples[i] + (0,) if rng.random() < 0.5 else tuples[i][1:]
         want = _validation_outcome(_nested_validation, tuples, n)
-        got = _validation_outcome(subpower._validate_tuples, tuples, n)
+        got = _validation_outcome(_validated_rows, tuples, n)
         assert got == want, (case, tuples, n)
         outcomes[want[0] if isinstance(want[0], str) else want[0].__name__] += 1
     assert all(outcomes[k] >= 50 for k in ("b", "i", "u", "TypeError", "ValueError")), outcomes
@@ -496,7 +503,7 @@ def _assert_budget_raise_matches(alg, gens, want):
     if len(want[0]) == distinct:
         return False
     budget = (distinct + len(want[0])) // 2
-    rows = subpower._validate_tuples([tuple(g) for g in gens], alg.size, "generator")
+    _, rows = subpower._validate_tuples([tuple(g) for g in gens], alg.size, "generator")
     state = subpower._Closure(alg, rows, budget, None)
     with pytest.raises(BudgetExceededError):
         state.run()
@@ -1167,22 +1174,131 @@ def test_round_memory_is_bounded_by_the_chunk(
     gens = [tuple(rng.randrange(size) for _ in range(width)) for _ in range(count)]
     generate_subpower(alg, [(0,) * width])  # numpy imports some helpers lazily
     monkeypatch.setattr(subpower, "_CHUNK", chunk)
-    combinations = 0
-    blocks = subpower._blocks
-
-    def counted(m, lo, k):
-        nonlocal combinations
-        for prefix, ranges in blocks(m, lo, k):
-            combinations += math.prod(map(len, ranges))
-            yield prefix, ranges
-
-    monkeypatch.setattr(subpower, "_blocks", counted)
+    gathered = count_gathered(monkeypatch)
     tracemalloc.start()
     try:
         rel = generate_subpower(alg, gens)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert combinations >= 10**7
+    assert gathered["combinations"] >= 10**7
     bound = 6 * chunk * width * 8 + 4 * len(rel) * (width + 1) * 8
     assert peak - current <= bound, (peak - current, bound)
+
+
+def _symmetric_algebra(rng, size, arity, positions):
+    """An operation of this arity that is symmetric in the given argument
+    positions: a random table precomposed with a sort of the arguments at
+    those positions.  Every third algebra also has a random unary
+    operation, declared first."""
+    base = [rng.randrange(size) for _ in range(size**arity)]
+    table = []
+    for args in itertools.product(range(size), repeat=arity):
+        args = list(args)
+        for i, v in zip(positions, sorted(args[i] for i in positions)):
+            args[i] = v
+        table.append(base[flat_index(args, size)])
+    ops = [("s", arity, table)]
+    if rng.random() < 1 / 3:
+        ops.insert(0, ("u", 1, [rng.randrange(size) for _ in range(size)]))
+    return make_algebra(f"sym{arity}{positions}", size, *ops)
+
+
+# constraint kinds: (arity, symmetric positions, largest key space); a
+# prefix index against a range index trims the range, two prefix indices
+# skip the prefix, and the two range indices of a binary operation leave
+# everything to the dedup
+_SWAP_KINDS = {
+    "trim-02": (3, (0, 2), 32),
+    "trim-01": (3, (0, 1), 32),
+    "prefix-skip": (4, (0, 1), 9),
+    "range-range": (2, (0, 1), 64),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_cases(kind):
+    """100 seeded closures under an operation of the kind, every other one
+    in the largest key space, and every fourth one from 17 generators where
+    there are 24 tuples: per closure the algebra, the generators, the
+    reference closure, a BlockRepeat block and the reference stopped at it,
+    and a budget at, just around or below the closure's size."""
+    import random
+
+    arity, positions, largest = _SWAP_KINDS[kind]
+    rng = random.Random(arity * 10 + positions[1])
+    cases = []
+    for case in range(100):
+        size = rng.choice([2, 3])
+        widths = [w for w in range(1, 6) if size**w <= largest]
+        width = widths[-1] if case % 2 else rng.choice(widths)
+        alg = _symmetric_algebra(rng, size, arity, positions)
+        assert positions in alg.swaps("s"), alg.ops
+        if case % 4 == 1 and size**width >= 24:
+            gens = rng.sample(list(itertools.product(range(size), repeat=width)), 17)
+        else:
+            gens = [
+                tuple(rng.randrange(size) for _ in range(width))
+                for _ in range(rng.randint(1, 4))
+            ]
+        want = reference_closure(alg, gens)
+        block = rng.choice([b for b in range(1, width + 1) if width % b == 0])
+        until = reference_closure(alg, gens, BlockRepeat(block))
+        budget = len(want[0]) + rng.choice([-1, 0, 1, -rng.randint(1, len(want[0]))])
+        cases.append((alg, gens, want, block, until, budget))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 256])
+@pytest.mark.parametrize("kind", sorted(_SWAP_KINDS))
+def test_symmetric_operations_match_reference_closure(monkeypatch, kind, chunk):
+    # an operation whose table a transposition (i, j) fixes is applied only
+    # to the combinations with index i at most index j, where i is in the
+    # block's prefix, and must still commit exactly the reference's tuples,
+    # derivations and rounds, stop at the same BlockRepeat hit and raise
+    # exactly when the reference closure is larger than the budget; under
+    # chunks of 256, a ternary rectangle of more than 16 rows is cut into
+    # row strips, and those are trimmed
+    if chunk is not None:
+        patch_chunk(monkeypatch, chunk)
+    gathered = count_gathered(monkeypatch)
+    listed = collections.Counter()
+    blocks = subpower._blocks
+
+    def counted(m, lo, k):
+        listed["rows"] = max(listed["rows"], k)
+        for prefix, ranges in blocks(m, lo, k):
+            listed["combinations"] += math.prod(map(len, ranges))
+            yield prefix, ranges
+
+    monkeypatch.setattr(subpower, "_blocks", counted)
+    skipped = strips = hits = raised = 0
+    for case, (alg, gens, want, block, until, budget) in enumerate(_symmetric_cases(kind)):
+        label = (kind, case, alg.ops, gens)
+        gathered.clear()
+        listed.clear()
+        rel = generate_subpower(alg, gens)
+        assert _as_reference(rel) == want, label
+        _assert_arrays_match(rel, alg, want)
+        if kind == "range-range":
+            # nothing is left out
+            assert gathered["combinations"] == listed["combinations"], label
+        elif gathered["combinations"] < listed["combinations"]:
+            skipped += 1
+            strips += listed["rows"] ** 2 > subpower._CHUNK
+        got, hit = generate_until(alg, gens, BlockRepeat(block))
+        assert _as_reference(got, hit) == until, label
+        hits += hit is not None and hit >= len(set(gens))
+        try:
+            generate_subpower(alg, gens, budget)
+        except BudgetExceededError:
+            assert len(want[0]) > budget, label
+            raised += 1
+        else:
+            assert len(want[0]) <= budget, label
+        _assert_budget_raise_matches(alg, gens, want)
+    assert hits >= 10 and 30 <= raised <= 70, (hits, raised)
+    if kind != "range-range":
+        assert skipped >= 50, skipped
+        if chunk is not None and kind.startswith("trim"):
+            assert strips >= 20, strips
