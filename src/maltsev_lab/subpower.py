@@ -39,6 +39,13 @@ block of at most ``_CHUNK`` keys it pays a gather per chunk, a lookup of
 the fresh keys and of the stop (key arithmetic above ``_CHUNK``) and the
 commit: keys, positions and one record.
 
+A block of more than ``_CHUNK // 4`` combinations on an int64 layout is
+written into its thread's ``_Scratch`` (about 1.6 MiB, kept): fresh arrays
+of that size let malloc trim the heap when freed, and the next block
+faulted the pages in again.  Its takes use numpy's "clip" mode, which
+writes in place where "raise" copies through a temporary, and clips
+nothing: every index is a committed row's chunk key or a table entry.
+
 Checks.  Tuples are checked where they enter, in one ordered pass,
 ``_tuple_keys``, that also gives each tuple's base-n key: NaN for a tuple
 with an entry that is not a Python int.  ``generate_until`` converts its
@@ -58,6 +65,7 @@ import bisect
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -298,11 +306,13 @@ class _Layout:
             out.append((c % scale if j else c).astype(np.int64, copy=False))
         return out
 
-    def images(self, tables, digits, prefix, ranges):
+    def images(self, tables, digits, prefix, ranges, scratch=None):
         """The keys of a block's images, in row-major order: per chunk, the
         lifted table at the prefix is taken along each range's axis, the
         shorter first so the step between stays small, and Horner's rule
-        adds it."""
+        adds it.  With a ``_Scratch``, each chunk's last take is written
+        into its image rows: the first chunk's into row 0, which then holds
+        the keys, the others' into row 1."""
         takes = list(enumerate(ranges))
         if len(ranges) == 2 and len(ranges[0]) > len(ranges[1]):
             takes.reverse()
@@ -310,9 +320,17 @@ class _Layout:
         for table, d, scale in zip(tables, digits, self.scales):
             for i in prefix:
                 table = table[d[i]]
-            for axis, r in takes:
+            for axis, r in takes if scratch is None else takes[:-1]:
                 table = table.take(d[r.start:r.stop], axis)
-            g = table.ravel()
+            if scratch is None:
+                g = table.ravel()
+            else:
+                axis, r = takes[-1]
+                shape = table.shape[:axis] + (len(r),) + table.shape[axis + 1:]
+                g = scratch.images[0 if keys is None else 1, :math.prod(shape)]
+                # "clip" writes in place and clips nothing: chunk keys of
+                # committed rows and lifted-table entries are below n^s
+                table.take(d[r.start:r.stop], axis, g.reshape(shape), "clip")
             if keys is None:
                 # a constant's ravel is a view of its read-only 0-d table
                 keys = g.astype(self.powers.dtype, copy=not g.flags.writeable)
@@ -350,6 +368,9 @@ class BlockRepeat:
     """
 
     def __init__(self, block: int):
+        # below 1 the key and tuple forms would disagree, or divide by 0
+        if block < 1:
+            raise ValueError("block must be positive")
         self.block = block
 
     def __call__(self, t) -> bool:
@@ -399,6 +420,28 @@ def _hit_finder(predicate, layout):
         rows = map(tuple, layout.decode(keys).tolist())
         return next((i for i, t in enumerate(rows) if predicate(t)), None)
     return first
+
+
+class _Scratch(threading.local):
+    """A thread's arrays for large blocks, of ``_CHUNK`` entries each: two
+    int64 rows for the chunk images, and an intp and a bool array for the
+    gathered ``seen`` values and their mask.  Allocated on the thread's
+    first large block, and again if ``_CHUNK`` changed.  A block's arrays
+    die with its commit, so one set serves every closure of the thread,
+    nested ones too."""
+
+    size = 0
+
+    def arrays(self):
+        if self.size != _CHUNK:
+            self.size = _CHUNK
+            self.images = np.empty((2, _CHUNK), dtype=np.int64)
+            self.seen = np.empty(_CHUNK, dtype=np.intp)
+            self.mask = np.empty(_CHUNK, dtype=bool)
+        return self
+
+
+_SCRATCH = _Scratch()
 
 
 class _Closure:
@@ -466,10 +509,15 @@ class _Closure:
             new[:self.count] = old[:self.count]
             setattr(self, name, new)
 
-    def _fresh(self, keys):
-        """The positions in a block of the keys not committed yet."""
+    def _fresh(self, keys, scratch=None):
+        """The positions in a block of the keys not committed yet; a dense
+        closure gathers a large block's ``seen`` values into the scratch."""
         if self.dense:
-            return (self.seen[keys] < 0).nonzero()[0]
+            if scratch is None:
+                return (self.seen[keys] < 0).nonzero()[0]
+            # "clip" clips nothing: an image's key is below n^width
+            seen = self.seen.take(keys, 0, scratch.seen[:len(keys)], "clip")
+            return np.less(seen, 0, out=scratch.mask[:len(keys)]).nonzero()[0]
         if self.layout.keyed:
             return np.isin(keys, self.keys[:self.count], invert=True).nonzero()[0]
         known = self.known
@@ -494,11 +542,13 @@ class _Closure:
         _, first = np.unique(fk, return_index=True)
         return fresh[np.sort(first)]
 
-    def _commit_block(self, keys, op_id, block):
+    def _commit_block(self, keys, op_id, block, scratch=None):
         """Commit the new keys of a result block in first-occurrence order,
         with their positions in the block, and record ``(op_id, block)``
-        for them if there are any."""
-        fresh = self._fresh(keys)
+        for them if there are any.  Only copies of the keys outlive the
+        call, and the stop is tested on one: a plain predicate may run a
+        closure that writes into the scratch."""
+        fresh = self._fresh(keys, scratch)
         if not fresh.size:
             return
         start = self.count
@@ -549,12 +599,19 @@ class _Closure:
             swaps = [s for s in self.alg.swaps(op.symbol) if s[0] < p]
             if swaps:
                 blocks = _unswapped(blocks, p, swaps)
+        # a block of more than _CHUNK // 4 combinations is written into this
+        # thread's scratch, a smaller one into fresh arrays, which cost less
+        # than the writes; a round has none larger than k^min(m, 2), and a
+        # constant's block no take to write
+        large = self.layout.keyed and op.arity and k ** min(op.arity, 2) > _CHUNK // 4
         for block in blocks:
-            # bound until the next block's images exist: freed before them,
-            # a block's arrays let malloc trim the heap top, and the next
-            # block faults its pages in again
-            keys = self.layout.images(tables, digits, *block)
-            self._commit_block(keys, op_id, block)
+            scratch = None
+            if large and math.prod(map(len, block[1])) > _CHUNK // 4:
+                scratch = _SCRATCH.arrays()
+            # a small block's keys stay bound until the next block's images
+            # exist, so that malloc does not trim the heap top in between
+            keys = self.layout.images(tables, digits, *block, scratch)
+            self._commit_block(keys, op_id, block, scratch)
             if self._done():
                 return
 

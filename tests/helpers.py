@@ -210,9 +210,9 @@ def count_gathered(monkeypatch):
     counts = collections.Counter()
     images = subpower._Layout.images
 
-    def counted(layout, tables, digits, prefix, ranges):
+    def counted(layout, tables, digits, prefix, ranges, scratch=None):
         counts["combinations"] += math.prod(map(len, ranges))
-        return images(layout, tables, digits, prefix, ranges)
+        return images(layout, tables, digits, prefix, ranges, scratch)
 
     monkeypatch.setattr(subpower._Layout, "images", counted)
     return counts

@@ -35,6 +35,7 @@ from maltsev_lab import (
     generate_subpower,
     generate_until,
     random_algebra,
+    SplitMix64,
     subpower,
     unary_term_monoid,
 )
@@ -1302,3 +1303,189 @@ def test_symmetric_operations_match_reference_closure(monkeypatch, kind, chunk):
         assert skipped >= 50, skipped
         if chunk is not None and kind.startswith("trim"):
             assert strips >= 20, strips
+
+
+def test_block_repeat_refuses_a_block_below_one():
+    # BlockRepeat(0) would divide by zero on its first call, and under
+    # BlockRepeat(-1) the key form finds a hit that the tuple form does not
+    for block in (0, -1):
+        with pytest.raises(ValueError, match="must be positive"):
+            BlockRepeat(block)
+
+
+def _record_scratch(monkeypatch):
+    """Count the blocks gathered from now on by where their images are
+    written: ``"scratch"``, a thread's scratch, or ``"fresh"`` arrays;
+    ``"last"`` is 1 when the last block's went into the scratch."""
+    blocks = collections.Counter()
+    images = subpower._Layout.images
+
+    def recorded(layout, tables, digits, prefix, ranges, scratch=None):
+        blocks["fresh" if scratch is None else "scratch"] += 1
+        blocks["last"] = scratch is not None
+        return images(layout, tables, digits, prefix, ranges, scratch)
+
+    monkeypatch.setattr(subpower._Layout, "images", recorded)
+    return blocks
+
+
+def _drop_scratch(monkeypatch):
+    """Every block from now on is gathered into fresh arrays."""
+    images, fresh = subpower._Layout.images, subpower._Closure._fresh
+
+    def unscratched_images(layout, tables, digits, prefix, ranges, scratch=None):
+        return images(layout, tables, digits, prefix, ranges)
+
+    def unscratched_fresh(state, keys, scratch=None):
+        return fresh(state, keys)
+
+    monkeypatch.setattr(subpower._Layout, "images", unscratched_images)
+    monkeypatch.setattr(subpower._Closure, "_fresh", unscratched_fresh)
+
+
+def _scratch_cases():
+    """Closures with blocks of more than _CHUNK // 4 combinations, each with
+    its stop and budget: three binary width-5 closures at n = 4 of 1024
+    tuples, one of them also cut by its budget and stopped by a plain
+    predicate, each at a block in the scratch; the ternary qWNU k=3 closure
+    of x - y + z mod 15 at (0, 1), whose symmetry trims its blocks; and a
+    width-6 closure stopped at a block repeat in the scratch."""
+    binary = random_algebra(3, 4, [2])
+    every = subpower.DEFAULT_TUPLE_BUDGET
+    gens = {}
+    for seed, width in ((103, 5), (104, 5), (105, 5), (114, 6)):
+        rng = SplitMix64(seed)
+        gens[seed] = [tuple(rng.below(4) for _ in range(width)) for _ in range(3)]
+    return [
+        (binary, gens[103], None, every),
+        (binary, gens[103], None, 1023),
+        (binary, gens[103], lambda t: t == (2, 1, 1, 2, 3), every),
+        (binary, gens[104], None, every),
+        (binary, gens[105], None, every),
+        (_affine(15), [(0, 0, 1), (0, 1, 0), (1, 0, 0)], None, every),
+        (binary, gens[114], BlockRepeat(1), every),
+    ]
+
+
+def _outcome(alg, gens, stop, budget):
+    try:
+        rel, hit = generate_until(alg, gens, stop, budget)
+    except BudgetExceededError:
+        return "raised"
+    return _arrays(rel), rel.positions.tolist(), rel.records, rel.rounds, hit
+
+
+@pytest.mark.parametrize("path", ["dense", "keyed"])
+def test_large_blocks_in_the_scratch_match_fresh_arrays(monkeypatch, path):
+    # a block of more than _CHUNK // 4 combinations is gathered into the
+    # thread's scratch, and a dense closure gathers its seen values there
+    # too; each closure commits exactly the keys, positions, records,
+    # rounds and hit, or raises exactly where, the same closure does with
+    # every block's arrays fresh
+    if path == "keyed":
+        monkeypatch.setattr(subpower, "_TABLE_BYTES", 0)
+    paths = record_closure_paths(monkeypatch)
+    blocks = _record_scratch(monkeypatch)
+    got, last = [], []
+    for case in _scratch_cases():
+        got.append(_outcome(*case))
+        last.append(blocks["last"])
+    assert paths == {path: 7}, paths
+    assert blocks["scratch"] >= 150, blocks
+    # the budget cut and both stops are at a block in the scratch
+    assert got[1] == "raised" and got[2][-1] == 900 and got[6][-1] == 1284
+    assert last[1] and last[2] and last[6], last
+    _drop_scratch(monkeypatch)
+    blocks.clear()
+    assert [_outcome(*case) for case in _scratch_cases()] == got
+    assert not blocks["scratch"], blocks
+
+
+def test_a_relation_shares_no_memory_with_the_scratch(monkeypatch):
+    # the arrays of a returned relation are the closure's own, also when
+    # its last block was gathered into the scratch
+    blocks = _record_scratch(monkeypatch)
+    alg, gens, _, _ = _scratch_cases()[0]
+    rel = generate_subpower(alg, gens)
+    assert blocks["last"], blocks
+    scratch = subpower._SCRATCH.arrays()
+    for name in ("keys", "positions", "rows", "generator_rows"):
+        for part in (scratch.images, scratch.seen, scratch.mask):
+            assert not np.shares_memory(getattr(rel, name), part), name
+
+
+def test_a_stop_predicate_may_run_a_closure_of_its_own(monkeypatch):
+    # a plain predicate is called on a copy of a block's fresh keys, so a
+    # closure that it runs, which writes the same thread's scratch, leaves
+    # the outer closure as the reference has it
+    patch_chunk(monkeypatch, 64)
+    blocks = _record_scratch(monkeypatch)
+    alg, gens = random_algebra(5, 3, [2]), [(0, 1, 2, 0), (2, 2, 1, 0)]
+    inner = random_algebra(6, 3, [2]), [(1, 0, 2, 2), (0, 2, 0, 1)]
+    calls = collections.Counter()
+
+    def stop(t):
+        calls["after a scratch block"] += blocks["last"]
+        calls["inner"] += 1
+        generate_subpower(*inner)
+        return False
+
+    rel, hit = generate_until(alg, gens, stop)
+    assert calls["inner"] == len(rel) and calls["after a scratch block"] >= 5, calls
+    assert blocks["scratch"] >= 100, blocks
+    want = reference_closure(alg, gens)
+    assert _as_reference(rel, hit) == want
+    _assert_arrays_match(rel, alg, want)
+
+
+def test_threads_get_their_own_scratch(monkeypatch):
+    # each thread allocates its scratch on first use, of _CHUNK entries,
+    # and gets the same arrays again; no two threads share one
+    import threading
+
+    patch_chunk(monkeypatch, 256)
+    got = []
+
+    def arrays():
+        first, again = subpower._SCRATCH.arrays(), subpower._SCRATCH.arrays()
+        parts = (first.images, first.seen, first.mask)
+        assert all(a is b for a, b in zip(parts, (again.images, again.seen, again.mask)))
+        got.append(parts)
+
+    threads = [threading.Thread(target=arrays) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(got) == 2
+    assert [a.shape for a in got[0]] == [(2, 256), (256,), (256,)]
+    for a, b in itertools.product(*got):
+        assert not np.shares_memory(a, b)
+
+
+def test_concurrent_closures_match_one_thread():
+    # more threads than cores, switching every 10 us, each saturate the
+    # scratch cases; every result equals the one-thread run
+    import sys
+    import threading
+
+    cases = _scratch_cases()
+    want = [_outcome(*case) for case in cases]
+    got = [None] * 4
+    interval = sys.getswitchinterval()
+
+    def run(i):
+        got[i] = [_outcome(*case) for case in cases]
+
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * len(got)
