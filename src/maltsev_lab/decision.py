@@ -29,10 +29,10 @@ then evaluated on the uncovered pairs after it, and so on.  So every
 pair gets the earliest-discovered term that works for it, and the first
 pair whose saturation holds no block repeat refutes.  That closure proves
 the refutation, with no second saturation: it holds the pair's generators,
-``is_closed`` finds it closed under every operation, and the standalone
-pattern finder finds no block repeat in it.  Before a report is built,
-every witness is evaluated again on its pair, one call per distinct term,
-and checked against the equalities it claims.
+``is_closed`` finds the keys it committed closed under every operation, and
+the standalone pattern finder finds no block repeat in it.  Before a
+report is built, every witness is evaluated again on its pair, one call
+per distinct term, and checked against the equalities it claims.
 
 Checks.  Every term, the extracted witnesses included, is evaluated by the
 algebra's one evaluator core, ``_evaluate``, which checks it node by node: a
@@ -281,7 +281,7 @@ def decide(
                 # values at the pair: with no block repeat, it refutes
                 if not all(g in rel for g in gens):
                     failed = "a generator is missing from its closure"
-                elif not is_closed(alg, rel.rows):
+                elif not is_closed(alg, rel.keys, rel.width):
                     failed = "its closure is not closed"
                 elif find_block_repeat(rel, block, reps) is not None:
                     failed = "its closure holds a block repeat"

@@ -4,6 +4,10 @@ Vertices are sortable labels, either plain integers or tuples of elements.
 A walk is a sequence of steps ((u, v), direction) where direction +1
 traverses the edge u -> v forward and -1 traverses it backward; its net
 length is the number of forward steps minus the number of backward steps.
+
+``is_admissible``, whether a relation is closed under an algebra's
+operations, is ``subpower``'s, beside the one closedness check
+``is_closed``; it is re-exported here.
 """
 from __future__ import annotations
 
@@ -12,11 +16,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
-import numpy as np
-
-from .algebra import FiniteAlgebra
 from .errors import AlgebraFormatError, ConsistencyError
-from .subpower import _closed_keys, _gathers, _rows, _tuple_keys, is_closed
+from .subpower import is_admissible  # noqa: F401  re-exported
 
 WalkStep = tuple  # ((u, v), +1 | -1)
 
@@ -184,31 +185,6 @@ def has_algebraic_length_one(g: Digraph) -> tuple[bool, Optional[tuple]]:
             raise ConsistencyError("assembled walk failed replay")
         return True, (root, tuple(walk))
     return False, None
-
-
-def is_admissible(alg: FiniteAlgebra, rel) -> bool:
-    """Is the relation closed under every basic operation, coordinate-wise.
-
-    The empty relation is.  Otherwise the tuples are validated in order, in
-    one pass that also gives each tuple's base-n key.  A relation whose
-    sizes ``subpower._gathers`` admits and whose keys are all Python ints is
-    checked from those keys by ``subpower._closed_keys``, with no array of
-    rows.  Any other relation (an entry that is a bool, a float or a numpy
-    scalar, or a relation to saturate) is converted to rows, which refuses
-    entries that are not integers, and checked by ``subpower.is_closed``.
-    """
-    tuples = [tuple(t) for t in rel]
-    if not tuples:
-        return True
-    keys = _tuple_keys(tuples, alg.size, "relation")
-    width = len(tuples[0])
-    # a width-0 relation has no entries, and the conversion refuses it
-    if width and _gathers(alg, width, len(keys)):
-        keys = np.array(keys)
-        if keys.dtype.kind == "i":
-            return _closed_keys(alg, keys, width)
-    rows = _rows(tuples, "relation")
-    return is_closed(alg, rows.astype(np.int64, copy=False))
 
 
 def build_S(rel, n: int) -> frozenset:

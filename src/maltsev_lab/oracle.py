@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, Operation, flat_index
 
@@ -65,31 +65,31 @@ def _projections(size: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _iter_clone_tables(
-    alg: FiniteAlgebra, k: int, budget: int
-) -> Iterator[tuple[Optional[tuple[int, ...]], bool]]:
-    """Each table once, in discovery order, as (table, False), then
-    (None, complete)."""
+def _clone_tables(alg: FiniteAlgebra, k: int, budget: int, satisfies=None) -> tuple:
+    """(tables, hit, complete): the k-ary slice's tables in discovery order,
+    up to the first that satisfies the predicate, the hit (or None), and
+    whether the slice is complete.  A hit claims no completeness."""
     n = alg.size
     total = n ** k
     tables: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    over_budget = False
+
+    def hits(table):
+        seen.add(table)
+        tables.append(table)
+        return satisfies is not None and satisfies(table)
+
     for p in _projections(n, k):
-        if p not in seen:
-            seen.add(p)
-            tables.append(p)
-            yield p, False
+        if p not in seen and hits(p):
+            return tables, p, False
     lo, hi = 0, len(tables)
-    while lo < hi and not over_budget:
-        frontier_start = lo
-        count = hi
+    while lo < hi:
         for op in alg.ops:
             # a combination belongs to the round that starts at index lo when
             # its largest index is at least lo, 0 counting as the largest
             # index of a constant's empty combination
-            for combo in itertools.product(range(count), repeat=op.arity):
-                if max(combo, default=0) < frontier_start:
+            for combo in itertools.product(range(hi), repeat=op.arity):
+                if max(combo, default=0) < lo:
                     continue
                 args = [tables[i] for i in combo]
                 new = tuple(
@@ -99,15 +99,11 @@ def _iter_clone_tables(
                 if new in seen:
                     continue
                 if len(tables) >= budget:
-                    over_budget = True
-                    break
-                seen.add(new)
-                tables.append(new)
-                yield new, False
-            if over_budget:
-                break
-        lo, hi = count, len(tables)
-    yield None, not over_budget
+                    return tables, None, False
+                if hits(new):
+                    return tables, new, False
+        lo, hi = hi, len(tables)
+    return tables, None, True
 
 
 def enumerate_clone_slice(
@@ -122,23 +118,8 @@ def enumerate_clone_slice(
         raise ValueError("slice arity must be at least 1")
     if budget < k:
         raise ValueError("budget must allow at least the projections")
-    collected = []
-    complete = True
-    for table, flag in _iter_clone_tables(alg, k, budget):
-        if table is None:
-            complete = flag
-        else:
-            collected.append(table)
-    return CloneSlice(arity=k, tables=tuple(sorted(collected)), complete=complete)
-
-
-def _search_clone(alg, k, budget, satisfies):
-    for table, flag in _iter_clone_tables(alg, k, budget):
-        if table is None:
-            return None, flag
-        if satisfies(table):
-            # stopped early: a hit is definitive, completeness is not claimed
-            return table, False
+    tables, _, complete = _clone_tables(alg, k, budget)
+    return CloneSlice(arity=k, tables=tuple(sorted(tables)), complete=complete)
 
 
 def qwnu_table_check(table: Sequence[int], size: int, k: int) -> bool:
@@ -179,18 +160,20 @@ def oracle_find_qwnu(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    return _search_clone(
+    _, table, complete = _clone_tables(
         alg, k, budget, lambda t: qwnu_table_check(t, alg.size, k)
     )
+    return table, complete
 
 
 def oracle_find_quasi_siggers(
     alg: FiniteAlgebra, budget: int = DEFAULT_TABLE_BUDGET
 ) -> tuple[Optional[tuple[int, ...]], bool]:
     """Search the 4-ary slice for a table satisfying the quasi Siggers identity."""
-    return _search_clone(
+    _, table, complete = _clone_tables(
         alg, 4, budget, lambda t: quasi_siggers_table_check(t, alg.size)
     )
+    return table, complete
 
 
 def random_algebra(

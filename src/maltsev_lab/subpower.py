@@ -47,12 +47,11 @@ writes in place where "raise" copies through a temporary, and clips
 nothing: every index is a committed row's chunk key or a table entry.
 
 Checks.  Tuples are checked where they enter, in one ordered pass,
-``_tuple_keys``, that also gives each tuple's base-n key: NaN for a tuple
-with an entry that is not a Python int.  ``generate_until`` converts its
-generators to rows with ``_rows``.  ``is_admissible`` checks a relation
-that ``_gathers`` admits from its keys when they are all ints, with
-``_closed_keys``, the core of ``is_closed``'s gather path, and converts
-any other relation to rows for ``is_closed``.  A witness's term is
+``_tuple_keys``, that also gives their base-n keys, or None when an entry
+is not a Python int; ``_rows`` converts them to rows.  ``is_closed`` is
+the one closedness check, over keys: it gathers when ``_gathers`` admits
+the sizes and saturates the decoded rows otherwise.  ``is_admissible``
+and ``decide``'s refutation proof hand it their keys.  A witness's term is
 replayed on the generator rows by the algebra's one term evaluator,
 ``_evaluate``, which checks the term node by node and does not scan the
 rows' range again.  The replay's key must be the key of the row the term
@@ -265,23 +264,23 @@ def _unswapped(blocks, p, swaps):
             yield prefix, tuple(ranges)
 
 
-@functools.lru_cache(maxsize=256)
-def _key_powers(n, width):
-    """Weights of a width-w row's base-n key; cached for small checks."""
-    powers = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    powers.flags.writeable = False
-    return powers
+def _key_dtype(n, width):
+    """The dtype of width-w rows' base-n keys: int64 below 2^62, Python ints
+    in an object array from there."""
+    return np.int64 if n**width < 1 << 62 else object
 
 
 class _Layout:
     """Width-w rows cut into chunks of the given widths; a row's key is its
-    base-n rank, a Python int in an object array from 2^62 on."""
+    base-n rank, in ``_key_dtype``."""
 
     def __init__(self, n, widths):
         self.n, self.widths, self.width = n, widths, sum(widths)
-        self.keyed = n**self.width < 1 << 62
-        self.powers = np.array([n**c for c in range(self.width)][::-1],
-                               dtype=np.int64 if self.keyed else object)
+        dtype = _key_dtype(n, self.width)
+        self.keyed = dtype is np.int64
+        self.powers = np.array([n**c for c in range(self.width)][::-1], dtype=dtype)
+        # the weights of a chunk's entries in its chunk key
+        self.chunk_powers = [self.powers[-s:].astype(np.int64) for s in widths]
         self.scales = [n**s for s in widths]
         # chunk j of a key is key // shifts[j] % scales[j]
         self.shifts = [n ** sum(widths[j + 1:]) for j in range(len(widths))]
@@ -293,8 +292,8 @@ class _Layout:
     def decode(self, keys):
         """The rows with these keys, a (P, width) array, chunk by chunk."""
         return np.hstack([
-            d[:, None] // _key_powers(self.n, s) % self.n
-            for d, s in zip(self.digits(keys), self.widths)
+            d[:, None] // p % self.n
+            for d, p in zip(self.digits(keys), self.chunk_powers)
         ])
 
     def digits(self, keys):
@@ -484,12 +483,11 @@ class _Closure:
         self.starts: list[int] = []
         self._reserve(min(self.full_size, budget, _FIRST_ROWS))
         self.rows = rows.astype(np.int64, copy=False)
-        # the generators' keys from their validation, when each is an int
-        # (not NaN) and the layout's keys are int64
-        first = np.array(keys) if keys is not None and self.layout.keyed else None
-        if first is None or first.dtype != np.int64:
-            first = self.layout.encode(self.rows)
-        self._commit_block(first, -1, ((), (range(len(rows)),)))
+        # the generators' keys, unless an entry was not a Python int
+        if keys is None:
+            keys = self.layout.encode(self.rows)
+        keys = np.asarray(keys, self.keys.dtype)
+        self._commit_block(keys, -1, ((), (range(len(rows)),)))
 
     def pass_on(self, tables):
         """Reset the committed slots of a dense closure's table and leave it
@@ -565,13 +563,19 @@ class _Closure:
                 if self.dense:
                     # first occurrences past the hit free their slots again
                     self.seen[new[cut:]] = -1
+        end = start + cut
+        if end > self.full_size:
+            # a fault that commits a key twice would otherwise run on to
+            # the budget
+            raise ConsistencyError(
+                f"a closure commits more than the {self.full_size} tuples of A^{self.width}"
+            )
         if cut > room:
             if self.dense:
                 self.seen[new] = -1
             raise BudgetExceededError(
                 f"subpower generation exceeds budget of {self.budget} tuples"
             )
-        end = start + cut
         new = new[:cut]
         self._reserve(end)
         self.keys[start:end] = new
@@ -655,10 +659,10 @@ class _Closure:
 def _tuple_keys(tuples, n, noun):
     """The base-n keys of equal-width tuples of elements of 0..n-1, checked
     tuple by tuple (width, then entries) with messages that name the tuples
-    by ``noun``.  An entry whose type is not int (a bool, a float, a numpy
-    scalar, whose arithmetic could overflow) makes its tuple's key NaN."""
+    by ``noun``; None if an entry's type is not int (a bool, a float, a
+    numpy scalar, whose arithmetic could overflow)."""
     width = len(tuples[0])
-    keys = []
+    keys, ints = [], True
     for t in tuples:
         if len(t) != width:
             raise ValueError(f"{noun} tuples must have equal width")
@@ -666,9 +670,12 @@ def _tuple_keys(tuples, n, noun):
         for v in t:
             if not 0 <= v < n:
                 raise ValueError(f"{noun} entry {v} outside universe")
-            key = key * n + v if type(v) is int else math.nan
+            if type(v) is int:
+                key = key * n + v
+            else:
+                ints = False
         keys.append(key)
-    return keys
+    return keys if ints else None
 
 
 def _rows(tuples, noun):
@@ -685,12 +692,6 @@ def _rows(tuples, noun):
         # an int64 cast would truncate 1.5 to a valid entry
         raise TypeError(f"{noun} entries must be integers, got {rows.dtype}")
     return rows
-
-
-def _validate_tuples(tuples, n, noun):
-    """The keys and the rows, as an array, of equal-width tuples of elements
-    of 0..n-1: ``_tuple_keys`` checks them, ``_rows`` converts them."""
-    return _tuple_keys(tuples, n, noun), _rows(tuples, noun)
 
 
 def generate_subpower(
@@ -730,8 +731,8 @@ def generate_until(
         raise ValueError("at least one generator tuple is required")
     if not gens[0]:
         raise ValueError("generator width must be positive")
-    keys, rows = _validate_tuples(gens, alg.size, "generator")
-    state = _Closure(alg, rows, budget, predicate, tables, keys)
+    keys = _tuple_keys(gens, alg.size, "generator")
+    state = _Closure(alg, _rows(gens, "generator"), budget, predicate, tables, keys)
     state.run()
     if tables is not None:
         state.pass_on(tables)
@@ -747,35 +748,30 @@ def _gathers(alg: FiniteAlgebra, width: int, k: int) -> bool:
     return n**width <= _CHUNK and m <= 32 and max(n**width, k) ** m <= _CHUNK
 
 
-def _closed_keys(alg: FiniteAlgebra, keys: np.ndarray, width: int) -> bool:
-    """Is the set of width-w rows with these base-n keys, an integer array
-    of a size that ``_gathers`` admits, closed under every basic operation?
-    Each operation's lifted table is taken at the keys along each axis and
-    its images are looked up in a dense member table."""
-    member = np.zeros(alg.size**width, dtype=bool)
-    member[keys] = True
-    for op in alg.ops:
-        images = alg.lifted_table(op.symbol, width)
-        for axis in range(op.arity):
-            images = images.take(keys, axis)
-        # not .all(): its reduction costs a tenth of a small check
-        if np.count_nonzero(member[images]) != images.size:
-            return False
-    return True
+def is_closed(alg: FiniteAlgebra, keys: np.ndarray, width: int) -> bool:
+    """Is the set of width-w rows with these base-n keys, k >= 1 of them in
+    ``_key_dtype``, closed under every basic operation, coordinate-wise?
 
-
-def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
-    """Is the set of rows of a (k, width) array, k >= 1, closed under every
-    basic operation, coordinate-wise?  Rows that ``_gathers`` admits are
-    checked from their keys by ``_closed_keys``.  Otherwise the rows are
+    When ``_gathers`` admits the sizes, each operation's lifted table is
+    taken at the keys along each axis and its images are looked up in a
+    dense member table.  Otherwise the rows decoded from the keys are
     saturated with a budget of their own number, which a closure that
     commits a tuple exceeds, and which keeps a key space of more than
     ``_CHUNK`` and k keys from filling a dense table.
     """
-    k, w = rows.shape
-    if _gathers(alg, w, k):
-        return _closed_keys(alg, rows.dot(_key_powers(alg.size, w)), w)
-    state = _Closure(alg, rows, k, None)
+    if _gathers(alg, width, len(keys)):
+        member = np.zeros(alg.size**width, dtype=bool)
+        member[keys] = True
+        for op in alg.ops:
+            images = alg.lifted_table(op.symbol, width)
+            for axis in range(op.arity):
+                images = images.take(keys, axis)
+            # not .all(): its reduction costs a tenth of a small check
+            if np.count_nonzero(member[images]) != images.size:
+                return False
+        return True
+    rows = _layout(alg.size, width, alg.max_arity, _CHUNK).decode(keys)
+    state = _Closure(alg, rows, len(keys), None, keys=keys)
     # the first image outside the rows exceeds the budget
     state.budget = state.count
     try:
@@ -783,6 +779,30 @@ def is_closed(alg: FiniteAlgebra, rows: np.ndarray) -> bool:
     except BudgetExceededError:
         return False
     return True
+
+
+def is_admissible(alg: FiniteAlgebra, rel) -> bool:
+    """Is the relation closed under every basic operation, coordinate-wise.
+
+    The empty relation is.  Otherwise the tuples are validated in order, in
+    one pass that also gives each tuple's base-n key, and ``is_closed``
+    checks the keys.  A relation with an entry that is not a Python int (a
+    bool, a float or a numpy scalar), or of width 0, is converted to rows
+    first, which refuses entries that are not integers, and its keys are
+    encoded from them.
+    """
+    tuples = [tuple(t) for t in rel]
+    if not tuples:
+        return True
+    keys = _tuple_keys(tuples, alg.size, "relation")
+    width = len(tuples[0])
+    # a width-0 relation has no entries, and the conversion refuses it
+    if keys is None or not width:
+        rows = _rows(tuples, "relation").astype(np.int64, copy=False)
+        keys = _layout(alg.size, width, alg.max_arity, _CHUNK).encode(rows)
+    else:
+        keys = np.array(keys, dtype=_key_dtype(alg.size, width))
+    return is_closed(alg, keys, width)
 
 
 def find_block_repeat(

@@ -20,7 +20,6 @@ from maltsev_lab import (
     FiniteAlgebra,
     Operation,
     Variable,
-    digraph,
     subpower,
 )
 from maltsev_lab.algebra import flat_index
@@ -270,30 +269,34 @@ def record_closure_paths(monkeypatch):
     return paths
 
 
-def record_admissibility_paths(monkeypatch, module=digraph):
+def record_admissibility_paths(monkeypatch, module=subpower):
     """Count the closedness checks run from now on by the paths they take.
 
-    A check of k rows of width w over n elements takes one path, chosen by
-    the largest arity M.  It takes the "gather" path for each operation, in
-    declaration order, when n^w, (n^w)^M and k^M are at most ``_CHUNK`` and
-    M is at most 32: it reads the algebra's lifted table at the rows' keys.
-    Otherwise it takes the "saturate" path: one closure of the rows, which
-    reads lifted tables of its own.  Each check must take the path its sizes
-    select, through every operation when the answer is yes.
+    A check of k keys of width-w rows over n elements takes one path, chosen
+    by the largest arity M.  It takes the "gather" path for each operation,
+    in declaration order, when n^w, (n^w)^M and k^M are at most ``_CHUNK``
+    and M is at most 32: it reads the algebra's lifted table at the keys.
+    Otherwise it takes the "saturate" path: one closure of the rows decoded
+    from the keys, which reads lifted tables of its own.  Each check must
+    take the path its sizes select, through every operation when the answer
+    is yes.
 
-    ``is_admissible`` gathers at the keys it validated when they are all
-    Python ints, and converts its tuples to rows for ``is_closed``
-    otherwise; each check through ``is_closed`` also counts as "converted".
-    The checks counted are those through ``module.is_closed``, ``digraph``'s
-    by default, and ``digraph._closed_keys``.
+    ``is_admissible`` validates its tuples into keys; a relation with an
+    entry that is not a Python int is converted to rows first, and its keys
+    are encoded from them.  A check also counts as "converted" when its
+    relation was made rows: by that conversion, or by the decode of its
+    keys for saturation.  The checks counted are those through
+    ``module.is_closed``, ``subpower``'s (``is_admissible``'s) by default.
     """
     paths = collections.Counter()
     events = None
     saturating = False
+    converted = False
     lifted_table = FiniteAlgebra.lifted_table
     run = subpower._Closure.run
+    decode = subpower._Layout.decode
+    rows = subpower._rows
     check = module.is_closed
-    closed_keys = digraph._closed_keys
 
     def recorded_lifted_table(alg, symbol, width):
         if events is not None and not saturating:
@@ -310,8 +313,20 @@ def record_admissibility_paths(monkeypatch, module=digraph):
         finally:
             saturating = False
 
+    def recorded_decode(layout, keys):
+        nonlocal converted
+        if events is not None and not saturating:
+            converted = True
+        return decode(layout, keys)
+
+    def recorded_rows(tuples, noun):
+        nonlocal converted
+        out = rows(tuples, noun)
+        converted = converted or noun == "relation"
+        return out
+
     def recorded(alg, k, w, closed):
-        nonlocal events
+        nonlocal events, converted
         n = alg.size
         chunk = subpower._CHUNK
         m = max(op.arity for op in alg.ops)
@@ -327,20 +342,19 @@ def record_admissibility_paths(monkeypatch, module=digraph):
             events = None
         assert got == (want if answer else want[:len(got)]), (got, want, answer)
         paths.update({path for path, _ in got})
+        if converted:
+            paths["converted"] += 1
+            converted = False
         return answer
 
-    def recorded_check(alg, rows):
-        paths["converted"] += 1
-        k, w = rows.shape
-        return recorded(alg, k, w, lambda: check(alg, rows))
-
-    def recorded_keys(alg, keys, width):
-        return recorded(alg, len(keys), width, lambda: closed_keys(alg, keys, width))
+    def recorded_check(alg, keys, width):
+        return recorded(alg, len(keys), width, lambda: check(alg, keys, width))
 
     monkeypatch.setattr(FiniteAlgebra, "lifted_table", recorded_lifted_table)
     monkeypatch.setattr(subpower._Closure, "run", recorded_run)
+    monkeypatch.setattr(subpower._Layout, "decode", recorded_decode)
+    monkeypatch.setattr(subpower, "_rows", recorded_rows)
     monkeypatch.setattr(module, "is_closed", recorded_check)
-    monkeypatch.setattr(digraph, "_closed_keys", recorded_keys)
     return paths
 
 

@@ -20,8 +20,10 @@ from helpers import (
     make_algebra,
     patch_chunk,
     record_admissibility_paths,
+    record_closure_paths,
     reference_identities,
     relabel,
+    scalar_is_admissible,
 )
 from maltsev_lab import (
     Apply,
@@ -470,6 +472,36 @@ def test_a_closure_that_misses_tuples_refutes_nothing(monkeypatch):
                 assert report.answer or not answer, (seed, problem.name, chunk)
         assert refused >= 20, (chunk, refused)
     assert paths["gather"] and paths["saturate"], paths
+
+
+@pytest.mark.parametrize("k, path", [(61, "keyed"), (62, "tuple"), (64, "tuple")])
+def test_refutation_proofs_over_wide_keys(monkeypatch, k, path):
+    # qWNU of the first projection fails at (0, 1); its closure in 2^k keys
+    # commits Python ints from 2^62 on, and the proof saturates its keys.
+    # is_closed on the closure, and on the closure without its last row,
+    # gives the scalar answer, for the projection and for the meet
+    from maltsev_lab import decision, subpower
+
+    closures = []
+    generate = decision.generate_until
+
+    def recorded(*args):
+        closures.append(generate(*args))
+        return closures[-1]
+
+    monkeypatch.setattr(decision, "generate_until", recorded)
+    paths = record_closure_paths(monkeypatch)
+    assert has_k_qwnu(PROJ2, k).refutation == (0, 1)
+    # pair (0, 0)'s closure, pair (0, 1)'s and the proof's saturation
+    rel, hit = closures[-1]
+    assert hit is None and rel.width == k and paths == {path: 3}, paths
+    answers = set()
+    for alg in (PROJ2, MIN2):
+        for keys in (rel.keys, rel.keys[:-1]):
+            want = scalar_is_admissible(alg, rel.tuples[:len(keys)])
+            assert subpower.is_closed(alg, keys, rel.width) == want, (alg.name, len(keys))
+            answers.add(want)
+    assert answers == {True, False}
 
 
 def test_a_witness_that_is_not_idempotent_is_refused(monkeypatch):

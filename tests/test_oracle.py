@@ -106,6 +106,32 @@ def test_oracle_find_quasi_siggers_examples():
     assert table == (0,)
 
 
+def test_oracle_searches_agree_with_the_clone_slice():
+    # a found table is in the slice and claims no completeness; with none
+    # found, the search is as complete as the slice and no slice table
+    # satisfies the identities, also under a budget that cuts the slice
+    searches = [
+        (k, lambda alg, b, k=k: oracle_find_qwnu(alg, k, b),
+         lambda t, k=k: qwnu_table_check(t, 2, k))
+        for k in (2, 3)
+    ] + [(4, oracle_find_quasi_siggers, lambda t: quasi_siggers_table_check(t, 2))]
+    found = cut = 0
+    for alg in ALL_BINARY2:
+        for k, search, check in searches:
+            # the 4-ary slice of a Sheffer operation has 2^16 tables
+            for budget in (k + 2, 300 if k == 4 else 100_000):
+                table, complete = search(alg, budget)
+                slice_ = enumerate_clone_slice(alg, k, budget)
+                if table is not None:
+                    assert not complete and check(table) and table in slice_.tables
+                    found += 1
+                else:
+                    assert complete == slice_.complete
+                    assert not any(map(check, slice_.tables))
+                    cut += not complete
+    assert found >= 20 and cut >= 5, (found, cut)
+
+
 def test_table_checks():
     meet3 = tuple(min(a, b, c) for a, b, c in itertools.product(range(2), repeat=3))
     assert qwnu_table_check(meet3, 2, 3)

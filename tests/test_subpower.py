@@ -91,7 +91,7 @@ def test_generator_validation():
 
 def _nested_validation(tuples, n, noun):
     """Validation through one nested-sequence conversion of the tuples: the
-    reference for the flat conversion of ``_validate_tuples``."""
+    reference for the flat conversion of ``_tuple_keys`` and ``_rows``."""
     width = len(tuples[0])
     for t in tuples:
         if len(t) != width:
@@ -112,7 +112,8 @@ def _nested_validation(tuples, n, noun):
 
 
 def _validated_rows(tuples, n, noun):
-    return subpower._validate_tuples(tuples, n, noun)[1]
+    subpower._tuple_keys(tuples, n, noun)
+    return subpower._rows(tuples, noun)
 
 
 def _validation_outcome(validate, tuples, n):
@@ -504,7 +505,9 @@ def _assert_budget_raise_matches(alg, gens, want):
     if len(want[0]) == distinct:
         return False
     budget = (distinct + len(want[0])) // 2
-    _, rows = subpower._validate_tuples([tuple(g) for g in gens], alg.size, "generator")
+    tuples = [tuple(g) for g in gens]
+    subpower._tuple_keys(tuples, alg.size, "generator")
+    rows = subpower._rows(tuples, "generator")
     state = subpower._Closure(alg, rows, budget, None)
     with pytest.raises(BudgetExceededError):
         state.run()
@@ -826,8 +829,23 @@ def test_a_cut_closure_marks_only_its_commits(monkeypatch):
     rel, hit = generate_until(alg, gens, lambda t: t == want.tuples[h])
     assert hit == h == len(rel) - 1
     assert _arrays(rel) == tuple(a[:h + 1] for a in _arrays(want))
-    assert not subpower.is_closed(alg, want.rows[:-1])
+    assert not subpower.is_closed(alg, want.keys[:-1], want.width)
     assert paths == {"dense": 4}, paths
+
+
+def test_a_closure_that_commits_a_key_twice_raises_at_once(monkeypatch):
+    # a fault that reports committed keys as fresh carries the count past
+    # the full power; the commit raises there instead of running on to the
+    # budget
+    import time
+
+    monkeypatch.setattr(
+        subpower._Closure, "_fresh", lambda self, keys, scratch=None: np.arange(len(keys))
+    )
+    start = time.perf_counter()
+    with pytest.raises(ConsistencyError, match="commits more than the 4 tuples of A"):
+        generate_subpower(MIN2, [(0, 1), (1, 0)])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_the_dense_choice_weighs_the_budget(monkeypatch):
@@ -971,7 +989,7 @@ def test_wide_keys_are_looked_up_in_linear_time():
     identity = [tuple(range(16))]
     start = time.perf_counter()
     rel = generate_subpower(alg, identity)
-    assert subpower.is_closed(alg, rel.rows)
+    assert subpower.is_closed(alg, rel.keys, rel.width)
     elapsed = time.perf_counter() - start
     assert len(rel) == 32684 and elapsed < 3.0, elapsed
     want = reference_closure(alg, identity)
