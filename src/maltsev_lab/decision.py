@@ -30,7 +30,11 @@ pair gets the earliest-discovered term that works for it, and the first
 pair whose saturation holds no block repeat refutes.  That closure proves
 the refutation, with no second saturation: it holds the pair's generators,
 ``is_closed`` finds the keys it committed closed under every operation, and
-the standalone pattern finder finds no block repeat in it.  Before a
+the standalone pattern finder finds no block repeat in it.  The closedness
+check shares no enumerator with the closure, and reads the problem's
+coordinate group, ``Problem.group``: it proves the closure invariant under
+the group before it ranges one argument over orbit representatives, so a
+wrong group raises ``ConsistencyError`` and never refutes.  Before a
 report is built, every witness is evaluated again on its pair, one call
 per distinct term, and checked against the equalities it claims.
 
@@ -113,6 +117,29 @@ class Problem:
         applications, each of which is ``result`` in every coordinate."""
         first, second = pair
         return tuple([t.format(first, second, result) for t in self._templates])
+
+    @cached_property
+    def group(self) -> tuple[tuple[range, ...], ...]:
+        """Sets of applications, each given by its output coordinates, whose
+        blocks every pair's subpower is invariant under permuting: a
+        transposition of two applications that maps the pattern's columns,
+        the generators, onto themselves maps the subpower onto itself, and
+        such transpositions generate the symmetric group of each set they
+        connect."""
+        columns = set(zip(*self.pattern))
+        sets = [{a} for a in range(len(self.pattern))]
+        for a, b in itertools.combinations(range(len(self.pattern)), 2):
+            rows = list(self.pattern)
+            rows[a], rows[b] = rows[b], rows[a]
+            first = next(s for s in sets if a in s)
+            second = next(s for s in sets if b in s)
+            if first is not second and set(zip(*rows)) == columns:
+                first |= second
+                sets.remove(second)
+        p = self.point or 1
+        return tuple(
+            tuple(range(a * p, a * p + p) for a in sorted(s)) for s in sets if len(s) > 1
+        )
 
     @cached_property
     def _templates(self) -> tuple[str, ...]:
@@ -210,6 +237,24 @@ def _claimed_witnesses(alg, problem, chunk, cols, term_of):
     return witnesses
 
 
+def _unproved(alg, problem, rel, gens) -> Optional[str]:
+    """Why a saturated closure with no block repeat found does not refute,
+    or None.  A closed set that holds the generators holds every term's
+    values at the pair, so with no block repeat it refutes; its closedness
+    is checked with the problem's group, and a relation that is not
+    invariant under it is named."""
+    if not all(g in rel for g in gens):
+        return "a generator is missing from its closure"
+    try:
+        if not is_closed(alg, rel.keys, rel.width, problem.group):
+            return "its closure is not closed"
+    except ConsistencyError as exc:
+        return str(exc)
+    if find_block_repeat(rel, problem.block, rel.width // problem.block) is not None:
+        return "its closure holds a block repeat"
+    return None
+
+
 def decide(
     alg: FiniteAlgebra, problem: Problem, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> DecisionReport:
@@ -253,7 +298,6 @@ def decide(
     pairs = iter(problem.pairs(alg))
     while chunk := list(itertools.islice(pairs, _PAIR_BLOCK)):
         cols = _columns(problem, chunk)
-        reps = cols.shape[2] // block
         term_of: list[Optional[Term]] = [None] * len(chunk)
         uncovered = np.ones(len(chunk), dtype=bool)
 
@@ -277,15 +321,8 @@ def decide(
             tuples_generated += len(rel)
             rounds_max = max(rounds_max, rel.rounds)
             if hit is None:
-                # a closed set that holds the generators holds every term's
-                # values at the pair: with no block repeat, it refutes
-                if not all(g in rel for g in gens):
-                    failed = "a generator is missing from its closure"
-                elif not is_closed(alg, rel.keys, rel.width):
-                    failed = "its closure is not closed"
-                elif find_block_repeat(rel, block, reps) is not None:
-                    failed = "its closure holds a block repeat"
-                else:
+                failed = _unproved(alg, problem, rel, gens)
+                if failed is None:
                     return report(pair)
                 raise ConsistencyError(f"refutation at pair {pair} is not proved: {failed}")
             term = extract_witness(rel, row=hit).term

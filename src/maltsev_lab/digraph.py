@@ -7,7 +7,8 @@ length is the number of forward steps minus the number of backward steps.
 
 ``is_admissible``, whether a relation is closed under an algebra's
 operations, is ``subpower``'s, beside the one closedness check
-``is_closed``; it is re-exported here.
+``is_closed``, which it calls with the trivial group; it is re-exported
+here.  {()} is all of A^0, so it is admissible.
 """
 from __future__ import annotations
 

@@ -39,8 +39,9 @@ block of at most ``_CHUNK`` keys it pays a gather per chunk, a lookup of
 the fresh keys and of the stop (key arithmetic above ``_CHUNK``) and the
 commit: keys, positions and one record.
 
-A block of more than ``_CHUNK // 4`` combinations on an int64 layout is
-written into its thread's ``_Scratch`` (about 1.6 MiB, kept): fresh arrays
+A block of more than ``_CHUNK // 4`` combinations on an int64 layout, and
+every block of a blocked closedness check over int64 keys, is written
+into its thread's ``_Scratch`` (about 1.6 MiB, kept): fresh arrays
 of that size let malloc trim the heap when freed, and the next block
 faulted the pages in again.  Its takes use numpy's "clip" mode, which
 writes in place where "raise" copies through a temporary, and clips
@@ -49,9 +50,12 @@ nothing: every index is a committed row's chunk key or a table entry.
 Checks.  Tuples are checked where they enter, in one ordered pass,
 ``_tuple_keys``, that also gives their base-n keys, or None when an entry
 is not a Python int; ``_rows`` converts them to rows.  ``is_closed`` is
-the one closedness check, over keys: it gathers when ``_gathers`` admits
-the sizes and saturates the decoded rows otherwise.  ``is_admissible``
-and ``decide``'s refutation proof hand it their keys.  A witness's term is
+the one closedness check, over keys: one gather per operation when the
+sizes fit ``_CHUNK``, else ``_closed_in_blocks``, a walk of its own that
+shares nothing with ``_Closure``'s enumeration and reduces it by a
+coordinate group only after proving the rows invariant under it.
+``is_admissible`` (trivial group) and ``decide``'s refutation proof (the
+problem's group) hand it their keys.  A witness's term is
 replayed on the generator rows by the algebra's one term evaluator,
 ``_evaluate``, which checks the term node by node and does not scan the
 rows' range again.  The replay's key must be the key of the row the term
@@ -427,7 +431,8 @@ class _Scratch(threading.local):
     gathered ``seen`` values and their mask.  Allocated on the thread's
     first large block, and again if ``_CHUNK`` changed.  A block's arrays
     die with its commit, so one set serves every closure of the thread,
-    nested ones too."""
+    nested ones too; a blocked closedness check writes a block's images
+    into the two int64 rows, and they die with its lookup."""
 
     size = 0
 
@@ -461,7 +466,7 @@ class _Closure:
         # the others, in the dtype of a block's positions (a cast slows
         # np.minimum.at, which finds first occurrences in it); one passed
         # on in ``tables`` saves the fill.  Not over more keys than the
-        # larger of budget and _CHUNK: a small budget (is_closed's) would
+        # larger of budget and _CHUNK: a small budget would
         # fill a table that its few commits never use
         self.dense = (
             self.full_size * np.dtype(np.intp).itemsize <= _TABLE_BYTES
@@ -739,28 +744,25 @@ def generate_until(
     return state.relation(), state.hit
 
 
-def _gathers(alg: FiniteAlgebra, width: int, k: int) -> bool:
-    """Are k rows of this width checked by gathers: are n^width,
-    (n^width)^M and k^M at most ``_CHUNK`` for the largest arity M?"""
-    n, m = alg.size, alg.max_arity
-    # m <= 32 keeps the table within numpy 1's limit on dimensions, and a
-    # huge arity's power from being taken
-    return n**width <= _CHUNK and m <= 32 and max(n**width, k) ** m <= _CHUNK
-
-
-def is_closed(alg: FiniteAlgebra, keys: np.ndarray, width: int) -> bool:
+def is_closed(alg: FiniteAlgebra, keys: np.ndarray, width: int, group=()) -> bool:
     """Is the set of width-w rows with these base-n keys, k >= 1 of them in
     ``_key_dtype``, closed under every basic operation, coordinate-wise?
 
-    When ``_gathers`` admits the sizes, each operation's lifted table is
-    taken at the keys along each axis and its images are looked up in a
-    dense member table.  Otherwise the rows decoded from the keys are
-    saturated with a budget of their own number, which a closure that
-    commits a tuple exceeds, and which keeps a key space of more than
-    ``_CHUNK`` and k keys from filling a dense table.
+    A^w of one row (w = 0, or one element) is.  When n^w, (n^w)^M and k^M
+    are at most ``_CHUNK`` for the largest arity M, each operation's lifted
+    table is taken at the keys along each axis, one gather, and its images
+    are looked up in a bitmap.  Otherwise ``_closed_in_blocks`` walks the
+    combinations.  ``group``, sets of disjoint coordinate blocks of equal
+    length, is a group under which the rows are claimed invariant: per set,
+    every permutation of its blocks.  It is read only by a walk of more than
+    one block, k^M above ``_CHUNK``.
     """
-    if _gathers(alg, width, len(keys)):
-        member = np.zeros(alg.size**width, dtype=bool)
+    n, m = alg.size, alg.max_arity
+    full = n**width
+    if full == 1:
+        return True
+    if full <= _CHUNK and max(full, len(keys)) ** m <= _CHUNK:
+        member = np.zeros(full, dtype=bool)
         member[keys] = True
         for op in alg.ops:
             images = alg.lifted_table(op.symbol, width)
@@ -770,14 +772,213 @@ def is_closed(alg: FiniteAlgebra, keys: np.ndarray, width: int) -> bool:
             if np.count_nonzero(member[images]) != images.size:
                 return False
         return True
-    rows = _layout(alg.size, width, alg.max_arity, _CHUNK).decode(keys)
-    state = _Closure(alg, rows, len(keys), None, keys=keys)
-    # the first image outside the rows exceeds the budget
-    state.budget = state.count
-    try:
-        state.run()
-    except BudgetExceededError:
-        return False
+    return _closed_in_blocks(alg, keys, width, group)
+
+
+def _decoded(keys, n, width):
+    """The rows with these base-n keys, an int64 (k, width) array."""
+    powers = np.array([n**c for c in reversed(range(width))], dtype=keys.dtype)
+    return (keys[:, None] // powers % n).astype(np.int64)
+
+
+def _encoded(rows, n, dtype):
+    """The base-n keys of an integer (k, width) array's rows, in ``dtype``."""
+    powers = np.array([n**c for c in reversed(range(rows.shape[1]))], dtype=dtype)
+    return rows.astype(dtype, copy=False) @ powers
+
+
+def _members(keys, n, width):
+    """Which entries of a key array are among these keys: a bitmap over
+    A^width when it fits ``_TABLE_BYTES``, else a search in the sorted
+    keys."""
+    if n**width <= _TABLE_BYTES:
+        bitmap = np.zeros(n**width, dtype=bool)
+        bitmap[keys] = True
+        return bitmap.__getitem__
+    ordered = np.sort(keys)
+
+    def member(images):
+        at = ordered.searchsorted(images)
+        # a key past the last is compared with the first
+        at[at == len(ordered)] = 0
+        return ordered[at] == images
+    return member
+
+
+def _orbit_representatives(rows, group, encoded, held):
+    """The rows whose blocks are sorted within each set of the group, at
+    least one per orbit, once ``held`` finds the keys of the rows' images
+    under a transposition and a cycle of each set's blocks, which generate
+    its symmetric group, among the rows' keys.  Blocks of equal length are
+    in the order of their keys, ``encoded``."""
+    width = rows.shape[1]
+    coordinates = [c for blocks in group for b in blocks for c in b]
+    distinct = set(coordinates)
+    if len(distinct) < len(coordinates) or not distinct <= set(range(width)) or any(
+        len({len(b) for b in blocks}) != 1 or not blocks[0] for blocks in group
+    ):
+        raise ValueError("a group's sets must be disjoint blocks of equal length within the width")
+    sorted_rows = np.ones(len(rows), dtype=bool)
+    for blocks in group:
+        blocks = [list(b) for b in blocks]
+        images = [("transposition", blocks[1:2] + blocks[:1] + blocks[2:])]
+        if len(blocks) > 2:
+            images.append(("cycle", blocks[1:] + blocks[:1]))
+        for name, image in images:
+            moved = np.arange(width)
+            moved[sum(blocks, [])] = sum(image, [])
+            if not held(encoded(rows[:, moved])):
+                raise ConsistencyError(
+                    f"the relation is not invariant under the {name} of coordinate blocks {blocks}"
+                )
+        for a, b in zip(blocks, blocks[1:]):
+            sorted_rows &= encoded(rows[:, a]) <= encoded(rows[:, b])
+    return np.flatnonzero(sorted_rows)
+
+
+def _pairs(k):
+    """Positions start..stop-1 of the pairs (i, j), i <= j < k, in
+    row-major order, as index arrays i and j."""
+    # row i of the pairs starts at position starts[i]
+    starts = np.concatenate(([0], np.cumsum(np.arange(k, 0, -1))))
+
+    def fetch(start, stop):
+        p = np.arange(start, stop)
+        i = starts.searchsorted(p, "right") - 1
+        return i, i + p - starts[i]
+    return fetch
+
+
+def _argument_axes(alg, op, k, reps):
+    """The axes whose product of index arrays covers the operation's
+    argument combinations over k rows, up to the group and the operation's
+    symmetry, as (arguments, length, fetch): fetch(start, stop) gives each
+    argument's row indices at those positions of the axis.  One argument may
+    range over the orbit representatives ``reps``, and the pairs (i, j), i
+    <= j, of a table-fixing swap of two others form one axis; of these
+    choices, the one with the fewest combinations is taken, and its swap is
+    checked on the operation's table."""
+    m, r = op.arity, len(reps)
+    swap = next(iter(alg.swaps(op.symbol)), None)
+    best = None
+    for pair in (None, swap) if swap else (None,):
+        rest = [a for a in range(m) if pair is None or a not in pair]
+        for c in (None, rest[0]) if rest and r < k else (None,):
+            count = (k * (k + 1) // 2 if pair else 1) * k ** (len(rest) - (c is not None))
+            count *= r if c is not None else 1
+            if best is None or count < best[0]:
+                best = count, pair, c, rest
+    _, pair, c, rest = best
+    axes = []
+    for a in rest:
+        idx = reps if a == c else np.arange(k)
+        axes.append(((a,), len(idx), lambda start, stop, idx=idx: (idx[start:stop],)))
+    if pair is not None:
+        table = alg.table_arrays[op.symbol].reshape((alg.size,) * m)
+        if not np.array_equal(table, table.swapaxes(*pair)):
+            raise ConsistencyError(f"operation {op.symbol} is not symmetric in arguments {pair}")
+        axes.append((pair, k * (k + 1) // 2, _pairs(k)))
+    return axes
+
+
+def _spans(lengths):
+    """The product of ranges of these lengths in row-major blocks of at
+    most ``_CHUNK`` combinations (or one): per block, per axis (start,
+    stop).  The longest suffix of axes that fits is whole in every block,
+    the axis before it is cut in steps, and those before one index at a
+    time."""
+    j, inner = len(lengths), 1
+    while j and inner * lengths[j - 1] <= _CHUNK:
+        j -= 1
+        inner *= lengths[j]
+    whole = tuple((0, length) for length in lengths[j:])
+    if not j:
+        yield whole
+        return
+    step, cut = _CHUNK // inner, lengths[j - 1]
+    for outer in itertools.product(*map(range, lengths[:j - 1])):
+        for start in range(0, cut, step):
+            yield (*((i, i + 1) for i in outer), (start, min(start + step, cut)), *whole)
+
+
+def _gathered(table, indices, digits, out=None):
+    """A table's entries at a block's combinations, raveled: along each axis
+    the chunk keys of its rows, a pair's two axes at once.  A last take
+    along one axis is written into ``out``, in "clip" mode, which clips
+    nothing: chunk keys are below the table's sides."""
+    g = table
+    for axis, idx in enumerate(indices):
+        if len(idx) > 1:
+            g = g[(slice(None),) * axis + tuple(digits[i] for i in idx)]
+        elif out is None or axis < len(indices) - 1:
+            g = g.take(digits[idx[0]], axis)
+        else:
+            shape = g.shape[:axis] + (len(idx[0]),) + g.shape[axis + 1:]
+            g = g.take(digits[idx[0]], axis, out[:math.prod(shape)].reshape(shape), "clip")
+    return g.ravel()
+
+
+def _closed_in_blocks(alg, keys, width, group):
+    """``is_closed`` by a walk of its own over the rows decoded from the
+    keys.  The rows are cut into chunks of width s, the largest with
+    (n^s)^M at most ``_CHUNK`` (at least 1), and each operation's argument
+    combinations, reduced by ``_argument_axes``, into blocks of at most
+    ``_CHUNK``: per block and chunk, the lifted table is taken along each
+    axis, and the chunks' images, scaled by their weights, are added into
+    the images' keys, which ``_members`` looks up."""
+    n = alg.size
+    rows = _decoded(keys, n, width)
+    member = _members(keys, n, width)
+
+    def held(images):
+        return np.count_nonzero(member(images)) == images.size
+
+    m = max(alg.max_arity, 1)
+    # within one block the group's own checks cost more than it saves
+    if len(rows) ** m <= _CHUNK:
+        group = ()
+    reps = _orbit_representatives(rows, group, lambda part: _encoded(part, n, keys.dtype), held)
+    s = 1
+    while s < width and n ** ((s + 1) * m) <= _CHUNK:
+        s += 1
+    keyed = keys.dtype != object
+    scratch = _SCRATCH.arrays() if keyed else None
+    # per chunk: its width, its weight in a key and its rows' chunk keys
+    chunks = []
+    for start in range(0, width, s):
+        c = rows[:, start:start + s]
+        w = c.shape[1]
+        chunks.append((w, n ** (width - start - w), c @ n ** np.arange(w - 1, -1, -1)))
+    for op in alg.ops:
+        axes = _argument_axes(alg, op, len(rows), reps)
+        # a pair's gather indexes two axes at once, the costliest per
+        # image: first, on the table; then the axis that cuts most from it
+        axes.sort(key=lambda axis: (len(axis[0]) == 1, axis[1] / n ** (s * len(axis[0]))))
+        order = [a for args, _, _ in axes for a in args]
+        tables = []
+        for w, weight, _ in chunks:
+            table = np.array(alg.lifted_table(op.symbol, w).transpose(order), order="C")
+            # int64 keys add the chunks' images scaled by their weights;
+            # Python int keys are combined by Horner's rule
+            if keyed:
+                table *= weight
+            table.flags.writeable = False
+            tables.append(table)
+        for spans in _spans([length for _, length, _ in axes]):
+            indices = [fetch(*span) for (_, _, fetch), span in zip(axes, spans)]
+            images = None
+            for table, (w, _, digits) in zip(tables, chunks):
+                out = None if scratch is None else scratch.images[int(images is not None)]
+                g = _gathered(table, indices, digits, out)
+                if images is None:
+                    # a constant's ravel is a view of its read-only table
+                    images = g.astype(keys.dtype, copy=not g.flags.writeable)
+                elif keyed:
+                    images += g
+                else:
+                    images = images * n**w + g
+            if not held(images):
+                return False
     return True
 
 
@@ -786,22 +987,21 @@ def is_admissible(alg: FiniteAlgebra, rel) -> bool:
 
     The empty relation is.  Otherwise the tuples are validated in order, in
     one pass that also gives each tuple's base-n key, and ``is_closed``
-    checks the keys.  A relation with an entry that is not a Python int (a
-    bool, a float or a numpy scalar), or of width 0, is converted to rows
-    first, which refuses entries that are not integers, and its keys are
-    encoded from them.
+    checks the keys with the trivial group.  A relation with an entry that
+    is not a Python int (a bool, a float or a numpy scalar) is converted to
+    rows first, which refuses entries that are not integers, and its keys
+    are encoded from them.
     """
     tuples = [tuple(t) for t in rel]
     if not tuples:
         return True
     keys = _tuple_keys(tuples, alg.size, "relation")
     width = len(tuples[0])
-    # a width-0 relation has no entries, and the conversion refuses it
-    if keys is None or not width:
-        rows = _rows(tuples, "relation").astype(np.int64, copy=False)
-        keys = _layout(alg.size, width, alg.max_arity, _CHUNK).encode(rows)
+    dtype = _key_dtype(alg.size, width)
+    if keys is None:
+        keys = _encoded(_rows(tuples, "relation"), alg.size, dtype)
     else:
-        keys = np.array(keys, dtype=_key_dtype(alg.size, width))
+        keys = np.array(keys, dtype=dtype)
     return is_closed(alg, keys, width)
 
 

@@ -272,52 +272,62 @@ def record_closure_paths(monkeypatch):
 def record_admissibility_paths(monkeypatch, module=subpower):
     """Count the closedness checks run from now on by the paths they take.
 
-    A check of k keys of width-w rows over n elements takes one path, chosen
-    by the largest arity M.  It takes the "gather" path for each operation,
-    in declaration order, when n^w, (n^w)^M and k^M are at most ``_CHUNK``
-    and M is at most 32: it reads the algebra's lifted table at the keys.
-    Otherwise it takes the "saturate" path: one closure of the rows decoded
-    from the keys, which reads lifted tables of its own.  Each check must
-    take the path its sizes select, through every operation when the answer
-    is yes.
+    A check of k keys of width-w rows over n elements takes one path,
+    chosen by the largest arity M.  A^w of one row (n^w = 1) takes none.
+    It takes the "gather" path when n^w, (n^w)^M and k^M are at most
+    ``_CHUNK``: for each operation, in declaration order, it reads the
+    algebra's lifted table of width w at the keys.  Otherwise it takes the
+    "blocked" path: for each operation it reads the lifted tables of its
+    chunks, of width s, the largest with (n^s)^max(M, 1) at most ``_CHUNK``
+    (at least 1), and of the remainder.  Each check must take the path its
+    sizes select, through every operation when the answer is yes.  A
+    blocked check looks its images up in a bitmap over A^w when n^w is at
+    most ``_TABLE_BYTES``, else it searches the sorted keys ("searched").
 
     ``is_admissible`` validates its tuples into keys; a relation with an
     entry that is not a Python int is converted to rows first, and its keys
     are encoded from them.  A check also counts as "converted" when its
-    relation was made rows: by that conversion, or by the decode of its
-    keys for saturation.  The checks counted are those through
+    relation was made rows: by that conversion, or by the blocked path's
+    decode of its keys.  The checks counted are those through
     ``module.is_closed``, ``subpower``'s (``is_admissible``'s) by default.
     """
     paths = collections.Counter()
     events = None
-    saturating = False
+    blocked = False
     converted = False
+    searched = False
     lifted_table = FiniteAlgebra.lifted_table
-    run = subpower._Closure.run
-    decode = subpower._Layout.decode
+    walk = subpower._closed_in_blocks
+    decoded = subpower._decoded
+    members = subpower._members
     rows = subpower._rows
     check = module.is_closed
 
     def recorded_lifted_table(alg, symbol, width):
-        if events is not None and not saturating:
-            events.append(("gather", symbol))
+        if events is not None:
+            events.append(("blocked" if blocked else "gather", symbol, width))
         return lifted_table(alg, symbol, width)
 
-    def recorded_run(state):
-        nonlocal saturating
-        if events is not None:
-            events.append(("saturate", None))
-        saturating = True
+    def recorded_walk(*args):
+        nonlocal blocked
+        blocked = True
         try:
-            return run(state)
+            return walk(*args)
         finally:
-            saturating = False
+            blocked = False
 
-    def recorded_decode(layout, keys):
+    def recorded_decoded(keys, n, width):
         nonlocal converted
-        if events is not None and not saturating:
-            converted = True
-        return decode(layout, keys)
+        converted = converted or events is not None
+        return decoded(keys, n, width)
+
+    def recorded_members(keys, n, width):
+        nonlocal searched
+        member = members(keys, n, width)
+        bitmap = getattr(member, "__self__", None)
+        searched = not (isinstance(bitmap, np.ndarray) and bitmap.size == n**width)
+        assert searched == (n**width > subpower._TABLE_BYTES), (n, width, searched)
+        return member
 
     def recorded_rows(tuples, noun):
         nonlocal converted
@@ -326,14 +336,19 @@ def record_admissibility_paths(monkeypatch, module=subpower):
         return out
 
     def recorded(alg, k, w, closed):
-        nonlocal events, converted
-        n = alg.size
-        chunk = subpower._CHUNK
+        nonlocal events, converted, searched
+        n, chunk = alg.size, subpower._CHUNK
         m = max(op.arity for op in alg.ops)
-        if n**w <= chunk and m <= 32 and max(n**w, k) ** m <= chunk:
-            want = [("gather", op.symbol) for op in alg.ops]
+        if n**w == 1:
+            want = []
+        elif n**w <= chunk and max(n**w, k) ** m <= chunk:
+            want = [("gather", op.symbol, w) for op in alg.ops]
         else:
-            want = [("saturate", None)]
+            s = 1
+            while s < w and n ** ((s + 1) * max(m, 1)) <= chunk:
+                s += 1
+            widths = [s] * (w // s) + [w % s] * (w % s > 0)
+            want = [("blocked", op.symbol, c) for op in alg.ops for c in widths]
         events = []
         try:
             answer = closed()
@@ -341,21 +356,42 @@ def record_admissibility_paths(monkeypatch, module=subpower):
         finally:
             events = None
         assert got == (want if answer else want[:len(got)]), (got, want, answer)
-        paths.update({path for path, _ in got})
+        paths.update({path for path, _, _ in got})
         if converted:
             paths["converted"] += 1
             converted = False
+        if searched:
+            paths["searched"] += 1
+            searched = False
         return answer
 
-    def recorded_check(alg, keys, width):
-        return recorded(alg, len(keys), width, lambda: check(alg, keys, width))
+    def recorded_check(alg, keys, width, group=()):
+        return recorded(alg, len(keys), width, lambda: check(alg, keys, width, group))
 
     monkeypatch.setattr(FiniteAlgebra, "lifted_table", recorded_lifted_table)
-    monkeypatch.setattr(subpower._Closure, "run", recorded_run)
-    monkeypatch.setattr(subpower._Layout, "decode", recorded_decode)
+    monkeypatch.setattr(subpower, "_closed_in_blocks", recorded_walk)
+    monkeypatch.setattr(subpower, "_decoded", recorded_decoded)
+    monkeypatch.setattr(subpower, "_members", recorded_members)
     monkeypatch.setattr(subpower, "_rows", recorded_rows)
     monkeypatch.setattr(module, "is_closed", recorded_check)
     return paths
+
+
+def count_checked(monkeypatch):
+    """Count the argument combinations that closedness checks walk from now
+    on, under ``"combinations"``: per block of ``_closed_in_blocks``, the
+    product of its spans.  These are what a blocked check applies its
+    operations to, after the group's and an operation's symmetry are used."""
+    counts = collections.Counter()
+    spans = subpower._spans
+
+    def counted(lengths):
+        for block in spans(lengths):
+            counts["combinations"] += math.prod(stop - start for start, stop in block)
+            yield block
+
+    monkeypatch.setattr(subpower, "_spans", counted)
+    return counts
 
 
 def scalar_is_admissible(alg, rel):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import re
@@ -437,13 +438,22 @@ def test_a_refutation_that_is_not_proved_is_refused(monkeypatch, tmp_path, capsy
             assert f"internal consistency error: {message}" in captured.err
 
 
+# the messages of a proof that finds a closure not closed, or not invariant
+# under the pattern's group
+_UNPROVED_BY_THE_CHECK = (
+    r"is not proved: (its closure is not closed|the relation is not invariant"
+    r" under the (transposition|cycle) of coordinate blocks)"
+)
+
+
 def test_a_closure_that_misses_tuples_refutes_nothing(monkeypatch):
     # an engine that skips the last rectangle of every round after the first
     # misses tuples, so a closure may hold no block repeat where the full one
     # does.  Saturating the pair again would reproduce that wrong "no"; the
-    # proof finds the closure not closed.  The corpus runs at the default
-    # chunk, where every proof gathers, and at 256 combinations, where the
-    # larger ones saturate
+    # proof finds the closure not closed, or not invariant under the
+    # pattern's group.  The corpus runs at the default chunk, where every
+    # proof gathers, and at 256 combinations, where the larger ones walk
+    # their combinations in blocks
     from maltsev_lab import decision, subpower
 
     problems = (qwnu(2), qwnu(3), qtaylor())
@@ -466,18 +476,19 @@ def test_a_closure_that_misses_tuples_refutes_nothing(monkeypatch):
                 try:
                     report = decide(alg, problem)
                 except ConsistencyError as exc:
-                    assert str(exc).endswith("is not proved: its closure is not closed")
+                    assert re.search(_UNPROVED_BY_THE_CHECK, str(exc)), str(exc)
                     refused += answer
                     continue
                 assert report.answer or not answer, (seed, problem.name, chunk)
         assert refused >= 20, (chunk, refused)
-    assert paths["gather"] and paths["saturate"], paths
+    assert paths["gather"] and paths["blocked"], paths
 
 
 @pytest.mark.parametrize("k, path", [(61, "keyed"), (62, "tuple"), (64, "tuple")])
 def test_refutation_proofs_over_wide_keys(monkeypatch, k, path):
     # qWNU of the first projection fails at (0, 1); its closure in 2^k keys
-    # commits Python ints from 2^62 on, and the proof saturates its keys.
+    # commits Python ints from 2^62 on, and the proof walks its keys in
+    # blocks, which searches them sorted.
     # is_closed on the closure, and on the closure without its last row,
     # gives the scalar answer, for the projection and for the meet
     from maltsev_lab import decision, subpower
@@ -492,9 +503,9 @@ def test_refutation_proofs_over_wide_keys(monkeypatch, k, path):
     monkeypatch.setattr(decision, "generate_until", recorded)
     paths = record_closure_paths(monkeypatch)
     assert has_k_qwnu(PROJ2, k).refutation == (0, 1)
-    # pair (0, 0)'s closure, pair (0, 1)'s and the proof's saturation
+    # pair (0, 0)'s closure and pair (0, 1)'s; the proof runs none
     rel, hit = closures[-1]
-    assert hit is None and rel.width == k and paths == {path: 3}, paths
+    assert hit is None and rel.width == k and paths == {path: 2}, paths
     answers = set()
     for alg in (PROJ2, MIN2):
         for keys in (rel.keys, rel.keys[:-1]):
@@ -502,6 +513,191 @@ def test_refutation_proofs_over_wide_keys(monkeypatch, k, path):
             assert subpower.is_closed(alg, keys, rel.width) == want, (alg.name, len(keys))
             answers.add(want)
     assert answers == {True, False}
+    # and with the pattern's group, S_k, under which the closure is invariant
+    assert subpower.is_closed(PROJ2, rel.keys, k, qwnu(k).group)
+
+
+def _symmetric_ternary(seed, n):
+    """A seeded random ternary operation symmetric in arguments 0 and 2."""
+    rng = random.Random(seed)
+    table = {}
+    for x, y, z in itertools.product(range(n), repeat=3):
+        table[x, y, z] = table.get((z, y, x), rng.randrange(n))
+    return make_algebra(f"sym{seed}", n, ("m", 3, [table[args] for args in sorted(table)]))
+
+
+def test_problem_groups_permute_the_generators():
+    assert qwnu(3).group == ((range(0, 1), range(1, 2), range(2, 3)),)
+    assert nlocal(2, 2).group == ((range(0, 2), range(2, 4)),)
+    assert qtaylor().group == ((range(1, 2), range(2, 3)),)
+    # each transposition of two applications in a set maps the generator
+    # columns of every pair onto themselves
+    for problem in (qwnu(2), qwnu(4), nlocal(2, 3), qtaylor()):
+        cols = _columns(problem, list(problem.pairs(Z3_MALTSEV)))
+        for blocks in problem.group:
+            for a, b in itertools.combinations(blocks, 2):
+                moved = np.arange(cols.shape[2])
+                moved[list(a) + list(b)] = list(b) + list(a)
+                for p in range(cols.shape[1]):
+                    assert sorted(cols[:, p].tolist()) == sorted(cols[:, p, moved].tolist())
+
+
+def test_a_closure_that_misses_diagonal_combinations_is_refused(monkeypatch):
+    # a round enumerator that trims a symmetric operation's range one index
+    # past the swap drops the combinations whose indices i and j are equal,
+    # in round 1 as well.  On these ternary operations, symmetric in
+    # arguments 0 and 2 on four elements, that closure holds no constant
+    # where the full one does.  A proof that saturated with the same
+    # enumerator let each wrong "no" through; this one is too large for one
+    # gather, and the blocked check finds the closure not closed, or not
+    # invariant
+    from maltsev_lab import decision, subpower
+
+    def diagonal_dropped(blocks, p, swaps):
+        for prefix, ranges in blocks:
+            ranges = list(ranges)
+            for i, j in swaps:
+                if j < p:
+                    if prefix[i] > prefix[j]:
+                        break
+                else:
+                    r = ranges[j - p]
+                    if r.start <= prefix[i]:
+                        if r.stop <= prefix[i] + 1:
+                            break
+                        ranges[j - p] = range(prefix[i] + 1, r.stop)
+            else:
+                yield prefix, tuple(ranges)
+
+    algebras = [_symmetric_ternary(seed, 4) for seed in (15, 38, 42, 53)]
+    assert all(has_k_qwnu(alg, 3).answer for alg in algebras)
+    monkeypatch.setattr(subpower, "_unswapped", diagonal_dropped)
+    paths = record_admissibility_paths(monkeypatch, decision)
+    for alg in algebras:
+        with pytest.raises(ConsistencyError) as info:
+            has_k_qwnu(alg, 3)
+        assert re.search(_UNPROVED_BY_THE_CHECK, str(info.value)), str(info.value)
+    assert paths["blocked"] == len(algebras) and not paths["gather"], paths
+
+
+def test_group_reduced_checks_match_the_check_without_the_group(monkeypatch):
+    # closures of the patterns' generators are invariant under the
+    # patterns' groups: the check with the group and the check without it
+    # agree on them, and so does the scalar check where it is quick.
+    # Without a row, the check with the group refuses the relation, by its
+    # answer or by a failed invariance.  At a chunk of 64 most checks walk
+    # blocks
+    from maltsev_lab import subpower
+
+    patch_chunk(monkeypatch, 64)
+    paths = record_admissibility_paths(monkeypatch)
+    rng = random.Random(5)
+    answers = collections.Counter()
+    for seed in range(40):
+        size = 2 + seed % 2
+        alg = random_algebra(seed, size, rng.choice([[2], [1, 2], [3], [0, 2]]))
+        if seed % 4 == 0:
+            alg = _symmetric_ternary(seed, size)
+        for problem in (qwnu(2), qwnu(3), nlocal(2, 2), qtaylor()):
+            pair = rng.choice(list(problem.pairs(alg)))
+            gens = [tuple(g) for g in _columns(problem, [pair])[:, 0].tolist()]
+            rel = generate_subpower(alg, gens)
+            assert subpower.is_closed(alg, rel.keys, rel.width, problem.group)
+            assert subpower.is_closed(alg, rel.keys, rel.width)
+            answers["closed"] += 1
+            for drop in rng.sample(range(len(rel)), min(2, len(rel) - 1)):
+                keys = np.delete(rel.keys, drop)
+                want = subpower.is_closed(alg, keys, rel.width)
+                if len(keys) ** alg.max_arity <= 4096:
+                    rows = [t for i, t in enumerate(rel.tuples) if i != drop]
+                    assert scalar_is_admissible(alg, rows) == want
+                try:
+                    got = subpower.is_closed(alg, keys, rel.width, problem.group)
+                except ConsistencyError as exc:
+                    assert "is not invariant under" in str(exc)
+                    answers["not invariant"] += 1
+                    continue
+                assert got == want, (seed, problem.name, drop)
+                answers[got] += 1
+    assert answers["closed"] == 160 and answers["not invariant"] >= 50, answers
+    assert answers[True] and answers[False], answers
+    assert paths["blocked"] >= 500, paths
+
+
+def test_an_orbit_member_dropped_is_refused(monkeypatch):
+    # the closure at the refuting pair of x - y + z mod 9 is invariant
+    # under S_3; without one row whose orbit has more members it is not.
+    # Its 81^3 combinations are more than one block, so the check reads
+    # the group
+    from maltsev_lab import subpower
+
+    alg = make_algebra(
+        "z9", 9, ("m", 3, [(x - y + z) % 9 for x, y, z in itertools.product(range(9), repeat=3)])
+    )
+    gens = [tuple(g) for g in _columns(qwnu(3), [(0, 1)])[:, 0].tolist()]
+    rel = generate_subpower(alg, gens)
+    group = qwnu(3).group
+    assert len(rel) == 81 and subpower.is_closed(alg, rel.keys, 3, group)
+    for row in (1, 40, 80):
+        assert len(set(rel.tuples[row])) > 1
+        keys = np.delete(rel.keys, row)
+        with pytest.raises(ConsistencyError, match="is not invariant under the"):
+            subpower.is_closed(alg, keys, 3, group)
+    # a group that the relation does not have fails its check, and a
+    # malformed one is refused; at a chunk of 64 the 27 rows of this
+    # closure make more than one block
+    patch_chunk(monkeypatch, 64)
+    gens = [tuple(g) for g in _columns(qtaylor(), [(0, 1)])[:, 0].tolist()]
+    rel = generate_subpower(Z3_MALTSEV, gens)
+    assert subpower.is_closed(Z3_MALTSEV, rel.keys, 4, qtaylor().group)
+    with pytest.raises(ConsistencyError, match=r"cycle of coordinate blocks \[\[0\], \[1\], \[2\], \[3\]\]"):
+        subpower.is_closed(Z3_MALTSEV, rel.keys, 4, qwnu(4).group)
+    with pytest.raises(ValueError, match="disjoint blocks of equal length"):
+        subpower.is_closed(Z3_MALTSEV, rel.keys, 4, ((range(0, 2), range(1, 3)),))
+
+
+def test_a_wrong_group_never_refutes(monkeypatch):
+    # a group that a closure is not invariant under stops the sweep with a
+    # failed invariance check, or its check passes; no verdict changes.
+    # Here the group swaps the two coordinates of the first 2-local point,
+    # or applications 0 and 3 of quasi Taylor.  A chunk of 4 sends most
+    # proofs of these sizes to a blocked walk of more than one block, the
+    # only check that reads the group
+    from maltsev_lab import decision
+
+    problems = (nlocal(2, 2), qtaylor())
+    wrong = {"nlocal-qwnu": ((range(0, 1), range(1, 2)),), "qtaylor": ((range(0, 1), range(3, 4)),)}
+    algebras = ALL_BINARY2 + [PROJ2, NOT2, CLIP3, Z3_MALTSEV]
+    algebras += [random_algebra(seed, 3, [1, 1]) for seed in range(8)]
+    truth = {(alg.name, p.name): decide(alg, p).answer for alg in algebras for p in problems}
+    monkeypatch.setattr(decision.Problem, "group", property(lambda self: wrong[self.name]))
+    patch_chunk(monkeypatch, 4)
+    outcomes = collections.Counter()
+    for alg in algebras:
+        for problem in problems:
+            try:
+                answer = decide(alg, problem).answer
+            except ConsistencyError as exc:
+                assert "is not invariant under the transposition" in str(exc)
+                outcomes["stopped"] += 1
+                continue
+            assert answer == truth[alg.name, problem.name], (alg.name, problem.name)
+            outcomes[answer] += 1
+    assert outcomes["stopped"] >= 5 and outcomes[False], outcomes
+
+
+def test_a_swap_that_the_table_does_not_have_is_refused(monkeypatch):
+    # the blocked check enumerates a swap's triangle only after checking the
+    # swap on the operation's table
+    from maltsev_lab import FiniteAlgebra, subpower
+
+    alg = random_algebra(4, 3, [3])
+    rel = generate_subpower(alg, [(0, 1, 2, 0, 1), (2, 2, 1, 0, 0)])
+    assert alg.swaps("f0") == () and len(rel) ** 3 > subpower._CHUNK
+    assert subpower.is_closed(alg, rel.keys, rel.width)
+    monkeypatch.setattr(FiniteAlgebra, "swaps", lambda self, symbol: ((0, 2),))
+    with pytest.raises(ConsistencyError, match=r"f0 is not symmetric in arguments \(0, 2\)"):
+        subpower.is_closed(alg, rel.keys, rel.width)
 
 
 def test_a_witness_that_is_not_idempotent_is_refused(monkeypatch):

@@ -12,7 +12,7 @@ from helpers import (
     NOT2,
     Z2_MINORITY,
     Z3_MALTSEV,
-    count_gathered,
+    count_checked,
     make_algebra,
     patch_chunk,
     record_admissibility_paths,
@@ -194,8 +194,7 @@ def _admissibility_cases(seed, count):
 def _wide_admissibility_cases(seed, count):
     """Seeded (algebra, generators, relation) triples whose key space n^width
     (2^9 to 2^18) or lifted tables are too large for one gather at the
-    default chunk: the check saturates the relation from the first binary
-    or ternary operation on, and from the start past 2^16 keys.  Every
+    default chunk: the check walks the relation's combinations in blocks.  Every
     generator's coordinates are copies of one or two base coordinates, and
     so are those of every tuple it generates, so a closure has at most n^2
     tuples.  Relations are closures, closures without their last tuple,
@@ -249,7 +248,7 @@ _EDGE_CASES = [
     (Z3_MALTSEV, [(0, 1), (1, 2), (2, 2)], False),
     (Z2_MINORITY, [(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)], True),
     # duplicate tuples: more rows than keys, on the gather path and, past
-    # 256 rows of a binary operation, in a saturation
+    # 256 rows of a binary operation, in blocks
     (MIN2, [(0, 1), (0, 1), (0, 0), (0, 0), (0, 1)], True),
     (MIN2, [(1, 0)] * 3 + [(0, 1)] * 3, False),
     (MIN2, [(0,)] * 257 + [(1,)], True),
@@ -279,11 +278,12 @@ def test_is_admissible_matches_scalar_check(monkeypatch, chunk):
         answers.append(want)
     assert answers.count(True) >= 120 and answers.count(False) >= 120
     if chunk is None:
-        assert paths["gather"] >= 50 and paths["saturate"] >= 50, paths
+        assert paths["gather"] >= 50 and paths["blocked"] >= 50, paths
     else:
-        assert paths["saturate"] >= 50, paths
-    # Python int entries are converted to rows only to be saturated
-    assert paths["converted"] == paths["saturate"], paths
+        # the byte cap is 56 there, so most blocked checks search sorted keys
+        assert paths["blocked"] >= 50 and paths["searched"] >= 50, paths
+    # Python int entries are converted to rows only to be walked in blocks
+    assert paths["converted"] == paths["blocked"], paths
 
 
 def test_a_second_check_at_the_same_width_builds_no_table():
@@ -323,8 +323,8 @@ def test_admissibility_is_invariant_under_relabelling(monkeypatch):
         assert is_admissible(copy, generate_subpower(copy, image(gens)).tuples)
     assert len(answers) >= 200
     assert answers.count(True) >= 50 and answers.count(False) >= 50
-    assert paths["gather"] >= 50 and paths["saturate"] >= 50, paths
-    assert paths["converted"] == paths["saturate"], paths
+    assert paths["gather"] >= 50 and paths["blocked"] >= 50, paths
+    assert paths["converted"] == paths["blocked"], paths
 
 
 def test_is_admissible_wide_tuples_match_scalar_check():
@@ -382,7 +382,10 @@ def test_is_admissible_input_rules():
         (MIN2, [(0, 255)], ValueError("relation entry 255 outside universe")),
         (MIN2, [(0, 1), (2**70, 0)], ValueError(f"relation entry {2**70} outside universe")),
         (MIN2, [(1.0, 0)], TypeError(integers)),
-        (MIN2, [()], TypeError(integers)),
+        # {()} is all of A^0, which every operation preserves
+        (MIN2, [()], True),
+        (MIN2, [(), ()], True),
+        (MIN2, [(), (0,)], ValueError("relation tuples must have equal width")),
     ]:
         if isinstance(want, bool):
             assert is_admissible(alg, rel) is want, rel
@@ -405,7 +408,7 @@ def _typed_admissibility_cases(seed, count):
     """Seeded (algebra, relation) pairs for each path of ``is_admissible``.
     Shapes: a binary operation on at most 256 keys (gathers), unary
     operations on 512 to 4096 keys (gathers, with keys past np.uint8), and a
-    binary operation on 512 to 4096 keys (saturation).  Every generator's
+    binary operation on 512 to 4096 keys (blocks).  Every generator's
     coordinates are copies of one or two base coordinates, so a closure has
     at most n^2 tuples.  Relations are closures, closures without their last
     tuple, generators with a duplicate, or random tuples; their entries are
@@ -465,10 +468,10 @@ def _typed_admissibility_cases(seed, count):
 
 def test_keyed_admissibility_matches_scalar_check_on_typed_entries(monkeypatch):
     # each path (keys of Python ints, rows converted from other entry
-    # types, saturation) gives the scalar answer, or its error, and runs
+    # types, blocks) gives the scalar answer, or its error, and runs
     # at least 100 checks with both answers
     paths = record_admissibility_paths(monkeypatch)
-    answers = {path: collections.Counter() for path in ("keyed", "converted", "saturate")}
+    answers = {path: collections.Counter() for path in ("keyed", "converted", "blocked")}
     errors = 0
 
     def outcome(check, alg, rel):
@@ -489,11 +492,11 @@ def test_keyed_admissibility_matches_scalar_check_on_typed_entries(monkeypatch):
             assert not taken, taken
             continue
         path = (
-            "saturate" if taken["saturate"]
+            "blocked" if taken["blocked"]
             else "converted" if taken["converted"]
             else "keyed"
         )
-        assert taken["gather"] or path == "saturate", taken
+        assert taken["gather"] or path == "blocked", taken
         answers[path][got] += 1
     assert errors >= 20, errors
     for path, counts in answers.items():
@@ -527,7 +530,7 @@ def test_is_admissible_memory_is_bounded_by_the_chunk(monkeypatch):
     rel = generate_subpower(alg, gens).tuples
     assert len(rel) == 343
     is_admissible(alg, rel[:2])  # numpy imports some helpers lazily
-    gathered = count_gathered(monkeypatch)
+    gathered = count_checked(monkeypatch)
     tracemalloc.start()
     try:
         assert is_admissible(alg, rel)

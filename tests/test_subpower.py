@@ -804,7 +804,7 @@ def _arrays(rel):
 
 def _halving_case():
     """4^8 = _CHUNK keys: dense at any budget, and (4^8)^2 combinations are
-    above _CHUNK, so is_closed saturates.  Tuple h of the closure is the
+    above _CHUNK, so is_closed walks them in blocks.  Tuple h of the closure is the
     halving of the first generator, and h + 1 of the second, in the same
     block."""
     alg = _limit_algebra(4)
@@ -818,10 +818,10 @@ def _halving_case():
 
 def test_a_cut_closure_marks_only_its_commits(monkeypatch):
     # a dense closure finds a block's first occurrences in its seen slots;
-    # after a budget cut, a stop hit that cut its block short and an
-    # is_closed refusal, record_closure_paths checks that seen marks
-    # exactly the tuples committed, and those are what a full run commits
-    # first
+    # after a budget cut and a stop hit that cut its block short,
+    # record_closure_paths checks that seen marks exactly the tuples
+    # committed, and those are what a full run commits first.  is_closed
+    # refuses the closure less its last row without a closure of its own
     paths = record_closure_paths(monkeypatch)
     alg, gens, want, h = _halving_case()
     with pytest.raises(BudgetExceededError):
@@ -830,7 +830,7 @@ def test_a_cut_closure_marks_only_its_commits(monkeypatch):
     assert hit == h == len(rel) - 1
     assert _arrays(rel) == tuple(a[:h + 1] for a in _arrays(want))
     assert not subpower.is_closed(alg, want.keys[:-1], want.width)
-    assert paths == {"dense": 4}, paths
+    assert paths == {"dense": 3}, paths
 
 
 def test_a_closure_that_commits_a_key_twice_raises_at_once(monkeypatch):
@@ -850,17 +850,21 @@ def test_a_closure_that_commits_a_key_twice_raises_at_once(monkeypatch):
 
 def test_the_dense_choice_weighs_the_budget(monkeypatch):
     # a closure keeps a dense table over at most the larger of its budget
-    # and _CHUNK keys.  is_admissible of two width-4 rows in 48^4 keys
-    # saturates them under a budget of two, keyed, instead of filling a
-    # 42-MB table; a standalone closure there and a sweep in 17^4 keys, at
-    # their default budgets, and a unary monoid of 7^7 maps stay dense.  A
-    # sweep whose budget is below its key space commits the same, keyed
+    # and _CHUNK keys.  A closure of two width-4 rows in 48^4 keys under a
+    # budget of two is keyed instead of filling a 42-MB table, and
+    # is_admissible checks them with no closure; a standalone closure there
+    # and a sweep in 17^4 keys, at their default budgets, and a unary
+    # monoid of 7^7 maps stay dense.  A sweep whose budget is below its key
+    # space commits the same, keyed
     from maltsev_lab import decision, digraph, io
 
     paths = record_closure_paths(monkeypatch)
     alg = random_algebra(7, 48, [2])
     rows = [(0, 1, 2, 3), (0, 0, 0, 0)]
     assert digraph.is_admissible(alg, rows) == scalar_is_admissible(alg, rows)
+    assert paths == {}
+    with pytest.raises(BudgetExceededError):
+        generate_subpower(alg, rows, 2)
     assert paths == {"keyed": 1}
     generate_until(alg, rows, BlockRepeat(1))
     assert paths == {"keyed": 1, "dense": 1}
